@@ -25,9 +25,9 @@ race:
 	$(GO) test -race ./...
 
 # Micro-benchmarks of the hot paths (sketch update/estimate, heap ops,
-# fused learner updates, sharded/Hogwild throughput).
+# fused learner updates, sharded throughput).
 bench:
-	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|Hogwild' -benchtime 2s . ./internal/sketch ./internal/topk
+	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded' -benchtime 2s . ./internal/sketch ./internal/topk
 
 # Machine-readable throughput snapshot for the perf trajectory: writes
 # BENCH_throughput.json via cmd/wmbench (see PERFORMANCE.md).
@@ -82,12 +82,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadRequestFrame -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzReadResponseFrame -fuzztime 20s ./internal/wire
 
-# Static analysis gate (LINTING.md): wmlint (the project's own analyzers —
-# clockdet, maporder, decodebounds, guardedby, nonfinite, metricnames,
-# ctxflow) always runs and must report zero findings; staticcheck and
-# govulncheck run when installed (CI installs the pinned versions via
-# lint-tools).
+# Static analysis gate (LINTING.md): `gofmt -l .` must print nothing;
+# wmlint (the project's own analyzers — clockdet, maporder, decodebounds,
+# guardedby, nonfinite, metricnames, ctxflow) always runs and must report
+# zero findings; staticcheck and govulncheck run when installed (CI
+# installs the pinned versions via lint-tools).
 lint:
+	@echo "gofmt -l ."; unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/wmlint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \

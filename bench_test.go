@@ -136,17 +136,17 @@ func BenchmarkAWMSketchQuery(b *testing.B) {
 	_ = sink
 }
 
-// Multi-core throughput benchmarks of the sharded learner (private shards
-// with periodic merge, and the lock-free Hogwild mode). RunParallel drives
-// Update from GOMAXPROCS goroutines, exercising the router and worker
-// queues the way a multi-producer ingest pipeline would.
+// Multi-core throughput benchmark of the sharded learner (private shards
+// with periodic merge). RunParallel drives Update from GOMAXPROCS
+// goroutines, exercising the router and worker queues the way a
+// multi-producer ingest pipeline would.
 
-func benchSharded(b *testing.B, opt core.ShardedOptions, lambda float64) {
+func benchSharded(b *testing.B, opt core.ShardedOptions) {
 	b.Helper()
 	gen := datagen.RCV1Like(1)
 	examples := gen.Take(4096)
 	s := core.NewSharded(core.Config{
-		Width: 4096, Depth: 1, HeapSize: 2048, Lambda: lambda, Seed: 1,
+		Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: 1,
 	}, opt)
 	const batch = 256
 	b.ReportAllocs()
@@ -170,13 +170,7 @@ func benchSharded(b *testing.B, opt core.ShardedOptions, lambda float64) {
 // BenchmarkShardedUpdate32KB4Workers measures private-shard parallel
 // training at the paper's largest configuration.
 func BenchmarkShardedUpdate32KB4Workers(b *testing.B) {
-	benchSharded(b, core.ShardedOptions{Workers: 4, SyncEvery: -1}, 1e-6)
-}
-
-// BenchmarkHogwildUpdate32KB4Workers measures lock-free shared-sketch
-// training (Section 9).
-func BenchmarkHogwildUpdate32KB4Workers(b *testing.B) {
-	benchSharded(b, core.ShardedOptions{Workers: 4, SyncEvery: -1, Hogwild: true}, 0)
+	benchSharded(b, core.ShardedOptions{Workers: 4, SyncEvery: -1})
 }
 
 // BenchmarkAWMSketchTopK measures TopK retrieval latency.

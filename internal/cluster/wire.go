@@ -82,9 +82,9 @@ const (
 	// 24-byte trace annotation, and the header CRC.
 	streamHeaderSize = 4 + 4 + 16 + 8 + 4
 	kindDigest       = byte(1)
-	kindFull     = byte(2)
-	kindDelta    = byte(3)
-	maxOriginLen = 256
+	kindFull         = byte(2)
+	kindDelta        = byte(3)
+	maxOriginLen     = 256
 	// maxFrameBytes bounds one frame's declared payload length.
 	maxFrameBytes = 1 << 28
 	// Per-kind count bounds, each matched to what the data can legitimately

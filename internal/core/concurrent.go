@@ -1,90 +1,107 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sync"
 
 	"wmsketch/internal/stream"
 )
 
-// Concurrent wraps any Learner with a reader/writer lock so that one
-// writer (the update path) and many readers (Estimate/TopK/Predict
-// queries) can share a sketch safely across goroutines. Section 9 notes
-// that sketched gradient updates tolerate Hogwild-style lock-free
-// execution; this wrapper is the conservative, race-free counterpart —
-// the right default for a library, with the lock-free mode left as an
-// opt-in research configuration.
+// Concurrent wraps one WM- or AWM-Sketch with a reader/writer lock so that
+// one writer (the update path) and many readers (Estimate/TopK/Predict
+// queries) can share it safely across goroutines. Queries always see every
+// update that returned before them. It offers the same serving surface as
+// Sharded — UpdateBatch, Sync, Close, checkpointing and snapshots — so a
+// server can hold either behind one interface; Sync and Close are no-ops
+// here because there is no merged snapshot to refresh and no worker to stop.
 type Concurrent struct {
 	mu sync.RWMutex
-	l  stream.Learner
+	m  sketchModel // guarded by mu
 }
 
-// NewConcurrent wraps l.
-func NewConcurrent(l stream.Learner) *Concurrent {
-	if l == nil {
+// NewConcurrent wraps m, a *WMSketch or *AWMSketch.
+func NewConcurrent(m sketchModel) *Concurrent {
+	if m == nil {
 		panic("core: nil learner")
 	}
-	return &Concurrent{l: l}
+	return &Concurrent{m: m}
 }
 
 // Update applies one gradient step under the write lock.
 func (c *Concurrent) Update(x stream.Vector, y int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.l.Update(x, y)
+	c.m.Update(x, y)
+}
+
+// UpdateBatch applies the batch in order under one write lock, so the
+// result equals len(batch) sequential Update calls.
+func (c *Concurrent) UpdateBatch(batch []stream.Example) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ex := range batch {
+		c.m.Update(ex.X, ex.Y)
+	}
 }
 
 // Predict evaluates the margin under the read lock.
 func (c *Concurrent) Predict(x stream.Vector) float64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.l.Predict(x)
+	return c.m.Predict(x)
 }
 
 // Estimate queries one weight under the read lock.
 func (c *Concurrent) Estimate(i uint32) float64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.l.Estimate(i)
+	return c.m.Estimate(i)
 }
 
 // TopK retrieves the heaviest weights under the read lock.
 func (c *Concurrent) TopK(k int) []stream.Weighted {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.l.TopK(k)
+	return c.m.TopK(k)
 }
 
-// WriteTo checkpoints the wrapped learner under the read lock (writers are
-// excluded, concurrent queries are not). It errors when the wrapped learner
-// is not serializable.
+// WriteTo checkpoints the wrapped model under the read lock (writers are
+// excluded, concurrent queries are not), in the model's own format.
 func (c *Concurrent) WriteTo(w io.Writer) (int64, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	wt, ok := c.l.(io.WriterTo)
-	if !ok {
-		return 0, fmt.Errorf("core: learner %T is not serializable", c.l)
-	}
-	return wt.WriteTo(w)
+	return c.m.WriteTo(w)
 }
 
-// Steps reports the wrapped learner's update count when it exposes one
-// (all learners in core do), and 0 otherwise.
+// ModelSnapshot snapshots the wrapped model under the read lock.
+func (c *Concurrent) ModelSnapshot() (Snapshot, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.m.ModelSnapshot()
+}
+
+// Steps reports the wrapped model's update count.
 func (c *Concurrent) Steps() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if s, ok := c.l.(interface{ Steps() int64 }); ok {
-		return s.Steps()
-	}
-	return 0
+	return c.m.Steps()
 }
 
-// MemoryBytes reports the wrapped learner's footprint.
+// Workers returns 0: updates run on the caller's goroutine, not on a pool.
+func (c *Concurrent) Workers() int { return 0 }
+
+// MemoryBytes reports the wrapped model's footprint.
 func (c *Concurrent) MemoryBytes() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.l.MemoryBytes()
+	return c.m.MemoryBytes()
 }
+
+// Sync is a no-op: queries read the model itself, so they are always
+// current.
+func (c *Concurrent) Sync() {}
+
+// Close is a no-op: there is no background goroutine to stop.
+func (c *Concurrent) Close() {}
 
 var _ stream.Learner = (*Concurrent)(nil)

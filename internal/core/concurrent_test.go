@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
+	"wmsketch/internal/datagen"
 	"wmsketch/internal/stream"
 )
 
@@ -16,17 +18,26 @@ func TestConcurrentParallelUpdatesAndQueries(t *testing.T) {
 		gens[i] = newPlanted(500, 5, defaultPlantedWeights(), int64(400+i))
 	}
 	var wg sync.WaitGroup
-	// Two writer goroutines, two query goroutines.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(gen *planted) {
-			defer wg.Done()
-			for i := 0; i < 3000; i++ {
-				ex := gen.next()
-				c.Update(ex.X, ex.Y)
+	// Two writer goroutines (one per example, one in batches), two query
+	// goroutines.
+	wg.Add(2)
+	go func(gen *planted) {
+		defer wg.Done()
+		for i := 0; i < 3000; i++ {
+			ex := gen.next()
+			c.Update(ex.X, ex.Y)
+		}
+	}(gens[0])
+	go func(gen *planted) {
+		defer wg.Done()
+		batch := make([]stream.Example, 10)
+		for i := 0; i < 3000; i += len(batch) {
+			for j := range batch {
+				batch[j] = gen.next()
 			}
-		}(gens[g])
-	}
+			c.UpdateBatch(batch)
+		}
+	}(gens[1])
 	for g := 2; g < 4; g++ {
 		wg.Add(1)
 		go func(gen *planted) {
@@ -73,5 +84,46 @@ func TestConcurrentIsDropInLearner(t *testing.T) {
 	l.Update(stream.OneHot(1), 1)
 	if l.Estimate(1) == 0 {
 		t.Fatal("wrapped update lost")
+	}
+}
+
+// TestConcurrentUpdateBatchMatchesSequential: UpdateBatch applies a batch in
+// order, so the wrapped model must checkpoint byte-identically to a bare
+// one fed the same examples one Update at a time; Sync and Close must not
+// disturb it.
+func TestConcurrentUpdateBatchMatchesSequential(t *testing.T) {
+	cfg := Config{Width: 256, Depth: 2, HeapSize: 32, Lambda: 1e-6, Seed: 17}
+	for _, tc := range []struct {
+		name          string
+		wrapped, bare sketchModel
+	}{
+		{"awm", NewAWMSketch(cfg), NewAWMSketch(cfg)},
+		{"wm", NewWMSketch(cfg), NewWMSketch(cfg)},
+	} {
+		c := NewConcurrent(tc.wrapped)
+		gen := datagen.RCV1Like(17)
+		for i := 0; i < 50; i++ {
+			batch := gen.Take(1 + i%9)
+			c.UpdateBatch(batch)
+			for _, ex := range batch {
+				tc.bare.Update(ex.X, ex.Y)
+			}
+		}
+		c.Sync()
+		c.Close()
+		var got, want bytes.Buffer
+		if _, err := c.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.bare.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: UpdateBatch checkpoint differs from sequential Updates", tc.name)
+		}
+		if c.Steps() != tc.bare.Steps() || c.Workers() != 0 {
+			t.Fatalf("%s: steps %d (want %d), workers %d (want 0)",
+				tc.name, c.Steps(), tc.bare.Steps(), c.Workers())
+		}
 	}
 }

@@ -278,18 +278,6 @@ func rawHeapWeights(entries []topk.Entry) []stream.Weighted {
 	return out
 }
 
-// ModelSnapshot snapshots the wrapped learner under the read lock. It
-// errors when the wrapped learner cannot export its state.
-func (c *Concurrent) ModelSnapshot() (Snapshot, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s, ok := c.l.(Snapshotter)
-	if !ok {
-		return Snapshot{}, fmt.Errorf("core: learner %T cannot snapshot its model", c.l)
-	}
-	return s.ModelSnapshot()
-}
-
 // ModelSnapshot refreshes the merged view (reflecting every example routed
 // before the call) and returns it as a snapshot: the node-level model the
 // cluster layer replicates. The returned sketch is the live immutable view

@@ -77,21 +77,17 @@ func LoadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AW
 	return a, nil
 }
 
-// WriteTo checkpoints the parallel learner in private-shard mode: a header
-// (magic, version, variant, worker count, routed-update counter) followed by
-// each worker's model in its own serialization. The workers are quiesced in
-// place for the duration of the write via a freeze handshake on the same
-// FIFO queues that carry examples, so the checkpoint reflects every example
-// routed before the call and training resumes as soon as the write ends —
-// no teardown, no merge. Hogwild mode is not checkpointable: the shared
-// sketch admits no consistent cut while CAS writers race.
+// WriteTo checkpoints the parallel learner: a header (magic, version,
+// variant, worker count, routed-update counter) followed by each worker's
+// model in its own serialization. The workers are quiesced in place for the
+// duration of the write via a freeze handshake on the same FIFO queues that
+// carry examples, so the checkpoint reflects every example routed before
+// the call and training resumes as soon as the write ends — no teardown, no
+// merge.
 //
 // WriteTo may run concurrently with Update; updates queue behind the freeze
 // and are applied after it releases.
 func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
-	if s.hog != nil {
-		return 0, fmt.Errorf("core: hogwild-mode Sharded cannot be checkpointed")
-	}
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	if !s.closed.Load() {
@@ -137,12 +133,9 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 // loss and schedule replace the serialized behaviour (nil selects the
 // defaults); opt configures queue sizes and sync cadence, but the worker
 // count and shard variant come from the checkpoint — per-shard state cannot
-// be re-partitioned — and Hogwild must be off. The restored learner is live
-// (workers running) with its query snapshot already rebuilt.
+// be re-partitioned. The restored learner is live (workers running) with its
+// query snapshot already rebuilt.
 func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt ShardedOptions) (*Sharded, error) {
-	if opt.Hogwild {
-		return nil, fmt.Errorf("core: hogwild-mode Sharded cannot be restored from a checkpoint")
-	}
 	br := bufio.NewReader(r)
 	var magic, version, variant, workers uint32
 	var pending int64
@@ -166,11 +159,11 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 	if pending < 0 {
 		return nil, fmt.Errorf("core: negative update counter %d", pending)
 	}
-	models := make([]shardModel, workers)
+	models := make([]sketchModel, workers)
 	var cfg Config
 	for i := range models {
 		var (
-			m   shardModel
+			m   sketchModel
 			c   Config
 			err error
 		)

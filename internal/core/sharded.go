@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,14 +14,11 @@ import (
 // Sharded is a parallel learner that scales WM-/AWM-Sketch training across
 // cores, realizing the asynchronous-update extension sketched in Section 9
 // of the paper. The incoming stream is partitioned round-robin across P
-// workers. In the default mode each worker owns a *private* sketch and
-// heap — no shared mutable state on the update path at all — and the
-// per-shard models are periodically merged into a read-only snapshot by
-// exploiting Count-Sketch linearity (internal/sketch/merge.go): the average
-// of the shard sketches is exactly the sketch of the averaged shard models
-// (parameter mixing). In Hogwild mode (ShardedOptions.Hogwild) all workers
-// share a single sketch updated with lock-free compare-and-swap adds
-// instead, trading bounded gradient staleness for zero merge latency.
+// workers. Each worker owns a *private* sketch and heap — no shared mutable
+// state on the update path at all — and the per-shard models are
+// periodically merged into a read-only snapshot by exploiting Count-Sketch
+// linearity (internal/sketch/merge.go): the average of the shard sketches
+// is exactly the sketch of the averaged shard models (parameter mixing).
 //
 // Queries (Predict/Estimate/TopK) are served from the most recent merged
 // snapshot under a read lock, so they never contend with training beyond
@@ -37,9 +33,7 @@ import (
 type Sharded struct {
 	cfg      Config
 	opt      ShardedOptions
-	sqrtS    float64
 	workers  []*shardWorker
-	hog      *hogwildState // non-nil in Hogwild mode
 	memBytes int
 
 	next    atomic.Uint64 // round-robin router
@@ -75,13 +69,7 @@ type ShardedOptions struct {
 	// updates. 0 selects the default (65536); negative disables automatic
 	// refresh (snapshots then only rebuild on explicit Sync/Close).
 	SyncEvery int
-	// Hogwild shares one sketch across all workers with lock-free CAS
-	// updates (Section 9) instead of private shards. Requires Lambda == 0:
-	// the lazy global decay factor cannot be maintained without
-	// synchronization. Workers keep private passive top-K heaps (WM-style);
-	// Variant is ignored.
-	Hogwild bool
-	// Variant selects the per-shard model in private-shard mode.
+	// Variant selects the per-shard model.
 	Variant ShardVariant
 }
 
@@ -125,25 +113,26 @@ type shardFreeze struct {
 // back, plus the worker's heavy-hitter candidates with their true-scale
 // weights (exact for AWM active sets, heap estimates for WM).
 type shardSnapshot struct {
-	folded *sketch.CountSketch // nil in Hogwild mode (the sketch is shared)
+	folded *sketch.CountSketch
 	heavy  []stream.Weighted
 	steps  int64
 }
 
 type shardWorker struct {
 	in    chan shardMsg
-	model shardModel     // private-shard mode
-	hw    *hogwildWorker // Hogwild mode
+	model sketchModel
 }
 
-// shardModel is the contract a per-shard learner must satisfy to be
-// mergeable: in addition to normal learning it can produce a folded deep
-// copy of its sketch (scale applied, exact heap weights reconciled), report
-// its heavy-hitter candidates with true-scale weights, and serialize itself
-// for checkpointing.
-type shardModel interface {
+// sketchModel is the contract one WM- or AWM-Sketch satisfies: Sharded
+// trains one per worker and Concurrent wraps one behind a lock. In addition
+// to normal learning it can serialize itself, export a Snapshot for the
+// cluster layer, produce a folded deep copy of its sketch (scale applied,
+// exact heap weights reconciled), and report its heavy-hitter candidates
+// with true-scale weights.
+type sketchModel interface {
 	stream.Learner
 	io.WriterTo
+	Snapshotter
 	Steps() int64
 	foldedSketch() *sketch.CountSketch
 	heavyWeights() []stream.Weighted
@@ -207,61 +196,26 @@ func (a *AWMSketch) heavyWeights() []stream.Weighted {
 func NewSharded(cfg Config, opt ShardedOptions) *Sharded {
 	cfg.fill()
 	opt.fill()
-	if opt.Hogwild && cfg.Lambda != 0 {
-		panic(fmt.Sprintf("core: Hogwild mode requires Lambda == 0 (lazy decay needs synchronization), got %g", cfg.Lambda))
-	}
-	s := &Sharded{
-		cfg:   cfg,
-		opt:   opt,
-		sqrtS: math.Sqrt(float64(cfg.Depth)),
-	}
-	s.workers = make([]*shardWorker, opt.Workers)
-	if opt.Hogwild {
-		s.hog = newHogwildState(cfg)
-		for i := range s.workers {
-			s.workers[i] = &shardWorker{
-				in: make(chan shardMsg, opt.QueueSize),
-				hw: newHogwildWorker(s.hog, cfg),
-			}
+	models := make([]sketchModel, opt.Workers)
+	for i := range models {
+		if opt.Variant == ShardWM {
+			models[i] = NewWMSketch(cfg)
+		} else {
+			models[i] = NewAWMSketch(cfg)
 		}
-		// One shared sketch plus a private heap per worker.
-		s.memBytes = s.hog.cs.MemoryBytes() + opt.Workers*s.workers[0].hw.heap.MemoryBytes(false)
-	} else {
-		models := make([]shardModel, opt.Workers)
-		for i := range models {
-			if opt.Variant == ShardWM {
-				models[i] = NewWMSketch(cfg)
-			} else {
-				models[i] = NewAWMSketch(cfg)
-			}
-		}
-		return newShardedFromModels(cfg, opt, models)
 	}
-	s.startWorkers()
-	return s
+	return newShardedFromModels(cfg, opt, models)
 }
 
-// newShardedFromModels assembles a private-shard learner around existing
-// models — freshly constructed by NewSharded, or deserialized by
-// LoadSharded — and starts its workers. cfg must be filled and opt final.
-func newShardedFromModels(cfg Config, opt ShardedOptions, models []shardModel) *Sharded {
-	s := &Sharded{
-		cfg:   cfg,
-		opt:   opt,
-		sqrtS: math.Sqrt(float64(cfg.Depth)),
-	}
-	s.workers = make([]*shardWorker, len(models))
+// newShardedFromModels assembles a sharded learner around existing models
+// — freshly constructed by NewSharded, or deserialized by LoadSharded — and
+// starts its workers. cfg must be filled and opt final.
+func newShardedFromModels(cfg Config, opt ShardedOptions, models []sketchModel) *Sharded {
+	s := &Sharded{cfg: cfg, opt: opt, workers: make([]*shardWorker, len(models))}
 	for i, m := range models {
 		s.workers[i] = &shardWorker{in: make(chan shardMsg, opt.QueueSize), model: m}
 		s.memBytes += m.MemoryBytes()
 	}
-	s.startWorkers()
-	return s
-}
-
-// startWorkers installs the initial empty query snapshot and launches one
-// goroutine per worker.
-func (s *Sharded) startWorkers() {
 	// Start with an empty (zero-sketch) snapshot so queries before the
 	// first sync are well defined.
 	s.view = EmptyMixed(s.mixOptions())
@@ -269,6 +223,7 @@ func (s *Sharded) startWorkers() {
 	for _, w := range s.workers {
 		go s.runWorker(w)
 	}
+	return s
 }
 
 func (s *Sharded) runWorker(w *shardWorker) {
@@ -281,34 +236,16 @@ func (s *Sharded) runWorker(w *shardWorker) {
 		case msg.snap != nil:
 			msg.snap <- w.snapshot()
 		case msg.batch != nil:
-			if w.hw != nil {
-				for _, ex := range msg.batch {
-					w.hw.update(ex.X, ex.Y)
-				}
-			} else {
-				for _, ex := range msg.batch {
-					w.model.Update(ex.X, ex.Y)
-				}
+			for _, ex := range msg.batch {
+				w.model.Update(ex.X, ex.Y)
 			}
 		default:
-			if w.hw != nil {
-				w.hw.update(msg.x, msg.y)
-			} else {
-				w.model.Update(msg.x, msg.y)
-			}
+			w.model.Update(msg.x, msg.y)
 		}
 	}
 }
 
 func (w *shardWorker) snapshot() *shardSnapshot {
-	if w.hw != nil {
-		keys := w.hw.heap.Keys()
-		heavy := make([]stream.Weighted, len(keys))
-		for i, k := range keys {
-			heavy[i] = stream.Weighted{Index: k}
-		}
-		return &shardSnapshot{heavy: heavy, steps: w.hw.steps}
-	}
 	return &shardSnapshot{
 		folded: w.model.foldedSketch(),
 		heavy:  w.model.heavyWeights(),
@@ -423,34 +360,12 @@ func (s *Sharded) mixOptions() MixOptions {
 	return MixOptions{Depth: s.cfg.Depth, Width: s.cfg.Width, Seed: s.cfg.Seed, HeapSize: s.cfg.HeapSize}
 }
 
-// buildView merges shard snapshots into a read-only model. In Hogwild mode
-// the shared sketch is atomically cloned and the union of worker heap keys
-// is re-estimated against it. In private-shard mode the folded shard
+// buildView merges shard snapshots into a read-only model. The folded shard
 // sketches go through core.MixSnapshots — the same example-count-weighted
 // parameter mixing the cluster layer uses across machines — which also
 // gives every heavy-key candidate a mixed "exact" weight that Estimate and
 // TopK prefer over the (collision-noisier) merged-sketch query.
 func (s *Sharded) buildView(snaps []*shardSnapshot) *Mixed {
-	if s.hog != nil {
-		merged := s.hog.cs.AtomicClone()
-		seen := make(map[uint32]struct{})
-		var top []stream.Weighted
-		for _, sn := range snaps {
-			for _, hv := range sn.heavy {
-				if _, dup := seen[hv.Index]; dup {
-					continue
-				}
-				seen[hv.Index] = struct{}{}
-				top = append(top, stream.Weighted{Index: hv.Index, Weight: s.sqrtS * merged.Estimate(hv.Index)})
-			}
-		}
-		stream.SortWeighted(top)
-		if len(top) > s.cfg.HeapSize {
-			top = top[:s.cfg.HeapSize]
-		}
-		return &Mixed{cs: merged, sqrtS: s.sqrtS, top: top}
-	}
-
 	in := make([]Snapshot, len(snaps))
 	for i, sn := range snaps {
 		in[i] = Snapshot{
@@ -491,9 +406,13 @@ func (s *Sharded) TopK(k int) []stream.Weighted {
 // applied by the workers).
 func (s *Sharded) Steps() int64 { return s.pending.Load() }
 
+// Workers returns the number of training goroutines, which after
+// LoadSharded is the checkpoint's count rather than the requested one.
+func (s *Sharded) Workers() int { return len(s.workers) }
+
 // MemoryBytes reports the aggregate cost-model footprint of the training
-// state: P private shards, or in Hogwild mode one shared sketch plus P
-// private heaps. The merged query snapshot is transient and not charged.
+// state: P private shards. The merged query snapshot is transient and not
+// charged.
 func (s *Sharded) MemoryBytes() int { return s.memBytes }
 
 var _ stream.Learner = (*Sharded)(nil)

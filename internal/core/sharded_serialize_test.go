@@ -124,19 +124,6 @@ func TestShardedCheckpointConcurrentWithUpdates(t *testing.T) {
 	wg.Wait()
 }
 
-func TestShardedHogwildCheckpointUnsupported(t *testing.T) {
-	cfg := Config{Width: 128, Depth: 1, HeapSize: 16, Lambda: 0, Seed: 1}
-	s := NewSharded(cfg, ShardedOptions{Workers: 2, Hogwild: true, SyncEvery: -1})
-	defer s.Close()
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err == nil {
-		t.Error("hogwild checkpoint must error")
-	}
-	if _, err := LoadSharded(&buf, nil, nil, ShardedOptions{Hogwild: true}); err == nil {
-		t.Error("hogwild restore must error")
-	}
-}
-
 func TestLoadShardedRejectsCorruptHeader(t *testing.T) {
 	cfg := Config{Width: 64, Depth: 1, HeapSize: 8, Lambda: 0, Seed: 1}
 	s := NewSharded(cfg, ShardedOptions{Workers: 1, SyncEvery: -1})

@@ -93,39 +93,14 @@ func TestShardedMatchesSequentialTopK(t *testing.T) {
 	}
 }
 
-// TestShardedHogwildSingleWorkerMatchesWMSketch: with a single worker the
-// Hogwild path is deterministic and its CAS arithmetic is exact, so it must
-// reproduce the sequential WM-Sketch (λ=0) bit for bit.
-func TestShardedHogwildSingleWorkerMatchesWMSketch(t *testing.T) {
-	cfg := Config{Width: 512, Depth: 2, HeapSize: 128, Lambda: 0, Seed: 9}
-	sh := NewSharded(cfg, ShardedOptions{Workers: 1, SyncEvery: -1, Hogwild: true})
-	seq := NewWMSketch(cfg)
-
-	gen := datagen.RCV1Like(9)
-	for i := 0; i < 3000; i++ {
-		ex := gen.Next()
-		sh.Update(ex.X, ex.Y)
-		seq.Update(ex.X, ex.Y)
-	}
-	sh.Close()
-
-	for i := uint32(0); i < 4096; i++ {
-		if got, want := sh.Estimate(i), seq.Estimate(i); got != want {
-			t.Fatalf("Estimate(%d) = %v, sequential WM %v", i, got, want)
-		}
-	}
-}
-
-// TestShardedHogwildConvergesMultiWorker: under real lock-free parallelism
-// the model is nondeterministic but must still learn: its top features
-// should largely agree with a sequential WM-Sketch trained on the same
-// stream.
-func TestShardedHogwildConvergesMultiWorker(t *testing.T) {
-	cfg := Config{Width: 4096, Depth: 1, HeapSize: 256, Lambda: 0, Seed: 5}
-	sh := NewSharded(cfg, ShardedOptions{Workers: 4, SyncEvery: -1, Hogwild: true})
-	seq := NewWMSketch(cfg)
-	gen := datagen.RCV1Like(5)
-	examples := gen.Take(40000)
+// TestShardedConcurrentUpdatesAndQueries hammers Update, Estimate, TopK,
+// Predict, and Sync from many goroutines; run under -race this is the
+// safety test for the whole sharded path.
+func TestShardedConcurrentUpdatesAndQueries(t *testing.T) {
+	cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Lambda: 1e-6, Seed: 31}
+	sh := NewSharded(cfg, ShardedOptions{Workers: 4, QueueSize: 64, SyncEvery: 500})
+	gen := datagen.RCV1Like(31)
+	examples := gen.Take(2048)
 
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
@@ -137,86 +112,40 @@ func TestShardedHogwildConvergesMultiWorker(t *testing.T) {
 			}
 		}(p)
 	}
+	stop := make(chan struct{})
+	var qg sync.WaitGroup
+	for q := 0; q < 3; q++ {
+		qg.Add(1)
+		go func(q int) {
+			defer qg.Done()
+			var sink float64
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					_ = sink
+					return
+				default:
+				}
+				switch i % 3 {
+				case 0:
+					sink += sh.Estimate(uint32(i % 4096))
+				case 1:
+					sink += float64(len(sh.TopK(16)))
+				case 2:
+					sink += sh.Predict(examples[i%len(examples)].X)
+				}
+				if i%100 == 0 {
+					sh.Sync()
+				}
+			}
+		}(q)
+	}
 	wg.Wait()
+	close(stop)
+	qg.Wait()
 	sh.Close()
-	for _, ex := range examples {
-		seq.Update(ex.X, ex.Y)
-	}
-
-	seqTop := seq.TopK(32)
-	inSh := map[uint32]bool{}
-	for _, e := range sh.TopK(64) {
-		inSh[e.Index] = true
-	}
-	overlap := 0
-	for _, e := range seqTop {
-		if inSh[e.Index] {
-			overlap++
-		}
-	}
-	if overlap < 20 {
-		t.Fatalf("only %d/32 sequential top features in Hogwild TopK(64)", overlap)
-	}
-}
-
-// TestShardedConcurrentUpdatesAndQueries hammers Update, Estimate, TopK,
-// Predict, and Sync from many goroutines; run under -race this is the
-// safety test for the whole sharded path (default and Hogwild).
-func TestShardedConcurrentUpdatesAndQueries(t *testing.T) {
-	for _, hog := range []bool{false, true} {
-		cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Seed: 31}
-		if !hog {
-			cfg.Lambda = 1e-6
-		}
-		sh := NewSharded(cfg, ShardedOptions{Workers: 4, QueueSize: 64, SyncEvery: 500, Hogwild: hog})
-		gen := datagen.RCV1Like(31)
-		examples := gen.Take(2048)
-
-		var wg sync.WaitGroup
-		for p := 0; p < 4; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := p; i < len(examples); i += 4 {
-					sh.Update(examples[i].X, examples[i].Y)
-				}
-			}(p)
-		}
-		stop := make(chan struct{})
-		var qg sync.WaitGroup
-		for q := 0; q < 3; q++ {
-			qg.Add(1)
-			go func(q int) {
-				defer qg.Done()
-				var sink float64
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						_ = sink
-						return
-					default:
-					}
-					switch i % 3 {
-					case 0:
-						sink += sh.Estimate(uint32(i % 4096))
-					case 1:
-						sink += float64(len(sh.TopK(16)))
-					case 2:
-						sink += sh.Predict(examples[i%len(examples)].X)
-					}
-					if i%100 == 0 {
-						sh.Sync()
-					}
-				}
-			}(q)
-		}
-		wg.Wait()
-		close(stop)
-		qg.Wait()
-		sh.Close()
-		if got := sh.Steps(); got != int64(len(examples)) {
-			t.Fatalf("hogwild=%v: routed %d updates, want %d", hog, got, len(examples))
-		}
+	if got := sh.Steps(); got != int64(len(examples)) {
+		t.Fatalf("routed %d updates, want %d", got, len(examples))
 	}
 }
 
@@ -230,16 +159,6 @@ func TestShardedUpdateAfterClosePanics(t *testing.T) {
 		}
 	}()
 	sh.Update(stream.OneHot(1), 1)
-}
-
-func TestShardedHogwildRejectsLambda(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Hogwild with Lambda > 0")
-		}
-	}()
-	NewSharded(Config{Width: 64, Depth: 1, HeapSize: 8, Lambda: 1e-6, Seed: 1},
-		ShardedOptions{Workers: 2, Hogwild: true})
 }
 
 // TestShardedIsDropInLearner checks interface conformance and that memory

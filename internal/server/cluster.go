@@ -53,17 +53,8 @@ func (o *ClusterOptions) enabled() bool { return len(o.Peers) > 0 }
 // core.Snapshotter.
 type backendSnapshotter struct{ s *Server }
 
-func (bs backendSnapshotter) ModelSnapshot() (core.Snapshot, error) {
-	var sn core.Snapshot
-	var err error
-	bs.s.withBackend(func(b learner) {
-		sr, ok := b.(core.Snapshotter)
-		if !ok {
-			err = fmt.Errorf("backend %T cannot snapshot its model", b)
-			return
-		}
-		sn, err = sr.ModelSnapshot()
-	})
+func (bs backendSnapshotter) ModelSnapshot() (sn core.Snapshot, err error) {
+	bs.s.withBackend(func(b learner) { sn, err = b.ModelSnapshot() })
 	return sn, err
 }
 

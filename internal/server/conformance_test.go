@@ -8,9 +8,11 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"wmsketch/internal/core"
 	"wmsketch/internal/datagen"
 	"wmsketch/internal/stream"
 	"wmsketch/internal/wire"
@@ -25,10 +27,16 @@ import (
 //     counters compare bit-identical (encoding/json round-trips float64
 //     exactly, so bitwise equality is a fair bar for both paths);
 //   - bit-identical checkpoint bytes afterwards — same model state, not
-//     merely similar outputs;
+//     merely similar outputs — and the same bytes as a bare learner, built
+//     outside any server and fed the same update batches, so the server's
+//     apply path adds nothing to what the learner itself does;
 //   - the same error class for malformed inputs (HTTP 400 on one side is
 //     StatusBadRequest on the other), with the backend untouched by
 //     rejected requests on both sides.
+//
+// Every test runs on the awm backend and on the sharded one (the
+// production default). The binary protocol has no sync op, so syncs go to
+// each server's HTTP handler.
 //
 // CI runs this under -race (make test / go test -race ./...), so the suite
 // also doubles as a concurrency check on the binary listener.
@@ -86,6 +94,22 @@ func (c *jsonConformanceClient) predict(x stream.Vector) (float64, int) {
 	return out.Margin, out.Label
 }
 
+// syncHandler posts /v1/sync straight to a server's HTTP handler and returns
+// the reported step counter.
+func syncHandler(t *testing.T, s *Server) int64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sync", strings.NewReader("{}")))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sync: HTTP %d %s", rec.Code, rec.Body.String())
+	}
+	var out UpdateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("sync: bad response %q: %v", rec.Body.String(), err)
+	}
+	return out.Steps
+}
+
 func (c *jsonConformanceClient) estimate(indices []uint32) []float64 {
 	var out EstimateResponse
 	code, raw := c.post("/v1/estimate", EstimateRequest{Indices: indices}, &out)
@@ -102,17 +126,52 @@ func (c *jsonConformanceClient) estimate(indices []uint32) []float64 {
 	return ws
 }
 
-// conformancePair boots the two identically-seeded servers and returns
-// clients for both protocols plus the underlying servers (for checkpoint
-// comparison).
-func conformancePair(t *testing.T) (*jsonConformanceClient, *wire.Client, *Server, *Server) {
+// conformanceBackends are the backends the suite runs on: the
+// single-model awm backend and the sharded production default.
+var conformanceBackends = []string{BackendAWM, BackendSharded}
+
+// conformancePair boots the two identically-seeded servers of the given
+// backend and returns clients for both protocols plus the underlying
+// servers (for checkpoint comparison).
+func conformancePair(t *testing.T, backend string) (*jsonConformanceClient, *wire.Client, *Server, *Server) {
 	t.Helper()
-	jsrv, hs := newTestServer(t, BackendAWM)
-	_ = jsrv
-	bsrv, addr := newBinServer(t, BackendAWM, BinOptions{}, nil)
+	jsrv, hs := newTestServer(t, backend)
+	bsrv, addr := newBinServer(t, backend, BinOptions{}, nil)
 	jc := &jsonConformanceClient{t: t, base: hs.URL, hc: hs.Client()}
 	bc := dialBin(t, addr)
 	return jc, bc, jsrv, bsrv
+}
+
+// bareLearner is the learner a backend serves, built with the servers'
+// test options but outside any server.
+type bareLearner interface {
+	UpdateBatch(batch []stream.Example)
+	io.WriterTo
+}
+
+// awmLearner gives a bare AWM-Sketch the batch surface: one Update per
+// example, in order.
+type awmLearner struct{ *core.AWMSketch }
+
+func (a awmLearner) UpdateBatch(batch []stream.Example) {
+	for _, ex := range batch {
+		a.Update(ex.X, ex.Y)
+	}
+}
+
+func newBareLearner(t *testing.T, backend string) bareLearner {
+	t.Helper()
+	opt := testOptions(t, backend)
+	switch backend {
+	case BackendAWM:
+		return awmLearner{core.NewAWMSketch(opt.Config)}
+	case BackendSharded:
+		sh := core.NewSharded(opt.Config, opt.Sharded)
+		t.Cleanup(sh.Close)
+		return sh
+	}
+	t.Fatalf("no bare learner for backend %q", backend)
+	return nil
 }
 
 // checkpointBytes serializes a server's backend, the strongest available
@@ -128,8 +187,25 @@ func checkpointBytes(t *testing.T, s *Server) []byte {
 	return buf.Bytes()
 }
 
+// bareCheckpointBytes serializes a bare learner the same way.
+func bareCheckpointBytes(t *testing.T, l bareLearner) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := l.WriteTo(&buf); err != nil {
+		t.Fatalf("bare checkpoint: %v", err)
+	}
+	return buf.Bytes()
+}
+
 func TestConformanceDifferential(t *testing.T) {
-	jc, bc, jsrv, bsrv := conformancePair(t)
+	for _, backend := range conformanceBackends {
+		t.Run(backend, func(t *testing.T) { testConformanceDifferential(t, backend) })
+	}
+}
+
+func testConformanceDifferential(t *testing.T, backend string) {
+	jc, bc, jsrv, bsrv := conformancePair(t, backend)
+	bare := newBareLearner(t, backend)
 
 	rng := rand.New(rand.NewSource(4242))
 	gen := datagen.RCV1Like(4242)
@@ -137,7 +213,7 @@ func TestConformanceDifferential(t *testing.T) {
 	ops := 0
 	for i := 0; i < requests; i++ {
 		switch p := rng.Float64(); {
-		case p < 0.55: // update
+		case p < 0.50: // update
 			batch := gen.Take(1 + rng.Intn(8))
 			ja, js := jc.update(batch)
 			ba, bs, err := bc.Update(batch)
@@ -147,6 +223,11 @@ func TestConformanceDifferential(t *testing.T) {
 			if ja != ba || js != bs {
 				t.Fatalf("req %d: update diverged: JSON applied=%d steps=%d, binary applied=%d steps=%d",
 					i, ja, js, ba, bs)
+			}
+			bare.UpdateBatch(batch)
+		case p < 0.55: // sync
+			if js, bs := syncHandler(t, jsrv), syncHandler(t, bsrv); js != bs {
+				t.Fatalf("req %d: sync diverged: JSON steps=%d, binary steps=%d", i, js, bs)
 			}
 		case p < 0.75: // predict
 			x := gen.Take(1)[0].X
@@ -193,6 +274,10 @@ func TestConformanceDifferential(t *testing.T) {
 		t.Fatalf("checkpoint bytes diverged after identical request streams "+
 			"(%d vs %d bytes) — the protocols are not serving the same model", len(jb), len(bb))
 	}
+	if lb := bareCheckpointBytes(t, bare); !bytes.Equal(jb, lb) {
+		t.Fatalf("served checkpoint (%d bytes) differs from a bare learner fed the same "+
+			"batches (%d bytes) — the apply path changed the model", len(jb), len(lb))
+	}
 }
 
 // TestConformanceErrorClasses drives the same malformed request through
@@ -200,7 +285,13 @@ func TestConformanceDifferential(t *testing.T) {
 // side must be StatusBadRequest on the binary side, and neither rejection
 // may touch the backend.
 func TestConformanceErrorClasses(t *testing.T) {
-	jc, bc, jsrv, bsrv := conformancePair(t)
+	for _, backend := range conformanceBackends {
+		t.Run(backend, func(t *testing.T) { testConformanceErrorClasses(t, backend) })
+	}
+}
+
+func testConformanceErrorClasses(t *testing.T, backend string) {
+	jc, bc, jsrv, bsrv := conformancePair(t, backend)
 
 	badUpdatePayload := func(build func() []byte) func() (byte, error) {
 		return func() (byte, error) { return binDo(bc, wire.OpUpdate, build()) }
@@ -319,15 +410,16 @@ func TestConformanceErrorClasses(t *testing.T) {
 		}
 	}
 
-	// Rejected requests must leave both backends in their initial (and
-	// therefore still identical) state.
+	// Rejected requests must leave both backends in their initial state:
+	// that of a bare learner that was never fed.
 	for _, srv := range []*Server{jsrv, bsrv} {
 		if v, _ := srv.MetricsRegistry().Value("wmcore_updates_applied_total"); v != 0 {
 			t.Errorf("a rejected update reached a backend (%v applied)", v)
 		}
 	}
-	if !bytes.Equal(checkpointBytes(t, jsrv), checkpointBytes(t, bsrv)) {
-		t.Error("checkpoints diverged on rejected requests")
+	fresh := bareCheckpointBytes(t, newBareLearner(t, backend))
+	if !bytes.Equal(checkpointBytes(t, jsrv), fresh) || !bytes.Equal(checkpointBytes(t, bsrv), fresh) {
+		t.Error("rejected requests changed a backend's checkpoint")
 	}
 }
 

@@ -2,10 +2,11 @@
 // paper's target deployment is continuous monitoring, where classifiers are
 // trained *and queried* live over a stream, so the repository needs a
 // network-facing layer rather than batch CLIs only. The server owns one
-// backend — a core.Sharded parallel learner, or a core.Concurrent-wrapped
-// single-model learner — and serves updates, predictions, weight estimates,
-// top-K queries, stats, and checkpoint save/restore. See SERVING.md for the
-// API reference and architecture notes.
+// backend — a core.Sharded parallel learner, or one WM-/AWM-Sketch behind a
+// core.Concurrent lock — through a single learner interface, and serves
+// updates, predictions, weight estimates, top-K queries, stats, and
+// checkpoint save/restore. See SERVING.md for the API reference and
+// architecture notes.
 package server
 
 import (
@@ -20,7 +21,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -43,13 +43,23 @@ const (
 	BackendWM      = "wm"      // core.Concurrent around one WM-Sketch
 )
 
-// learner is what the server requires of a backend: the uniform Learner
-// surface plus checkpointing and a step counter. *core.Sharded and
-// *core.Concurrent both satisfy it.
+// learner is what the server calls on a backend. *core.Sharded and
+// *core.Concurrent both satisfy it; for the latter Sync and Close are
+// no-ops, since its queries are always current and it runs no goroutines.
 type learner interface {
-	stream.Learner
-	io.WriterTo
+	UpdateBatch(batch []stream.Example)
+	Predict(x stream.Vector) float64
+	Estimate(i uint32) float64
+	TopK(k int) []stream.Weighted
 	Steps() int64
+	Workers() int
+	MemoryBytes() int
+	// Sync refreshes the query snapshot so that queries reflect every
+	// update routed before the call.
+	Sync()
+	Close()
+	io.WriterTo
+	core.Snapshotter
 }
 
 // Options configures a Server.
@@ -137,11 +147,6 @@ func New(opt Options) (*Server, error) {
 	var b learner
 	switch opt.Backend {
 	case BackendSharded:
-		// Resolve the defaulted worker count up front so /v1/stats and the
-		// loadgen report record the actual parallelism, not 0.
-		if opt.Sharded.Workers <= 0 {
-			opt.Sharded.Workers = runtime.GOMAXPROCS(0)
-		}
 		b = core.NewSharded(opt.Config, opt.Sharded)
 	case BackendAWM:
 		b = core.NewConcurrent(core.NewAWMSketch(opt.Config))
@@ -163,9 +168,7 @@ func New(opt Options) (*Server, error) {
 	s.tracer = trace.New(opt.Trace)
 	if opt.Cluster.enabled() {
 		if err := s.startCluster(); err != nil {
-			if sh, ok := b.(*core.Sharded); ok {
-				sh.Close()
-			}
+			b.Close()
 			return nil, err
 		}
 	}
@@ -179,7 +182,8 @@ func New(opt Options) (*Server, error) {
 
 // refreshLoop re-merges the sharded query snapshot whenever updates have
 // arrived since the last merge, bounding the staleness of Predict/Estimate/
-// TopK answers under continuous training.
+// TopK answers under continuous training. New starts it for the sharded
+// backend only.
 func (s *Server) refreshLoop() {
 	defer s.refreshWG.Done()
 	t := time.NewTicker(s.opt.RefreshInterval)
@@ -191,12 +195,8 @@ func (s *Server) refreshLoop() {
 			return
 		case <-t.C:
 			s.withBackend(func(b learner) {
-				sh, ok := b.(*core.Sharded)
-				if !ok {
-					return
-				}
-				if steps := sh.Steps(); steps != synced {
-					sh.Sync()
+				if steps := b.Steps(); steps != synced {
+					b.Sync()
 					s.met.refreshes.Inc()
 					synced = steps
 				}
@@ -289,9 +289,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sh, ok := s.backend.(*core.Sharded); ok {
-		sh.Close()
-	}
+	s.backend.Close()
 	return err
 }
 
@@ -570,13 +568,7 @@ func (s *Server) applyBatch(ctx context.Context, batch []stream.Example) (steps 
 	actx, apply := s.tracer.StartSpan(ctx, "backend.apply")
 	s.withBackend(func(b learner) {
 		_, upd := s.tracer.StartSpan(actx, "learner.update")
-		if sh, ok := b.(*core.Sharded); ok {
-			sh.UpdateBatch(batch)
-		} else {
-			for _, ex := range batch {
-				b.Update(ex.X, ex.Y)
-			}
-		}
+		b.UpdateBatch(batch)
 		upd.Finish()
 		steps = b.Steps()
 	})
@@ -691,11 +683,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.withBackend(func(b learner) {
 		resp.Steps = b.Steps()
+		resp.Workers = b.Workers()
 		resp.MemoryBytes = b.MemoryBytes()
 	})
-	if s.opt.Backend == BackendSharded {
-		resp.Workers = s.opt.Sharded.Workers
-	}
 	if s.cluster != nil {
 		resp.ClusterSelf = s.cluster.Self()
 		resp.ClusterPeers = len(s.opt.Cluster.Peers)
@@ -751,12 +741,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	var steps int64
 	s.withBackend(func(b learner) {
-		if sh, ok := b.(*core.Sharded); ok {
-			sh.Sync()
-			s.met.refreshes.Inc()
-		}
+		b.Sync()
 		steps = b.Steps()
 	})
+	if s.opt.Backend == BackendSharded {
+		s.met.refreshes.Inc()
+	}
 	if s.cluster != nil {
 		if _, _, err := s.cluster.PublishLocal(); err != nil {
 			writeError(w, http.StatusInternalServerError, "publish: %v", err)
@@ -833,17 +823,13 @@ func (s *Server) restoreFromReader(ctx context.Context, f io.Reader) error {
 			return err
 		}
 		fresh = core.NewConcurrent(m)
-	default:
-		return fmt.Errorf("backend %q does not support restore", s.opt.Backend)
 	}
 
 	s.mu.Lock()
 	old := s.backend
 	s.backend = fresh
 	s.mu.Unlock()
-	if sh, ok := old.(*core.Sharded); ok {
-		sh.Close()
-	}
+	old.Close()
 	// Counts every restore path — file restore, boot-time Restore, and
 	// checkpoint upload — since each swaps the backend the same way.
 	s.met.restores.Inc()

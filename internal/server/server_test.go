@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -188,6 +189,48 @@ func TestServerCheckpointRestoreReproducesEstimates(t *testing.T) {
 				t.Fatalf("post-restore update: HTTP %d", code)
 			}
 		})
+	}
+}
+
+// TestStatsWorkersFollowRestoredBackend: a sharded checkpoint carries its
+// own worker count, so after a restore /v1/stats must report the live
+// backend's workers (and memory) rather than the configured ones; the
+// single-model backends keep omitting the field.
+func TestStatsWorkersFollowRestoredBackend(t *testing.T) {
+	opt := testOptions(t, BackendSharded)
+	opt.Sharded.Workers = 4
+	four, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := four.saveCheckpoint(context.Background(), opt.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := four.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, hs := newTestServer(t, BackendSharded) // configured for 2 workers
+	if err := srv.Restore(opt.CheckpointPath); err != nil {
+		t.Fatal(err)
+	}
+	var st StatsResponse
+	if code := doJSON(t, "GET", hs.URL+"/v1/stats", nil, &st); code != 200 {
+		t.Fatalf("stats: HTTP %d", code)
+	}
+	// 4 shards × (sketch 4·512 + heap 8·64).
+	if st.Workers != 4 || st.MemoryBytes != 4*(4*512+8*64) {
+		t.Fatalf("stats after restoring a 4-worker checkpoint: workers=%d memory_bytes=%d, want 4 and %d",
+			st.Workers, st.MemoryBytes, 4*(4*512+8*64))
+	}
+
+	_, awm := newTestServer(t, BackendAWM)
+	var raw map[string]interface{}
+	if code := doJSON(t, "GET", awm.URL+"/v1/stats", nil, &raw); code != 200 {
+		t.Fatalf("awm stats: HTTP %d", code)
+	}
+	if w, ok := raw["workers"]; ok {
+		t.Fatalf("awm stats carry workers=%v, want the field omitted", w)
 	}
 }
 

@@ -106,8 +106,8 @@ type Tracer struct {
 	rng  atomic.Uint64 // splitmix64 state; Add advances, mixing hashes
 	pool sync.Pool     // *activeTrace arenas
 
-	recent *ring // every kept trace, newest last
-	slowed *ring // only slow/error traces (the worst offenders)
+	recent *ring                  // every kept trace, newest last
+	slowed *ring                  // only slow/error traces (the worst offenders)
 	worst  atomic.Pointer[Record] // longest-rooted kept trace ever; survives ring eviction
 
 	traces       *obs.Counter

@@ -298,9 +298,9 @@ func TestParseTraceparentHostile(t *testing.T) {
 	hostile := []string{
 		"",
 		"garbage",
-		valid + "x",                 // trailing junk
-		valid[:len(valid)-1],        // truncated
-		strings.ToUpper(valid),      // uppercase hex is spec-invalid
+		valid + "x",            // trailing junk
+		valid[:len(valid)-1],   // truncated
+		strings.ToUpper(valid), // uppercase hex is spec-invalid
 		strings.Replace(valid, "-", "_", 1),
 		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // invalid version
 		"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // unknown version

@@ -25,9 +25,11 @@ race:
 	$(GO) test -race ./...
 
 # Micro-benchmarks of the hot paths (sketch update/estimate, heap ops,
-# fused learner updates, sharded throughput).
+# fused learner updates, sharded throughput) and of the gossip round's
+# heavy-list path (SortWeighted, frame encode/decode, heavy-diff replay),
+# each swept over sizes.
 bench:
-	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded' -benchtime 2s . ./internal/sketch ./internal/topk
+	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster
 
 # Machine-readable throughput snapshot for the perf trajectory: writes
 # BENCH_throughput.json via cmd/wmbench (see PERFORMANCE.md).
@@ -72,15 +74,17 @@ bench-sim:
 	$(GO) run ./cmd/wmserve -sim -sim-json BENCH_sim.json
 
 # Short fuzz pass over the surfaces hostile bytes can reach: the gossip
-# wire decoder, sketch checkpoint restore, and both directions of the
-# binary hot protocol's frame decoder. All must reject cleanly (no panic,
-# no unbounded allocation); accepted inputs must round-trip bit-exactly.
-# CI runs this from the seeded corpora.
+# wire decoder, sketch checkpoint restore, both directions of the binary
+# hot protocol's frame decoder, and the libsvm line parser. All must
+# reject cleanly (no panic, no unbounded allocation); decoded inputs must
+# round-trip bit-exactly and parsed lines hold a ±1 label and finite
+# values. CI runs this from the seeded corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrames -fuzztime 20s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzReadCountSketch -fuzztime 20s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz FuzzReadRequestFrame -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzReadResponseFrame -fuzztime 20s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzParseLibSVMLine -fuzztime 20s ./internal/stream
 
 # Static analysis gate (LINTING.md): `gofmt -l .` must print nothing;
 # wmlint (the project's own analyzers — clockdet, maporder, decodebounds,

@@ -352,9 +352,6 @@ func (n *Node) PublishLocal() (int64, bool, error) {
 		return 0, false, fmt.Errorf("cluster: local snapshot: %w", err)
 	}
 	sn.Origin = n.cfg.Self
-	// Canonical heavy order so identical states produce identical frames.
-	sn.Heavy = append([]stream.Weighted(nil), sn.Heavy...)
-	stream.SortWeighted(sn.Heavy)
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -368,6 +365,11 @@ func (n *Node) PublishLocal() (int64, bool, error) {
 	if sn.Steps <= self.version {
 		return self.version, false, nil
 	}
+	// Canonical heavy order so identical states produce identical frames.
+	// The copy keeps the learner's slice (a sharded view's live top list)
+	// untouched.
+	sn.Heavy = append([]stream.Weighted(nil), sn.Heavy...)
+	stream.SortWeighted(sn.Heavy)
 	self.adopt(sn.Steps, sn, n.cfg.HistoryDepth, n.cfg.Clock.Now())
 	n.viewDirty.Store(true)
 	return self.version, true, nil
@@ -627,48 +629,5 @@ func (n *Node) OriginMixWeights() map[string]float64 {
 	for id, o := range n.origins {
 		out[id] = float64(o.snap.Steps) * n.originFactorLocked(o, now)
 	}
-	return out
-}
-
-// diffHeavy computes the set difference between two canonical heavy lists:
-// keys present in base but not cur, and entries of cur that are new or
-// changed.
-func diffHeavy(base, cur []stream.Weighted) (removed []uint32, upserts []stream.Weighted) {
-	prev := make(map[uint32]float64, len(base))
-	for _, w := range base {
-		prev[w.Index] = w.Weight
-	}
-	for _, w := range cur {
-		if old, ok := prev[w.Index]; !ok || old != w.Weight {
-			upserts = append(upserts, w)
-		}
-		delete(prev, w.Index)
-	}
-	for _, w := range base {
-		if _, stillThere := prev[w.Index]; stillThere {
-			removed = append(removed, w.Index)
-		}
-	}
-	return removed, upserts
-}
-
-// applyHeavyDiff patches base with a heavy diff and returns the result in
-// canonical order.
-func applyHeavyDiff(base []stream.Weighted, removed []uint32, upserts []stream.Weighted) []stream.Weighted {
-	m := make(map[uint32]float64, len(base)+len(upserts))
-	for _, w := range base {
-		m[w.Index] = w.Weight
-	}
-	for _, k := range removed {
-		delete(m, k)
-	}
-	for _, w := range upserts {
-		m[w.Index] = w.Weight
-	}
-	out := make([]stream.Weighted, 0, len(m))
-	for k, w := range m {
-		out = append(out, stream.Weighted{Index: k, Weight: w})
-	}
-	stream.SortWeighted(out)
 	return out
 }

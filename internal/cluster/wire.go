@@ -506,10 +506,24 @@ func frameWireSize(payloadLen int) int64 {
 
 // ---- primitive encoders ----
 
+// The primitive writers encode straight into bw's free buffer space
+// (AvailableBuffer) and the float reader decodes from the buffered bytes
+// (Peek), so no per-value array is handed to an interface call and moved
+// to the heap: a frame costs the same few allocations whatever it holds.
+
 func writeUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, _ = bw.Write(buf[:n])
+	reserve(bw, binary.MaxVarintLen64)
+	_, _ = bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
+}
+
+// reserve flushes bw when fewer than n bytes of its buffer are free, so
+// that appending n bytes to AvailableBuffer cannot reallocate. A failed
+// flush sticks in bw: every later write returns it, and so does the
+// caller's final Flush.
+func reserve(bw *bufio.Writer, n int) {
+	if bw.Available() < n {
+		_ = bw.Flush()
+	}
 }
 
 func readUvarint(br *bufio.Reader) (uint64, error) {
@@ -552,21 +566,27 @@ func readString(br *bufio.Reader) (string, error) {
 }
 
 func writeFloat(bw *bufio.Writer, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	_, _ = bw.Write(b[:])
+	reserve(bw, 8)
+	_, _ = bw.Write(binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), math.Float64bits(v)))
 }
 
 // readFloat decodes one float64 and rejects NaN/±Inf centrally: no frame
 // field — weight, scale, or delta value — legitimately carries a
 // non-finite float, and a NaN smuggled past here would poison sketch state
 // while comparing false against every later bound.
+//
+// A short read fails like io.ReadFull: io.EOF when no byte was left,
+// io.ErrUnexpectedEOF when some were.
 func readFloat(br *bufio.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(br, b[:]); err != nil {
+	b, err := br.Peek(8)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, err
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	v := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	_, _ = br.Discard(8) // cannot fail: Peek just buffered these 8 bytes
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("non-finite float on the wire (%g)", v)
 	}

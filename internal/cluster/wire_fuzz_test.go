@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"wmsketch/internal/core"
 	"wmsketch/internal/datagen"
+	"wmsketch/internal/stream"
 )
 
 // fuzzCorpus builds seed inputs from real encoded streams: a digest-only
@@ -82,13 +84,28 @@ func newMemberF(f *testing.F, id string) *testMember {
 // FuzzReadFrames: whatever bytes arrive, the decoder must return cleanly —
 // no panic, no unbounded allocation — and anything it does accept must
 // survive a re-encode/re-decode round trip (decoded state is well-formed,
-// not just non-crashing).
+// not just non-crashing). The heavy lists it accepts, which may repeat
+// keys and come in any order, must also diff and replay exactly as the
+// map-based reference definitions do.
 func FuzzReadFrames(f *testing.F) {
 	fuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames, err := ReadFrames(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, fr := range frames {
+			for _, list := range [][]stream.Weighted{fr.Heavy, fr.HeavyUpserts} {
+				base, cur := list[:len(list)/2], list[len(list)/2:]
+				gotR, gotU := diffHeavy(base, cur)
+				wantR, wantU := refDiffHeavy(base, cur)
+				if !slices.Equal(gotR, wantR) || !sameWeighted(gotU, wantU) {
+					t.Fatalf("diffHeavy differs from the reference on decoded lists of %d and %d entries", len(base), len(cur))
+				}
+				if !sameWeighted(applyHeavyDiff(base, fr.HeavyRemoved, cur), refApplyHeavyDiff(base, fr.HeavyRemoved, cur)) {
+					t.Fatalf("applyHeavyDiff differs from the reference on decoded lists of %d and %d entries", len(base), len(cur))
+				}
+			}
 		}
 		var buf bytes.Buffer
 		if _, err := WriteFrames(&buf, frames); err != nil {

@@ -4,7 +4,11 @@
 // libsvm-format parser for feeding external datasets through the CLI.
 package stream
 
-import "sort"
+import (
+	"math"
+	"sort"
+	"sync"
+)
 
 // Feature is one (index, value) coordinate of a sparse vector.
 type Feature struct {
@@ -102,20 +106,99 @@ type Weighted struct {
 	Weight float64
 }
 
-// SortWeighted orders ws by descending |weight|, breaking ties by index.
+// SortWeighted orders ws by descending |weight|, breaking ties by
+// ascending index. For unique indices (every heavy list and top-K) that is
+// one total order: the canonical order that makes gossip frames and mixed
+// views byte-identical across replicas.
+//
+// It is a stable LSD radix sort over that 96-bit key, one byte per pass:
+// the index's four bytes, then the eight bytes of the complemented
+// magnitude bits (non-negative float64s order like their bit patterns, so
+// ±0 tie and subnormals sort below every normal). It does no comparisons
+// and runs in linear time; a pass whose byte is the same in every entry is
+// skipped. NaN magnitudes sort above +Inf.
 func SortWeighted(ws []Weighted) {
-	sort.Slice(ws, func(i, j int) bool {
-		ai, aj := abs(ws[i].Weight), abs(ws[j].Weight)
-		if ai != aj {
-			return ai > aj
+	if len(ws) < 2 {
+		return
+	}
+	if uint64(len(ws)) > math.MaxUint32 {
+		panic("stream: SortWeighted of more than 2^32 entries")
+	}
+	s := radixPool.Get().(*radixScratch)
+	defer radixPool.Put(s)
+	if cap(s.buf) < len(ws) {
+		s.buf = make([]Weighted, len(ws))
+	}
+	c := &s.counts
+	*c = [radixPasses][256]uint32{}
+	for _, w := range ws {
+		i, k := w.Index, magnitudeKey(w.Weight)
+		c[0][byte(i)]++
+		c[1][byte(i>>8)]++
+		c[2][byte(i>>16)]++
+		c[3][byte(i>>24)]++
+		c[4][byte(k)]++
+		c[5][byte(k>>8)]++
+		c[6][byte(k>>16)]++
+		c[7][byte(k>>24)]++
+		c[8][byte(k>>32)]++
+		c[9][byte(k>>40)]++
+		c[10][byte(k>>48)]++
+		c[11][byte(k>>56)]++
+	}
+	src, dst := ws, s.buf[:len(ws)]
+	for p := 0; p < radixPasses; p++ {
+		first := ws[0]
+		var d byte
+		if p < 4 {
+			d = byte(first.Index >> (8 * p))
+		} else {
+			d = byte(magnitudeKey(first.Weight) >> (8 * (p - 4)))
 		}
-		return ws[i].Index < ws[j].Index
-	})
+		at := &c[p]
+		if int(at[d]) == len(ws) {
+			continue // every entry has this byte: the pass would not move anything
+		}
+		var sum uint32
+		for i, n := range at {
+			at[i], sum = sum, sum+n
+		}
+		if p < 4 {
+			shift := 8 * p
+			for _, w := range src {
+				b := byte(w.Index >> shift)
+				dst[at[b]] = w
+				at[b]++
+			}
+		} else {
+			shift := 8 * (p - 4)
+			for _, w := range src {
+				b := byte(magnitudeKey(w.Weight) >> shift)
+				dst[at[b]] = w
+				at[b]++
+			}
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ws[0] {
+		copy(ws, src)
+	}
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+// radixPasses is one pass per key byte: four of index, eight of magnitude.
+const radixPasses = 12
+
+// radixScratch is SortWeighted's reusable working memory: the ping-pong
+// buffer and one byte histogram per pass.
+type radixScratch struct {
+	buf    []Weighted
+	counts [radixPasses][256]uint32
+}
+
+var radixPool = sync.Pool{New: func() any { return new(radixScratch) }}
+
+// magnitudeKey maps w to a key whose ascending order is descending |w|:
+// the complement of the float's bits with the sign cleared.
+func magnitudeKey(w float64) uint64 {
+	return ^(math.Float64bits(w) &^ (1 << 63))
 }

@@ -16,7 +16,10 @@
 // cache line touched in the common case.
 package topk
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Entry is a heap element.
 type Entry struct {
@@ -283,14 +286,12 @@ func (h *Heap) Keys() []uint32 {
 }
 
 // TopK returns up to k entries with the largest scores, in descending score
-// order. For magnitude heaps this is the top-K heaviest weights.
+// order, equal scores by ascending key. For magnitude heaps this is the
+// top-K heaviest weights.
 func (h *Heap) TopK(k int) []Entry {
 	out := h.Entries()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Key < out[j].Key
+	slices.SortFunc(out, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Key, b.Key))
 	})
 	if k < len(out) {
 		out = out[:k]

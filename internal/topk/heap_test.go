@@ -3,6 +3,7 @@ package topk
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -144,6 +145,25 @@ func TestHeapTopKDescending(t *testing.T) {
 		if all[i].Score > all[i-1].Score {
 			t.Fatal("TopK not descending")
 		}
+	}
+}
+
+// TestHeapTopKEqualScores: entries with equal scores, whatever their sign
+// or insertion order, come out by ascending key.
+func TestHeapTopKEqualScores(t *testing.T) {
+	h := New(16)
+	for _, e := range []struct {
+		key uint32
+		w   float64
+	}{{9, 2}, {4, -3}, {7, -2}, {2, 2}, {8, 3}, {5, -2}, {1, 0.5}} {
+		h.InsertMagnitude(e.key, e.w)
+	}
+	var keys []uint32
+	for _, e := range h.TopK(6) {
+		keys = append(keys, e.Key)
+	}
+	if want := []uint32{4, 8, 2, 5, 7, 9}; !slices.Equal(keys, want) {
+		t.Fatalf("TopK keys %v, want %v", keys, want)
 	}
 }
 
@@ -415,5 +435,19 @@ func BenchmarkHeapUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.UpdateMagnitude(uint32(i%1024), rng.NormFloat64()*1000)
+	}
+}
+
+// BenchmarkHeapTopK sorts a full 2048-entry active set, as a top-k query
+// against the AWM-Sketch does.
+func BenchmarkHeapTopK(b *testing.B) {
+	h := New(2048)
+	rng := rand.New(rand.NewSource(1))
+	for i := uint32(0); i < 2048; i++ {
+		h.InsertMagnitude(i, rng.NormFloat64())
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		h.TopK(20)
 	}
 }

@@ -25,11 +25,13 @@ race:
 	$(GO) test -race ./...
 
 # Micro-benchmarks of the hot paths (sketch update/estimate, heap ops,
-# fused learner updates, sharded throughput) and of the gossip round's
+# fused learner updates, sharded throughput), of the gossip round's
 # heavy-list path (SortWeighted, frame encode/decode, heavy-diff replay),
-# each swept over sizes.
+# each swept over sizes, and of the three decoders: binary update frames
+# (DecodeUpdateRequest, ReadRequestFrame), gossip frames (ReadFrames) and
+# checkpoint restore at the ingest and mixed geometries (LoadCheckpoint).
 bench:
-	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster
+	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff|ReadRequestFrame|LoadCheckpoint' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster ./internal/wire ./internal/core
 
 # Machine-readable throughput snapshot for the perf trajectory: writes
 # BENCH_throughput.json via cmd/wmbench (see PERFORMANCE.md).
@@ -74,14 +76,15 @@ bench-sim:
 	$(GO) run ./cmd/wmserve -sim -sim-json BENCH_sim.json
 
 # Short fuzz pass over the surfaces hostile bytes can reach: the gossip
-# wire decoder, sketch checkpoint restore, both directions of the binary
-# hot protocol's frame decoder, and the libsvm line parser. All must
-# reject cleanly (no panic, no unbounded allocation); decoded inputs must
-# round-trip bit-exactly and parsed lines hold a ±1 label and finite
+# wire decoder, sketch and learner checkpoint restore, both directions of
+# the binary hot protocol's frame decoder, and the libsvm line parser. All
+# must reject cleanly (no panic, no unbounded allocation); decoded inputs
+# must round-trip bit-exactly and parsed lines hold a ±1 label and finite
 # values. CI runs this from the seeded corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrames -fuzztime 20s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzReadCountSketch -fuzztime 20s ./internal/sketch
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzReadRequestFrame -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzReadResponseFrame -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzParseLibSVMLine -fuzztime 20s ./internal/stream

@@ -19,12 +19,13 @@ import (
 // BigEndian .Uint16/32/64, and local helpers matching (?i)uvarint.
 // Sanitizers: using the value in a relational comparison, or passing it
 // through a function whose name matches (?i)(cap|clamp|bound|limit|min|count)
-// — the project's readCount/upfrontCap helpers are the canonical form.
+// — internal/frame's Cursor.Count, ReadCount and UpfrontCap, which every
+// decoder in the repository shares, are the canonical form.
 // Sinks: make sizes and slice-expression bounds.
 var DecodeBounds = &analysis.Analyzer{
 	Name: "decodebounds",
 	Doc: "flags make() sizes and slice bounds that flow from decoded wire integers " +
-		"without a preceding bound check: validate against a cap (readCount/upfrontCap) " +
+		"without a preceding bound check: validate against a cap (frame.Cursor.Count/frame.UpfrontCap) " +
 		"before allocating or slicing.",
 	Run: runDecodeBounds,
 }
@@ -140,7 +141,7 @@ func checkDecodeFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 				for _, arg := range m.Args[1:] {
 					if obj, bad := hot(arg); bad {
 						pass.Reportf(m.Pos(),
-							"make sized by decoded value %s with no bound check before allocation — cap it first (readCount/upfrontCap)", obj.Name())
+							"make sized by decoded value %s with no bound check before allocation — cap it first (frame.Cursor.Count/frame.UpfrontCap)", obj.Name())
 					}
 				}
 			}

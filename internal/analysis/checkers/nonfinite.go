@@ -12,12 +12,13 @@ import (
 // from raw bits (math.Float64frombits) or text (strconv.ParseFloat) must
 // check finiteness somewhere in its body — a NaN smuggled into sketch
 // state poisons every estimate it touches, and NaN compares false against
-// every bound so range checks do not catch it.
+// every bound so range checks do not catch it. Binary decoders get the
+// check from internal/frame (Cursor.F64, Cursor.F64s, ReadF64s, Finite).
 var NonFinite = &analysis.Analyzer{
 	Name: "nonfinite",
 	Doc: "flags decode/parse/restore functions that produce float64s from raw bits " +
 		"or text without a NaN/Inf check: call math.IsNaN/IsInf or a validator " +
-		"(isBad/validate.../checkFinite) before the value escapes.",
+		"(frame.Finite/validate.../checkFinite) before the value escapes.",
 	Run: runNonFinite,
 }
 

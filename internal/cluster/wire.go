@@ -17,9 +17,11 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"wmsketch/internal/core"
+	"wmsketch/internal/frame"
 	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
 	"wmsketch/internal/trace"
@@ -95,19 +97,7 @@ const (
 	maxDigestEntries = 1 << 16
 	maxHeavyEntries  = 1 << 24
 	maxChangeEntries = 1 << 27
-	// maxUpfrontAlloc caps the capacity allocated from a wire-supplied
-	// count alone. Larger (still-bounded) counts grow by append as payload
-	// bytes actually arrive, so a tiny hostile frame claiming 2^27 entries
-	// cannot demand gigabytes before its (absent) payload fails to read.
-	maxUpfrontAlloc = 1 << 16
 )
-
-func upfrontCap(n int) int {
-	if n > maxUpfrontAlloc {
-		return maxUpfrontAlloc
-	}
-	return n
-}
 
 // Frame is one decoded wire frame.
 type Frame struct {
@@ -152,18 +142,6 @@ func scaleOr1(s float64) float64 {
 	return s
 }
 
-// countingWriter tracks bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // WriteFrames encodes the stream header and frames with no trace
 // annotation, returning the bytes written. Each frame's payload is
 // length-prefixed and trailed by its CRC32, so receivers can prove
@@ -175,122 +153,124 @@ func WriteFrames(w io.Writer, frames []Frame) (int64, error) {
 // WriteFramesTraced is WriteFrames with the sender's span identity stamped
 // into the stream header, linking this stream to the gossip round that
 // produced it. An invalid (zero) sc writes an untraced header of the same
-// size.
+// size. The header and each frame go out in one Write apiece.
 func WriteFramesTraced(w io.Writer, sc trace.SpanContext, frames []Frame) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	var hdr [streamHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], wireVersion)
+	buf := make([]byte, streamHeaderSize-4, 4096)
+	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
+	binary.LittleEndian.PutUint32(buf[4:], wireVersion)
 	if sc.Valid() {
-		copy(hdr[8:24], sc.TraceID[:])
-		copy(hdr[24:32], sc.SpanID[:])
+		copy(buf[8:24], sc.TraceID[:])
+		copy(buf[24:32], sc.SpanID[:])
 	}
-	binary.LittleEndian.PutUint32(hdr[32:], crc32.ChecksumIEEE(hdr[:32]))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return cw.n, err
+	m, err := w.Write(binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)))
+	n := int64(m)
+	if err != nil {
+		return n, err
 	}
-	var scratch bytes.Buffer
+	// Each payload is encoded after room for the kind byte and the longest
+	// length prefix, which are then filled in right before it.
+	const room = 1 + binary.MaxVarintLen64
 	for i := range frames {
-		scratch.Reset()
-		if err := writeFramePayload(&scratch, &frames[i]); err != nil {
-			return cw.n, fmt.Errorf("cluster: frame %d (%q): %w", i, frames[i].Origin, err)
+		f := &frames[i]
+		// Room for the payload and its CRC trailer.
+		if buf, err = appendFramePayload(slices.Grow(buf[:room], payloadBound(f)+4), f); err != nil {
+			return n, fmt.Errorf("cluster: frame %d (%q): %w", i, f.Origin, err)
 		}
-		payload := scratch.Bytes()
+		payload := buf[room:]
 		if len(payload) > maxFrameBytes {
-			return cw.n, fmt.Errorf("cluster: frame %d (%q): payload %d exceeds %d bytes",
-				i, frames[i].Origin, len(payload), maxFrameBytes)
+			return n, fmt.Errorf("cluster: frame %d (%q): payload %d exceeds %d bytes",
+				i, f.Origin, len(payload), maxFrameBytes)
 		}
-		if err := bw.WriteByte(frames[i].Kind); err != nil {
-			return cw.n, err
+		prefix := binary.AppendUvarint([]byte{f.Kind}, uint64(len(payload)))
+		start := room - len(prefix)
+		copy(buf[start:], prefix)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+		m, err = w.Write(buf[start:])
+		n += int64(m)
+		if err != nil {
+			return n, err
 		}
-		writeUvarint(bw, uint64(len(payload)))
-		if _, err := bw.Write(payload); err != nil {
-			return cw.n, err
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(crc[:]); err != nil {
-			return cw.n, err
-		}
-		frames[i].WireBytes = frameWireSize(len(payload))
+		f.WireBytes = frameWireSize(len(payload))
 	}
-	err := bw.Flush()
-	return cw.n, err
+	return n, nil
 }
 
-// writeFramePayload encodes f's kind-specific fields into buf.
-func writeFramePayload(buf *bytes.Buffer, f *Frame) error {
-	bw := bufio.NewWriter(buf)
-	if err := writeFrameFields(bw, buf, f); err != nil {
-		return err
+// payloadBound bounds f's payload from above, so the encoder sizes its
+// buffer once per frame rather than growing it with the entries: at most
+// an origin, five uvarints (version, base and counts), the scale, the
+// entries, and the sketch.
+func payloadBound(f *Frame) int {
+	const (
+		origin = binary.MaxVarintLen64 + maxOriginLen // length prefix and bytes
+		entry  = binary.MaxVarintLen32 + 8            // an index or gap and a float
+	)
+	n := origin + 5*binary.MaxVarintLen64 + 8 +
+		entry*(len(f.Heavy)+len(f.Changes)+len(f.HeavyRemoved)+len(f.HeavyUpserts)) +
+		(origin+binary.MaxVarintLen64)*len(f.Digest)
+	if f.CS != nil {
+		n += f.CS.EncodedSize()
 	}
-	return bw.Flush()
+	return n
 }
 
-// writeFrameFields writes through bw; the kindFull arm flushes and hands
-// the sketch's own serializer the raw buffer, as it writes directly.
-func writeFrameFields(bw *bufio.Writer, raw *bytes.Buffer, f *Frame) error {
+// appendFramePayload appends f's kind-specific fields to dst.
+func appendFramePayload(dst []byte, f *Frame) ([]byte, error) {
+	var err error
 	switch f.Kind {
 	case kindDigest:
-		writeUvarint(bw, uint64(len(f.Digest)))
+		dst = binary.AppendUvarint(dst, uint64(len(f.Digest)))
 		// Deterministic order is not required on the wire (receivers build a
 		// map), but stable output helps tests and debugging.
 		for _, id := range sortedKeys(f.Digest) {
-			if err := writeString(bw, id); err != nil {
-				return err
+			if dst, err = appendOrigin(dst, id); err != nil {
+				return dst, err
 			}
-			writeUvarint(bw, uint64(f.Digest[id]))
+			dst = binary.AppendUvarint(dst, uint64(f.Digest[id]))
 		}
-		return nil
+		return dst, nil
 	case kindFull:
-		if err := writeString(bw, f.Origin); err != nil {
-			return err
+		if dst, err = appendOrigin(dst, f.Origin); err != nil {
+			return dst, err
 		}
-		writeUvarint(bw, uint64(f.Version))
-		writeFloat(bw, scaleOr1(f.Scale))
-		if err := writeWeighted(bw, f.Heavy); err != nil {
-			return err
-		}
-		// The sketch's own serialization carries shape, seed, and bucket
-		// validation; flush our buffer first since WriteTo writes directly.
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		_, err := f.CS.WriteTo(raw)
-		return err
+		dst = binary.AppendUvarint(dst, uint64(f.Version))
+		dst = appendFloat(dst, scaleOr1(f.Scale))
+		// The sketch's own serialization carries shape, seed, and buckets.
+		buf := bytes.NewBuffer(appendWeighted(dst, f.Heavy))
+		_, err = f.CS.WriteTo(buf)
+		return buf.Bytes(), err
 	case kindDelta:
-		if err := writeString(bw, f.Origin); err != nil {
-			return err
+		if dst, err = appendOrigin(dst, f.Origin); err != nil {
+			return dst, err
 		}
-		writeUvarint(bw, uint64(f.Version))
-		writeUvarint(bw, uint64(f.Base))
-		writeFloat(bw, scaleOr1(f.Scale))
-		writeUvarint(bw, uint64(len(f.Changes)))
+		dst = binary.AppendUvarint(dst, uint64(f.Version))
+		dst = binary.AppendUvarint(dst, uint64(f.Base))
+		dst = appendFloat(dst, scaleOr1(f.Scale))
+		dst = binary.AppendUvarint(dst, uint64(len(f.Changes)))
 		prev := uint32(0)
 		for i, ch := range f.Changes {
 			if i > 0 && ch.Index <= prev {
-				return fmt.Errorf("changes not strictly ascending at %d", i)
+				return dst, fmt.Errorf("changes not strictly ascending at %d", i)
 			}
-			writeUvarint(bw, uint64(ch.Index-prev))
-			writeFloat(bw, ch.Value)
+			dst = binary.AppendUvarint(dst, uint64(ch.Index-prev))
+			dst = appendFloat(dst, ch.Value)
 			prev = ch.Index
 		}
-		writeUvarint(bw, uint64(len(f.HeavyRemoved)))
+		dst = binary.AppendUvarint(dst, uint64(len(f.HeavyRemoved)))
 		for _, k := range f.HeavyRemoved {
-			writeUvarint(bw, uint64(k))
+			dst = binary.AppendUvarint(dst, uint64(k))
 		}
-		return writeWeighted(bw, f.HeavyUpserts)
+		return appendWeighted(dst, f.HeavyUpserts), nil
 	default:
-		return fmt.Errorf("unknown frame kind %d", f.Kind)
+		return dst, fmt.Errorf("unknown frame kind %d", f.Kind)
 	}
 }
 
 // ReadFrames decodes a full frame stream, discarding the header's trace
 // annotation. Every frame's CRC is verified before its payload is decoded,
-// every count is bounded, and every float checked finite before it can
-// reach model state — so a corrupt, truncated, or hostile stream yields an
-// error, not an OOM or a poisoned sketch.
+// and the payload is decoded under internal/frame's rules (bounded counts,
+// chunked allocation, exact consumption, finite floats) — so a corrupt,
+// truncated, or hostile stream yields an error, not an OOM or a poisoned
+// sketch.
 func ReadFrames(r io.Reader) ([]Frame, error) {
 	frames, _, err := ReadFramesTraced(r)
 	return frames, err
@@ -319,6 +299,9 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 	copy(sc.TraceID[:], hdr[8:24])
 	copy(sc.SpanID[:], hdr[24:32])
 	var frames []Frame
+	// Decoded frames copy what they keep out of the payload, so one buffer
+	// serves every frame of the stream.
+	var buf []byte
 	for {
 		kind, err := br.ReadByte()
 		if err == io.EOF {
@@ -330,171 +313,166 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 		if kind != kindDigest && kind != kindFull && kind != kindDelta {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: unknown frame kind %d", len(frames), kind)
 		}
-		payload, err := readPayload(br)
+		n, err := frame.ReadCount(br, maxFrameBytes)
+		if err != nil {
+			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: payload length: %w", len(frames), err)
+		}
+		// The frame CRC covers the payload alone.
+		if buf, err = frame.ReadPayload(br, buf, n, 0); err != nil {
+			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
+		}
+		f, err := decodeFrame(kind, frame.NewCursor(buf))
 		if err != nil {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
 		}
-		f, err := decodeFramePayload(kind, payload)
-		if err != nil {
-			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
-		}
-		f.WireBytes = frameWireSize(len(payload))
+		f.WireBytes = frameWireSize(n)
 		frames = append(frames, f)
 	}
 }
 
-// readPayload reads one frame's length-prefixed payload and verifies its
-// CRC. The declared length is bounded, and allocation grows by bounded
-// chunks as bytes actually arrive, so a tiny hostile frame claiming a huge
-// payload cannot demand the memory up front.
-func readPayload(br *bufio.Reader) ([]byte, error) {
-	n, err := readCount(br, maxFrameBytes)
-	if err != nil {
-		return nil, fmt.Errorf("payload length: %w", err)
-	}
-	payload := make([]byte, 0, upfrontCap(n))
-	for len(payload) < n {
-		chunk := n - len(payload)
-		if chunk > maxUpfrontAlloc {
-			chunk = maxUpfrontAlloc
-		}
-		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
-		if _, err := io.ReadFull(br, payload[start:]); err != nil {
-			return nil, fmt.Errorf("truncated payload: %w", err)
-		}
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return nil, fmt.Errorf("truncated checksum: %w", err)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
-		return nil, fmt.Errorf("checksum mismatch (payload %#x, trailer %#x)", got, want)
-	}
-	return payload, nil
-}
-
-// decodeFramePayload decodes one CRC-verified payload and requires it to
-// be fully consumed — trailing bytes mark a malformed frame.
-func decodeFramePayload(kind byte, payload []byte) (Frame, error) {
-	pr := bytes.NewReader(payload)
-	br := bufio.NewReader(pr)
-	f, err := readFrame(br, kind)
-	if err != nil {
-		return f, err
-	}
-	if br.Buffered() > 0 || pr.Len() > 0 {
-		return f, fmt.Errorf("%d trailing bytes after payload", br.Buffered()+pr.Len())
-	}
-	return f, nil
-}
-
-func readFrame(br *bufio.Reader, kind byte) (Frame, error) {
+// decodeFrame decodes one CRC-verified payload of a known kind, which it
+// must consume exactly.
+func decodeFrame(kind byte, c *frame.Cursor) (Frame, error) {
 	f := Frame{Kind: kind}
-	switch kind {
-	case kindDigest:
-		n, err := readCount(br, maxDigestEntries)
+	err := decodeFields(c, &f)
+	if err == nil {
+		err = c.Done()
+	}
+	return f, err
+}
+
+func decodeFields(c *frame.Cursor, f *Frame) error {
+	if f.Kind == kindDigest {
+		n, err := c.Count(maxDigestEntries)
 		if err != nil {
-			return f, err
+			return err
 		}
-		f.Digest = make(map[string]int64, upfrontCap(n))
+		f.Digest = make(map[string]int64, frame.UpfrontCap(n))
 		for i := 0; i < n; i++ {
-			id, err := readString(br)
+			id, err := decodeOrigin(c)
 			if err != nil {
-				return f, err
+				return err
 			}
-			v, err := readUvarint(br)
+			v, err := c.Uvarint()
 			if err != nil {
-				return f, err
+				return err
 			}
 			f.Digest[id] = int64(v)
 		}
-		return f, nil
-	case kindFull:
-		var err error
-		if f.Origin, err = readString(br); err != nil {
-			return f, err
-		}
-		v, err := readUvarint(br)
-		if err != nil {
-			return f, err
-		}
-		f.Version = int64(v)
-		if f.Scale, err = readScale(br); err != nil {
-			return f, err
-		}
-		if f.Heavy, err = readWeighted(br); err != nil {
-			return f, err
-		}
-		if f.CS, err = sketch.ReadCountSketch(br); err != nil {
-			return f, err
-		}
-		return f, nil
-	case kindDelta:
-		var err error
-		if f.Origin, err = readString(br); err != nil {
-			return f, err
-		}
-		v, err := readUvarint(br)
-		if err != nil {
-			return f, err
-		}
-		f.Version = int64(v)
-		b, err := readUvarint(br)
-		if err != nil {
-			return f, err
-		}
-		f.Base = int64(b)
-		if f.Scale, err = readScale(br); err != nil {
-			return f, err
-		}
-		n, err := readCount(br, maxChangeEntries)
-		if err != nil {
-			return f, err
-		}
-		f.Changes = make([]sketch.BucketChange, 0, upfrontCap(n))
-		prev := uint64(0)
-		for i := 0; i < n; i++ {
-			gap, err := readUvarint(br)
-			if err != nil {
-				return f, err
-			}
-			idx := prev + gap
-			if i > 0 && gap == 0 {
-				return f, fmt.Errorf("non-ascending change index at %d", i)
-			}
-			if idx > math.MaxUint32 {
-				return f, fmt.Errorf("change index %d overflows", idx)
-			}
-			val, err := readFloat(br)
-			if err != nil {
-				return f, err
-			}
-			f.Changes = append(f.Changes, sketch.BucketChange{Index: uint32(idx), Value: val})
-			prev = idx
-		}
-		nr, err := readCount(br, maxHeavyEntries)
-		if err != nil {
-			return f, err
-		}
-		f.HeavyRemoved = make([]uint32, 0, upfrontCap(nr))
-		for i := 0; i < nr; i++ {
-			k, err := readUvarint(br)
-			if err != nil {
-				return f, err
-			}
-			if k > math.MaxUint32 {
-				return f, fmt.Errorf("removed key %d overflows", k)
-			}
-			f.HeavyRemoved = append(f.HeavyRemoved, uint32(k))
-		}
-		if f.HeavyUpserts, err = readWeighted(br); err != nil {
-			return f, err
-		}
-		return f, nil
-	default:
-		return f, fmt.Errorf("unknown frame kind %d", kind)
+		return nil
 	}
+	// Full and delta frames share origin, version, (delta) base and scale.
+	// Real learners keep the scale in (0, 1] via renormalization, so a
+	// non-positive one marks a corrupt or hostile frame.
+	var err error
+	if f.Origin, err = decodeOrigin(c); err != nil {
+		return err
+	}
+	v, err := c.Uvarint()
+	if err != nil {
+		return err
+	}
+	f.Version = int64(v)
+	if f.Kind == kindDelta {
+		if v, err = c.Uvarint(); err != nil {
+			return err
+		}
+		f.Base = int64(v)
+	}
+	if f.Scale, err = c.F64(); err != nil {
+		return err
+	}
+	if f.Scale <= 0 {
+		return fmt.Errorf("corrupt model scale %g", f.Scale)
+	}
+	if f.Kind == kindFull {
+		if f.Heavy, err = decodeWeighted(c); err != nil {
+			return err
+		}
+		// The sketch travels in its own checkpoint serialization.
+		rest := bytes.NewReader(c.Rest())
+		if f.CS, err = sketch.ReadCountSketch(rest); err != nil {
+			return err
+		}
+		c.Skip(c.Len() - rest.Len())
+		return nil
+	}
+	// Delta change indices are gap-encoded and strictly ascending: a gap
+	// is positive after the first change, and bounded before it is added
+	// so the index can neither overflow uint32 nor wrap uint64.
+	n, err := c.Count(maxChangeEntries)
+	if err != nil {
+		return err
+	}
+	f.Changes = make([]sketch.BucketChange, 0, frame.UpfrontCap(n))
+	prev := uint64(0)
+	for i := 0; i < n; i++ {
+		gap, err := c.Uvarint()
+		if err != nil {
+			return err
+		}
+		if i > 0 && gap == 0 {
+			return fmt.Errorf("non-ascending change index at %d", i)
+		}
+		if gap > math.MaxUint32-prev {
+			return fmt.Errorf("change %d: gap %d from index %d overflows uint32", i, gap, prev)
+		}
+		val, err := c.F64()
+		if err != nil {
+			return err
+		}
+		prev += gap
+		f.Changes = append(f.Changes, sketch.BucketChange{Index: uint32(prev), Value: val})
+	}
+	nr, err := c.Count(maxHeavyEntries)
+	if err != nil {
+		return err
+	}
+	f.HeavyRemoved = make([]uint32, 0, frame.UpfrontCap(nr))
+	for i := 0; i < nr; i++ {
+		k, err := c.Index()
+		if err != nil {
+			return err
+		}
+		f.HeavyRemoved = append(f.HeavyRemoved, k)
+	}
+	f.HeavyUpserts, err = decodeWeighted(c)
+	return err
+}
+
+// decodeOrigin decodes a length-prefixed origin id of 1 to maxOriginLen
+// bytes.
+func decodeOrigin(c *frame.Cursor) (string, error) {
+	n, err := c.Count(maxOriginLen)
+	if err == nil && n == 0 {
+		err = fmt.Errorf("empty origin")
+	}
+	if err != nil {
+		return "", err
+	}
+	b, err := c.Bytes(n)
+	return string(b), err
+}
+
+// decodeWeighted decodes a count-prefixed (key, weight) list.
+func decodeWeighted(c *frame.Cursor) ([]stream.Weighted, error) {
+	n, err := c.Count(maxHeavyEntries)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]stream.Weighted, 0, frame.UpfrontCap(n))
+	for i := 0; i < n; i++ {
+		k, err := c.Index()
+		if err != nil {
+			return nil, err
+		}
+		w, err := c.F64()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, stream.Weighted{Index: k, Weight: w})
+	}
+	return out, nil
 }
 
 // frameWireSize is the encoded size of a frame with the given payload
@@ -504,140 +482,25 @@ func frameWireSize(payloadLen int) int64 {
 	return int64(1 + binary.PutUvarint(buf[:], uint64(payloadLen)) + payloadLen + 4)
 }
 
-// ---- primitive encoders ----
-
-// The primitive writers encode straight into bw's free buffer space
-// (AvailableBuffer) and the float reader decodes from the buffered bytes
-// (Peek), so no per-value array is handed to an interface call and moved
-// to the heap: a frame costs the same few allocations whatever it holds.
-
-func writeUvarint(bw *bufio.Writer, v uint64) {
-	reserve(bw, binary.MaxVarintLen64)
-	_, _ = bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
-}
-
-// reserve flushes bw when fewer than n bytes of its buffer are free, so
-// that appending n bytes to AvailableBuffer cannot reallocate. A failed
-// flush sticks in bw: every later write returns it, and so does the
-// caller's final Flush.
-func reserve(bw *bufio.Writer, n int) {
-	if bw.Available() < n {
-		_ = bw.Flush()
-	}
-}
-
-func readUvarint(br *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(br)
-}
-
-func readCount(br *bufio.Reader, limit int) (int, error) {
-	v, err := readUvarint(br)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(limit) {
-		return 0, fmt.Errorf("count %d exceeds limit %d", v, limit)
-	}
-	return int(v), nil
-}
-
-func writeString(bw *bufio.Writer, s string) error {
+func appendOrigin(dst []byte, s string) ([]byte, error) {
 	if len(s) == 0 || len(s) > maxOriginLen {
-		return fmt.Errorf("origin length %d out of range [1,%d]", len(s), maxOriginLen)
+		return dst, fmt.Errorf("origin length %d out of range [1,%d]", len(s), maxOriginLen)
 	}
-	writeUvarint(bw, uint64(len(s)))
-	_, err := bw.WriteString(s)
-	return err
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...), nil
 }
 
-func readString(br *bufio.Reader) (string, error) {
-	n, err := readCount(br, maxOriginLen)
-	if err != nil {
-		return "", err
-	}
-	if n == 0 {
-		return "", fmt.Errorf("empty origin")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+func appendFloat(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-func writeFloat(bw *bufio.Writer, v float64) {
-	reserve(bw, 8)
-	_, _ = bw.Write(binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), math.Float64bits(v)))
-}
-
-// readFloat decodes one float64 and rejects NaN/±Inf centrally: no frame
-// field — weight, scale, or delta value — legitimately carries a
-// non-finite float, and a NaN smuggled past here would poison sketch state
-// while comparing false against every later bound.
-//
-// A short read fails like io.ReadFull: io.EOF when no byte was left,
-// io.ErrUnexpectedEOF when some were.
-func readFloat(br *bufio.Reader) (float64, error) {
-	b, err := br.Peek(8)
-	if err != nil {
-		if err == io.EOF && len(b) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, err
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(b))
-	_, _ = br.Discard(8) // cannot fail: Peek just buffered these 8 bytes
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("non-finite float on the wire (%g)", v)
-	}
-	return v, nil
-}
-
-// readScale reads and validates a model scale: real learners keep it in
-// (0, 1] via renormalization, so anything non-positive marks a corrupt or
-// hostile frame (readFloat already rejects non-finite values).
-func readScale(br *bufio.Reader) (float64, error) {
-	s, err := readFloat(br)
-	if err != nil {
-		return 0, err
-	}
-	if s <= 0 {
-		return 0, fmt.Errorf("corrupt model scale %g", s)
-	}
-	return s, nil
-}
-
-func writeWeighted(bw *bufio.Writer, ws []stream.Weighted) error {
-	writeUvarint(bw, uint64(len(ws)))
+func appendWeighted(dst []byte, ws []stream.Weighted) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ws)))
 	for _, w := range ws {
-		writeUvarint(bw, uint64(w.Index))
-		writeFloat(bw, w.Weight)
+		dst = binary.AppendUvarint(dst, uint64(w.Index))
+		dst = appendFloat(dst, w.Weight)
 	}
-	return nil
-}
-
-func readWeighted(br *bufio.Reader) ([]stream.Weighted, error) {
-	n, err := readCount(br, maxHeavyEntries)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]stream.Weighted, 0, upfrontCap(n))
-	for i := 0; i < n; i++ {
-		k, err := readUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if k > math.MaxUint32 {
-			return nil, fmt.Errorf("weighted key %d overflows", k)
-		}
-		// readFloat rejects non-finite weights at the decode layer.
-		w, err := readFloat(br)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, stream.Weighted{Index: uint32(k), Weight: w})
-	}
-	return out, nil
+	return dst
 }
 
 func sortedKeys(m map[string]int64) []string {

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -84,20 +81,6 @@ func TestCodecAllocationsIndependentOfEntries(t *testing.T) {
 		if big > small+8 {
 			t.Errorf("%s frame: %.0f allocations per stream (%.0f with fewer entries); the codec allocates per entry",
 				c.name, big, small)
-		}
-	}
-}
-
-// TestReadFloatShortRead: a float cut short fails as io.ReadFull would —
-// io.EOF with nothing left, io.ErrUnexpectedEOF with a partial value.
-func TestReadFloatShortRead(t *testing.T) {
-	for _, c := range []struct {
-		in   []byte
-		want error
-	}{{nil, io.EOF}, {[]byte{1, 2, 3}, io.ErrUnexpectedEOF}} {
-		_, err := readFloat(bufio.NewReader(bytes.NewReader(c.in)))
-		if !errors.Is(err, c.want) {
-			t.Errorf("readFloat on %d bytes: %v, want %v", len(c.in), err, c.want)
 		}
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // fuzzCorpus builds seed inputs from real encoded streams: a digest-only
-// stream, a full sync, a delta, plus truncated and bit-flipped variants —
-// the corpus CI's fuzz smoke starts from.
+// stream, a full sync, a delta, plus truncated and bit-flipped variants,
+// and a hand-built delta whose change gap wraps uint64 — the corpus CI's
+// fuzz smoke starts from.
 func fuzzCorpus(f *testing.F) {
 	b := newMemberF(f, "node-b")
 	for _, ex := range datagen.RCV1Like(21).Take(300) {
@@ -67,6 +68,7 @@ func fuzzCorpus(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("WMCF"))
+	f.Add(wrappingDeltaStream())
 }
 
 // newMemberF mirrors newMember for fuzz seeding (testing.F, not testing.T).

@@ -1,0 +1,80 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"strings"
+	"testing"
+)
+
+// handStream frames one hand-built payload as a CRC-valid, untraced
+// stream, so a test can reach the payload decoder with field values the
+// encoder would never write.
+func handStream(kind byte, payload []byte) []byte {
+	var hdr [streamHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], wireVersion)
+	binary.LittleEndian.PutUint32(hdr[32:], crc32.ChecksumIEEE(hdr[:32]))
+	s := append(hdr[:], kind)
+	s = binary.AppendUvarint(s, uint64(len(payload)))
+	s = append(s, payload...)
+	return binary.LittleEndian.AppendUint32(s, crc32.ChecksumIEEE(payload))
+}
+
+// wrappingDeltaStream is a delta frame whose change gaps are 5, 2^64−1
+// and 1. Added in uint64, the second gap wraps to index 4, so a decoder
+// that bounds only the sum yields the descending indices 5, 4, 5.
+func wrappingDeltaStream() []byte {
+	p := binary.AppendUvarint(nil, uint64(len("node-a")))
+	p = append(p, "node-a"...)
+	p = binary.AppendUvarint(p, 200) // version
+	p = binary.AppendUvarint(p, 100) // base
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1))
+	p = binary.AppendUvarint(p, 3)
+	for _, gap := range []uint64{5, math.MaxUint64, 1} {
+		p = binary.AppendUvarint(p, gap)
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(0.5))
+	}
+	p = binary.AppendUvarint(p, 0) // heavy removals
+	p = binary.AppendUvarint(p, 0) // heavy upserts
+	return handStream(kindDelta, p)
+}
+
+// TestReadFramesRejectsWrappingDeltaGap: a change gap is bounded by
+// MaxUint32 − previous index before it is added, so it can neither
+// overflow uint32 nor wrap uint64 into a descending index.
+func TestReadFramesRejectsWrappingDeltaGap(t *testing.T) {
+	frames, err := ReadFrames(bytes.NewReader(wrappingDeltaStream()))
+	if err == nil {
+		var idx []uint32
+		for _, ch := range frames[0].Changes {
+			idx = append(idx, ch.Index)
+		}
+		t.Fatalf("wrapping gap accepted, change indices %v", idx)
+	}
+	if !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("wrapping gap: %v, want an overflow error", err)
+	}
+
+	// The largest gap that still fits is accepted.
+	p := binary.AppendUvarint(nil, 1)
+	p = append(p, 'a')
+	p = binary.AppendUvarint(p, 2)
+	p = binary.AppendUvarint(p, 1)
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(1))
+	p = binary.AppendUvarint(p, 2)
+	for _, gap := range []uint64{5, math.MaxUint32 - 5} {
+		p = binary.AppendUvarint(p, gap)
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(0.5))
+	}
+	p = append(p, 0, 0)
+	frames, err = ReadFrames(bytes.NewReader(handStream(kindDelta, p)))
+	if err != nil {
+		t.Fatalf("gap up to MaxUint32 rejected: %v", err)
+	}
+	if got := frames[0].Changes[1].Index; got != math.MaxUint32 {
+		t.Fatalf("last change index %d, want %d", got, uint32(math.MaxUint32))
+	}
+}

@@ -17,7 +17,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"wmsketch/internal/linear"
 	"wmsketch/internal/stream"
@@ -49,29 +48,36 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Width <= 0 {
-		panic(fmt.Sprintf("core: width must be positive, got %d", c.Width))
-	}
-	if c.Depth <= 0 {
-		panic(fmt.Sprintf("core: depth must be positive, got %d", c.Depth))
-	}
-	if c.HeapSize <= 0 {
-		panic(fmt.Sprintf("core: heap size must be positive, got %d", c.HeapSize))
-	}
 	if c.Loss == nil {
 		c.Loss = linear.Logistic{}
 	}
 	if c.Schedule == nil {
 		c.Schedule = linear.DefaultSchedule()
 	}
-	if c.Lambda < 0 {
-		panic("core: negative lambda")
+	if err := c.validate(); err != nil {
+		panic(err.Error())
+	}
+}
+
+// validate reports a configuration the learners cannot run with; fill
+// panics on it, and checkpoint restore returns it.
+func (c *Config) validate() error {
+	switch {
+	case c.Width <= 0:
+		return fmt.Errorf("core: width must be positive, got %d", c.Width)
+	case c.Depth <= 0:
+		return fmt.Errorf("core: depth must be positive, got %d", c.Depth)
+	case c.HeapSize <= 0:
+		return fmt.Errorf("core: heap size must be positive, got %d", c.HeapSize)
+	case c.Lambda < 0:
+		return fmt.Errorf("core: negative lambda")
 	}
 	if cs, ok := c.Schedule.(linear.Constant); ok && cs.Eta0*c.Lambda >= 1 {
-		panic(fmt.Sprintf("core: constant schedule with Eta0·Lambda = %g ≥ 1: "+
+		return fmt.Errorf("core: constant schedule with Eta0·Lambda = %g ≥ 1: "+
 			"the decay factor 1−ηλ is non-positive on every step, which zeroes "+
-			"or sign-flips the model; lower Eta0 or Lambda", cs.Eta0*c.Lambda))
+			"or sign-flips the model; lower Eta0 or Lambda", cs.Eta0*c.Lambda)
 	}
+	return nil
 }
 
 // decayFactor returns the per-step ℓ2 decay multiplier 1−ηλ, clamped at 0.
@@ -112,8 +118,6 @@ func absf(x float64) float64 {
 	}
 	return x
 }
-
-func isBad(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
 
 // assertLearner statically checks both sketches satisfy stream.Learner.
 var (

@@ -1,0 +1,127 @@
+package core
+
+import (
+	"bytes"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"wmsketch/internal/datagen"
+	"wmsketch/internal/sketch"
+)
+
+// goldenCheckpoints builds the checkpoints pinned under testdata: a
+// Count-Sketch, a Count-Min, a WM-Sketch, an AWM-Sketch and a 2-worker
+// sharded learner, each at small geometry and fed from a fixed datagen
+// seed. The files were written once, before the checkpoint decoders moved
+// onto internal/frame, and the tests never rewrite them: they pin the
+// checkpoint bytes the way testdata/golden_*.bin pins the gossip streams.
+func goldenCheckpoints(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	data := datagen.RCV1Like(17).Take(600)
+	write := func(m io.WriterTo) []byte {
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	cs := sketch.NewCountSketch(3, 64, 5)
+	cm := sketch.NewConservativeCountMin(2, 64, 5)
+	for _, ex := range data {
+		for _, f := range ex.X {
+			cs.Update(f.Index, float64(ex.Y)*f.Value)
+			cm.Update(f.Index, math.Abs(f.Value))
+		}
+	}
+
+	cfg := Config{Width: 128, Depth: 3, HeapSize: 16, Lambda: 1e-4, Seed: 9}
+	wm, awm := NewWMSketch(cfg), NewAWMSketch(cfg)
+	for _, ex := range data {
+		wm.Update(ex.X, ex.Y)
+		awm.Update(ex.X, ex.Y)
+	}
+
+	sh := NewSharded(Config{Width: 128, Depth: 2, HeapSize: 16, Lambda: 1e-5, Seed: 9},
+		ShardedOptions{Workers: 2, SyncEvery: -1})
+	defer sh.Close()
+	for i := 0; i < len(data); i += 50 {
+		sh.UpdateBatch(data[i : i+50])
+	}
+
+	return map[string][]byte{
+		"countsketch": write(cs),
+		"countmin":    write(cm),
+		"wm":          write(wm),
+		"awm":         write(awm),
+		"sharded":     write(sh),
+	}
+}
+
+// reloadCheckpoint restores a golden checkpoint with the loader for its
+// kind and serializes the result again.
+func reloadCheckpoint(tb testing.TB, name string, blob []byte) []byte {
+	tb.Helper()
+	r := bytes.NewReader(blob)
+	var m io.WriterTo
+	var err error
+	switch name {
+	case "countsketch":
+		m, err = sketch.ReadCountSketch(r)
+	case "countmin":
+		m, err = sketch.ReadCountMin(r)
+	case "wm":
+		m, err = LoadWMSketch(r, nil, nil)
+	case "awm":
+		m, err = LoadAWMSketch(r, nil, nil)
+	case "sharded":
+		var s *Sharded
+		s, err = LoadSharded(r, nil, nil, ShardedOptions{SyncEvery: -1})
+		if err == nil {
+			defer s.Close()
+			m = s
+		}
+	default:
+		tb.Fatalf("unknown golden checkpoint %q", name)
+	}
+	if err != nil {
+		tb.Fatalf("%s: restore: %v", name, err)
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		tb.Fatalf("%s: re-serialize: %v", name, err)
+	}
+	return buf.Bytes()
+}
+
+func goldenCheckpointPath(name string) string {
+	return filepath.Join("testdata", "golden_"+name+".ckpt")
+}
+
+// TestGoldenCheckpoints: WriteTo must reproduce each committed checkpoint
+// byte for byte, and each committed checkpoint must restore and serialize
+// back to itself.
+func TestGoldenCheckpoints(t *testing.T) {
+	for name, got := range goldenCheckpoints(t) {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(goldenCheckpointPath(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				at := 0
+				for at < len(got) && at < len(want) && got[at] == want[at] {
+					at++
+				}
+				t.Fatalf("WriteTo produced %d bytes, golden has %d; first difference at byte %d",
+					len(got), len(want), at)
+			}
+			if again := reloadCheckpoint(t, name, want); !bytes.Equal(again, want) {
+				t.Fatal("golden checkpoint does not survive a restore/WriteTo round trip")
+			}
+		})
+	}
+}

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
+	"wmsketch/internal/frame"
 	"wmsketch/internal/linear"
 	"wmsketch/internal/sketch"
 	"wmsketch/internal/topk"
@@ -24,10 +25,23 @@ import (
 //	lambda float64, seed int64, scale float64, t int64
 //	heapLen uint32, then heapLen × (key uint32, weight float64)
 //	the backing Count-Sketch in its own format
+//
+// Restore follows internal/frame's decode rules. The header and the heap
+// are fixed-layout sections read whole and validated before use; each
+// section consumes exactly its own bytes, so a model can be read from the
+// middle of a sharded checkpoint, and the public loaders require the input
+// to end where the checkpoint does.
 const (
 	magicWM      = 0x574d5357 // "WMSW"
 	magicAWM     = 0x574d5341 // "WMSA"
 	magicSharded = 0x574d5353 // "WMSS"
+
+	// stateHeaderSize is a model's header through heapLen;
+	// heapEntrySize one (key, weight) heap entry.
+	stateHeaderSize = 4 + 4 + 3*4 + 4*8 + 4
+	heapEntrySize   = 4 + 8
+	// shardedHeaderSize is magic, version, variant, workers, routed count.
+	shardedHeaderSize = 4*4 + 8
 )
 
 // WriteTo serializes the WM-Sketch state. It implements io.WriterTo.
@@ -36,20 +50,28 @@ func (w *WMSketch) WriteTo(out io.Writer) (int64, error) {
 }
 
 // LoadWMSketch restores a WM-Sketch written by WriteTo. loss and schedule
-// replace the serialized behaviour; nil selects the defaults.
+// replace the serialized behaviour; nil selects the defaults. r must end
+// where the checkpoint does.
 func LoadWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*WMSketch, error) {
-	cfg, scale, t, entries, cs, err := readSketchState(r, magicWM)
+	w, err := loadWMSketch(r, loss, schedule)
+	if err == nil {
+		err = atEnd(r)
+	}
 	if err != nil {
 		return nil, err
 	}
-	cfg.Loss = loss
-	cfg.Schedule = schedule
-	w := NewWMSketch(cfg)
-	w.cs = cs
-	w.scale = scale
-	w.t = t
-	for _, e := range entries {
-		w.heap.Insert(e.Key, e.Weight, e.Score)
+	return w, nil
+}
+
+func loadWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*WMSketch, error) {
+	st, err := readSketchState(r, magicWM, loss, schedule)
+	if err != nil {
+		return nil, err
+	}
+	w := NewWMSketch(st.cfg)
+	w.cs, w.scale, w.t = st.cs, st.scale, st.t
+	if err := st.fillHeap(w.heap); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
@@ -59,22 +81,38 @@ func (a *AWMSketch) WriteTo(out io.Writer) (int64, error) {
 	return writeSketchState(out, magicAWM, &a.cfg, a.scale, a.t, a.active, a.cs)
 }
 
-// LoadAWMSketch restores an AWM-Sketch written by WriteTo.
+// LoadAWMSketch restores an AWM-Sketch written by WriteTo. r must end
+// where the checkpoint does.
 func LoadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
-	cfg, scale, t, entries, cs, err := readSketchState(r, magicAWM)
+	a, err := loadAWMSketch(r, loss, schedule)
+	if err == nil {
+		err = atEnd(r)
+	}
 	if err != nil {
 		return nil, err
 	}
-	cfg.Loss = loss
-	cfg.Schedule = schedule
-	a := NewAWMSketch(cfg)
-	a.cs = cs
-	a.scale = scale
-	a.t = t
-	for _, e := range entries {
-		a.active.Insert(e.Key, e.Weight, e.Score)
+	return a, nil
+}
+
+func loadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
+	st, err := readSketchState(r, magicAWM, loss, schedule)
+	if err != nil {
+		return nil, err
+	}
+	a := NewAWMSketch(st.cfg)
+	a.cs, a.scale, a.t = st.cs, st.scale, st.t
+	if err := st.fillHeap(a.active); err != nil {
+		return nil, err
 	}
 	return a, nil
+}
+
+// atEnd applies the exact-consumption rule to a whole checkpoint.
+func atEnd(r io.Reader) error {
+	if err := frame.AtEOF(r); err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
+	}
+	return nil
 }
 
 // WriteTo checkpoints the parallel learner: a header (magic, version,
@@ -103,20 +141,15 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 	}
 	// Workers are parked (or exited, after Close); their models are safe to
 	// read directly.
-	bw := bufio.NewWriter(out)
-	var n int64
-	variant := uint32(s.opt.Variant)
-	fields := []interface{}{
-		uint32(magicSharded), uint32(serializeVersion),
-		variant, uint32(len(s.workers)), s.pending.Load(),
-	}
-	for _, f := range fields {
-		if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
-			return n, err
-		}
-		n += int64(binary.Size(f))
-	}
-	if err := bw.Flush(); err != nil {
+	var hdr [shardedHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:], magicSharded)
+	binary.LittleEndian.PutUint32(hdr[4:], serializeVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(s.opt.Variant))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(s.workers)))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(s.pending.Load()))
+	m, err := out.Write(hdr[:])
+	n := int64(m)
+	if err != nil {
 		return n, err
 	}
 	for _, w := range s.workers {
@@ -136,14 +169,15 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 // be re-partitioned. The restored learner is live (workers running) with its
 // query snapshot already rebuilt.
 func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt ShardedOptions) (*Sharded, error) {
-	br := bufio.NewReader(r)
-	var magic, version, variant, workers uint32
-	var pending int64
-	for _, p := range []interface{}{&magic, &version, &variant, &workers, &pending} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("core: truncated sharded header: %w", err)
-		}
+	var hdr [shardedHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("core: truncated sharded header: %w", err)
 	}
+	magic := binary.LittleEndian.Uint32(hdr[0:])
+	version := binary.LittleEndian.Uint32(hdr[4:])
+	variant := binary.LittleEndian.Uint32(hdr[8:])
+	workers := binary.LittleEndian.Uint32(hdr[12:])
+	pending := int64(binary.LittleEndian.Uint64(hdr[16:]))
 	if magic != magicSharded {
 		return nil, fmt.Errorf("core: bad sharded magic %#x", magic)
 	}
@@ -169,13 +203,13 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 		)
 		if ShardVariant(variant) == ShardWM {
 			var w *WMSketch
-			w, err = LoadWMSketch(br, loss, schedule)
+			w, err = loadWMSketch(r, loss, schedule)
 			if w != nil {
 				m, c = w, w.cfg
 			}
 		} else {
 			var a *AWMSketch
-			a, err = LoadAWMSketch(br, loss, schedule)
+			a, err = loadAWMSketch(r, loss, schedule)
 			if a != nil {
 				m, c = a, a.cfg
 			}
@@ -189,6 +223,9 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 			return nil, fmt.Errorf("core: shard %d shape/seed disagrees with shard 0", i)
 		}
 		models[i] = m
+	}
+	if err := atEnd(r); err != nil {
+		return nil, err
 	}
 	opt.Workers = int(workers)
 	opt.Variant = ShardVariant(variant)
@@ -212,117 +249,121 @@ const maxSerializedHeap = 1 << 24
 
 func writeSketchState(out io.Writer, magic uint32, cfg *Config, scale float64,
 	t int64, heap *topk.Heap, cs *sketch.CountSketch) (int64, error) {
-	bw := bufio.NewWriter(out)
-	var n int64
 	entries := heap.Entries()
-	fields := []interface{}{
-		magic, uint32(serializeVersion),
-		uint32(cfg.Width), uint32(cfg.Depth), uint32(cfg.HeapSize),
-		cfg.Lambda, cfg.Seed, scale, t,
-		uint32(len(entries)),
+	b := make([]byte, 0, stateHeaderSize+heapEntrySize*len(entries))
+	for _, v := range []uint32{magic, serializeVersion, uint32(cfg.Width), uint32(cfg.Depth), uint32(cfg.HeapSize)} {
+		b = binary.LittleEndian.AppendUint32(b, v)
 	}
-	for _, f := range fields {
-		if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
-			return n, err
-		}
-		n += int64(binary.Size(f))
+	for _, v := range []uint64{math.Float64bits(cfg.Lambda), uint64(cfg.Seed), math.Float64bits(scale), uint64(t)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
 	for _, e := range entries {
-		for _, f := range []interface{}{e.Key, e.Weight} {
-			if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
-				return n, err
-			}
-			n += int64(binary.Size(f))
-		}
+		b = binary.LittleEndian.AppendUint32(b, e.Key)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Weight))
 	}
-	if err := bw.Flush(); err != nil {
-		return n, err
+	n, err := out.Write(b)
+	if err != nil {
+		return int64(n), err
 	}
 	m, err := cs.WriteTo(out)
-	return n + m, err
+	return int64(n) + m, err
 }
 
 const serializeVersion = 1
 
-func readSketchState(r io.Reader, wantMagic uint32) (cfg Config, scale float64,
-	t int64, entries []topk.Entry, cs *sketch.CountSketch, err error) {
-	br := bufio.NewReader(r)
-	var magic, version, width, depth, heapSize, heapLen uint32
-	var lambda float64
-	var seed int64
-	for _, p := range []interface{}{&magic, &version, &width, &depth, &heapSize,
-		&lambda, &seed, &scale, &t, &heapLen} {
-		if err = binary.Read(br, binary.LittleEndian, p); err != nil {
-			err = fmt.Errorf("core: truncated header: %w", err)
-			return
-		}
+// sketchState is what a WM- and an AWM-Sketch checkpoint hold beyond the
+// behaviour the caller supplies.
+type sketchState struct {
+	cfg   Config
+	scale float64
+	t     int64
+	heap  []byte // heapLen entries of heapEntrySize bytes
+	cs    *sketch.CountSketch
+}
+
+// readSketchState reads and validates one model's header, heap section
+// and Count-Sketch. Every header field that sizes an allocation or feeds
+// arithmetic is validated before use, so a corrupt checkpoint yields a
+// clean error rather than an OOM, a Config.fill panic, or NaN-poisoned
+// estimates.
+func readSketchState(r io.Reader, wantMagic uint32, loss linear.Loss, schedule linear.Schedule) (*sketchState, error) {
+	var hdr [stateHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("core: truncated header: %w", err)
 	}
-	if magic != wantMagic {
-		err = fmt.Errorf("core: bad magic %#x", magic)
-		return
+	le := binary.LittleEndian
+	if magic := le.Uint32(hdr[0:]); magic != wantMagic {
+		return nil, fmt.Errorf("core: bad magic %#x", magic)
 	}
-	if version != serializeVersion {
-		err = fmt.Errorf("core: unsupported version %d", version)
-		return
+	if version := le.Uint32(hdr[4:]); version != serializeVersion {
+		return nil, fmt.Errorf("core: unsupported version %d", version)
 	}
-	// Defensive restore, mirroring the sketch layer: every header field that
-	// sizes an allocation or feeds arithmetic is validated before use, so a
-	// corrupt checkpoint yields a clean error rather than an OOM, a panic in
-	// Config.fill, or NaN-poisoned estimates.
+	width, depth, heapSize := le.Uint32(hdr[8:]), le.Uint32(hdr[12:]), le.Uint32(hdr[16:])
+	lambda := math.Float64frombits(le.Uint64(hdr[20:]))
+	st := &sketchState{
+		scale: math.Float64frombits(le.Uint64(hdr[36:])),
+		t:     int64(le.Uint64(hdr[44:])),
+	}
+	heapLen := le.Uint32(hdr[52:])
 	if heapSize == 0 || heapSize > maxSerializedHeap {
-		err = fmt.Errorf("core: implausible heap capacity %d", heapSize)
-		return
+		return nil, fmt.Errorf("core: implausible heap capacity %d", heapSize)
 	}
 	if heapLen > heapSize {
-		err = fmt.Errorf("core: heap length %d exceeds capacity %d", heapLen, heapSize)
-		return
+		return nil, fmt.Errorf("core: heap length %d exceeds capacity %d", heapLen, heapSize)
 	}
-	if isBad(lambda) || lambda < 0 {
-		err = fmt.Errorf("core: corrupt lambda %g", lambda)
-		return
+	if !frame.Finite(lambda) || lambda < 0 {
+		return nil, fmt.Errorf("core: corrupt lambda %g", lambda)
 	}
-	if isBad(scale) || scale <= 0 {
-		err = fmt.Errorf("core: corrupt scale %g", scale)
-		return
+	if !frame.Finite(st.scale) || st.scale <= 0 {
+		return nil, fmt.Errorf("core: corrupt scale %g", st.scale)
 	}
-	if t < 0 {
-		err = fmt.Errorf("core: negative step counter %d", t)
-		return
+	if st.t < 0 {
+		return nil, fmt.Errorf("core: negative step counter %d", st.t)
 	}
-	entries = make([]topk.Entry, heapLen)
-	for i := range entries {
-		var key uint32
-		var weight float64
-		if err = binary.Read(br, binary.LittleEndian, &key); err != nil {
-			err = fmt.Errorf("core: truncated heap: %w", err)
-			return
-		}
-		if err = binary.Read(br, binary.LittleEndian, &weight); err != nil {
-			err = fmt.Errorf("core: truncated heap: %w", err)
-			return
-		}
-		if isBad(weight) {
-			err = fmt.Errorf("core: heap entry %d has non-finite weight", i)
-			return
-		}
-		score := weight
-		if score < 0 {
-			score = -score
-		}
-		entries[i] = topk.Entry{Key: key, Weight: weight, Score: score}
+	var err error
+	if st.heap, err = frame.ReadN(r, nil, heapEntrySize*int(heapLen)); err != nil {
+		return nil, fmt.Errorf("core: heap: %w", err)
 	}
-	cs, err = sketch.ReadCountSketch(br)
-	if err != nil {
-		return
+	if st.cs, err = sketch.ReadCountSketch(r); err != nil {
+		return nil, err
 	}
-	if cs.Width() != int(width) || cs.Depth() != int(depth) {
-		err = fmt.Errorf("core: sketch shape %dx%d disagrees with header %dx%d",
-			cs.Depth(), cs.Width(), depth, width)
-		return
+	if st.cs.Width() != int(width) || st.cs.Depth() != int(depth) {
+		return nil, fmt.Errorf("core: sketch shape %dx%d disagrees with header %dx%d",
+			st.cs.Depth(), st.cs.Width(), depth, width)
 	}
-	cfg = Config{
+	st.cfg = Config{
 		Width: int(width), Depth: int(depth), HeapSize: int(heapSize),
-		Lambda: lambda, Seed: seed,
+		Lambda: lambda, Seed: int64(le.Uint64(hdr[28:])),
+		Loss: loss, Schedule: schedule,
 	}
-	return
+	if err := st.cfg.validate(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// fillHeap inserts the checkpoint's heap entries into h, a fresh heap of
+// the checkpoint's capacity. WriteTo writes a heap in its array order, in
+// which no entry outweighs its parent (i−1)/2 in magnitude, so inserting
+// in file order moves nothing and a restore serializes back to the same
+// bytes. A non-finite weight, a repeated key, or an entry out of heap
+// order marks a corrupt checkpoint.
+func (st *sketchState) fillHeap(h *topk.Heap) error {
+	weight := func(i int) float64 {
+		return math.Float64frombits(binary.LittleEndian.Uint64(st.heap[i*heapEntrySize+4:]))
+	}
+	for i := 0; i < len(st.heap)/heapEntrySize; i++ {
+		key, w := binary.LittleEndian.Uint32(st.heap[i*heapEntrySize:]), weight(i)
+		switch {
+		case !frame.Finite(w):
+			return fmt.Errorf("core: heap entry %d has non-finite weight", i)
+		case h.Contains(key):
+			return fmt.Errorf("core: heap key %d appears twice", key)
+		case i > 0 && absf(w) < absf(weight((i-1)/2)):
+			return fmt.Errorf("core: heap entry %d is out of heap order", i)
+		}
+		h.InsertMagnitude(key, w)
+	}
+	return nil
 }

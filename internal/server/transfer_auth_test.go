@@ -2,13 +2,16 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"wmsketch/internal/datagen"
+	"wmsketch/internal/linear"
 )
 
 // TestCheckpointDownloadUploadRoundTrip: download a trained node's state,
@@ -97,6 +100,82 @@ func TestCheckpointUploadRejectsGarbage(t *testing.T) {
 	var st StatsResponse
 	if code := doJSON(t, "GET", hs.URL+"/v1/stats", nil, &st); code != 200 || st.Steps != 1 {
 		t.Fatalf("backend lost after rejected upload: code %d, %+v", code, st)
+	}
+}
+
+// TestCheckpointUploadRejectsCorruptCheckpoints: a checkpoint whose heap
+// repeats a key, one followed by trailing bytes, and one whose λ the
+// server's constant learning-rate schedule cannot run with are each
+// refused with 400, and the old model keeps serving. The pristine
+// checkpoint then uploads, so the corruptions cause the refusals.
+func TestCheckpointUploadRejectsCorruptCheckpoints(t *testing.T) {
+	for _, backend := range backends() {
+		t.Run(backend, func(t *testing.T) {
+			_, source := newTestServer(t, backend)
+			if code := doJSON(t, "POST", source.URL+"/v1/update",
+				UpdateRequest{Examples: toWire(datagen.RCV1Like(11).Take(1200))}, nil); code != 200 {
+				t.Fatalf("update: HTTP %d", code)
+			}
+			resp, err := http.Get(source.URL + "/v1/checkpoint/download")
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+
+			// A model's heap starts 56 bytes in, after λ at 20; a sharded
+			// checkpoint's first model follows its 24-byte header.
+			model := 0
+			if backend == BackendSharded {
+				model = 24
+			}
+			repeated := append([]byte(nil), blob...)
+			copy(repeated[model+56+12:], repeated[model+56:model+56+4])
+			bigLambda := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint64(bigLambda[model+20:], math.Float64bits(4))
+
+			opt := testOptions(t, backend)
+			opt.Config.Schedule = linear.Constant{Eta0: 0.5}
+			srv, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := httptest.NewServer(srv)
+			t.Cleanup(func() {
+				target.Close()
+				_ = srv.Close()
+			})
+			doJSON(t, "POST", target.URL+"/v1/update", UpdateRequest{
+				Example: &ExampleJSON{Y: 1, X: []FeatureJSON{{I: 3, V: 1}}},
+			}, nil)
+
+			for _, c := range []struct {
+				name string
+				body []byte
+				want int
+			}{
+				{"repeated heap key", repeated, http.StatusBadRequest},
+				{"trailing bytes", append(append([]byte(nil), blob...), "trailing garbage"...), http.StatusBadRequest},
+				{"lambda beyond the constant schedule", bigLambda, http.StatusBadRequest},
+				{"pristine", blob, http.StatusOK},
+			} {
+				up, err := http.Post(target.URL+"/v1/checkpoint/upload", "application/octet-stream", bytes.NewReader(c.body))
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				msg, _ := io.ReadAll(up.Body)
+				up.Body.Close()
+				if up.StatusCode != c.want {
+					t.Fatalf("%s: HTTP %d (%s), want %d", c.name, up.StatusCode, msg, c.want)
+				}
+				var st StatsResponse
+				if c.want == http.StatusBadRequest {
+					if code := doJSON(t, "GET", target.URL+"/v1/stats", nil, &st); code != 200 || st.Steps != 1 {
+						t.Fatalf("%s: backend changed by a rejected upload: code %d, %+v", c.name, code, st)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -29,16 +29,17 @@ func NewCountMin(depth, width int, seed int64) *CountMin {
 	if width <= 0 {
 		panic(fmt.Sprintf("sketch: width must be positive, got %d", width))
 	}
-	rows := make([][]float64, depth)
-	backing := make([]float64, depth*width)
-	for j := range rows {
-		rows[j], backing = backing[:width], backing[width:]
-	}
+	return newCountMin(depth, width, seed, make([]float64, depth*width))
+}
+
+// newCountMin builds a sketch over buckets, its depth rows of width laid
+// end to end.
+func newCountMin(depth, width int, seed int64, buckets []float64) *CountMin {
 	return &CountMin{
 		depth:  depth,
 		width:  width,
 		seed:   seed,
-		rows:   rows,
+		rows:   splitRows(buckets, depth, width),
 		hashes: hashing.NewFamily(depth, seed),
 	}
 }

@@ -52,18 +52,28 @@ func NewCountSketch(depth, width int, seed int64) *CountSketch {
 	if width <= 0 {
 		panic(fmt.Sprintf("sketch: width must be positive, got %d", width))
 	}
-	rows := make([][]float64, depth)
-	backing := make([]float64, depth*width)
-	for j := range rows {
-		rows[j], backing = backing[:width], backing[width:]
-	}
+	return newCountSketch(depth, width, seed, make([]float64, depth*width))
+}
+
+// newCountSketch builds a sketch over buckets, its depth rows of width
+// laid end to end.
+func newCountSketch(depth, width int, seed int64, buckets []float64) *CountSketch {
 	return &CountSketch{
 		depth:  depth,
 		width:  width,
 		seed:   seed,
-		rows:   rows,
+		rows:   splitRows(buckets, depth, width),
 		hashes: hashing.NewFamily(depth, seed),
 	}
+}
+
+// splitRows slices buckets into depth consecutive rows of width.
+func splitRows(buckets []float64, depth, width int) [][]float64 {
+	rows := make([][]float64, depth)
+	for j := range rows {
+		rows[j], buckets = buckets[:width], buckets[width:]
+	}
+	return rows
 }
 
 // Depth returns the number of rows.

@@ -1,11 +1,12 @@
 package sketch
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+
+	"wmsketch/internal/frame"
 )
 
 // Serialization format (little-endian):
@@ -23,10 +24,14 @@ import (
 // sketch answers queries identically to the original and remains mergeable
 // with sketches built from the same seed.
 //
-// Restore is defensive: the header's shape is bounded (maxSerializedBuckets)
-// before any bucket allocation, and every restored bucket is checked for
-// NaN/±Inf — a long-lived serving process must never adopt a checkpoint that
-// would poison its arithmetic.
+// Restore follows internal/frame's decode rules: the header's shape is
+// bounded (maxSerializedBuckets) before the buckets are allocated, every
+// restored bucket is checked for NaN/±Inf as it is decoded — a long-lived
+// serving process must never adopt a checkpoint that would poison its
+// arithmetic — and a restore consumes exactly the sketch's own bytes, so a
+// sketch can be read from the middle of a larger checkpoint or frame. The
+// hash functions, whose cost grows with the depth, are built only after
+// every bucket has arrived.
 
 const (
 	magicCountSketch = 0x574d4353 // "WMCS"
@@ -41,183 +46,99 @@ const (
 // paper or this repository uses, far below an OOM.
 const maxSerializedBuckets = 1 << 27
 
-// serializeChunk is the number of float64s encoded per buffered chunk on the
-// bulk read/write paths (32 KiB of scratch).
+// serializeChunk is the number of float64s encoded per Write (32 KiB).
 const serializeChunk = 4096
 
-// seed is retained by sketches solely so that serialization can rebuild
-// identical hash functions.
+// headerSize is the encoded header: magic, version, seed, depth, width and
+// flags.
+const headerSize = 4 + 4 + 8 + 4 + 4 + 4
 
-// writeFloats bulk-encodes vals with a manual PutUint64 loop — one Write per
-// chunk instead of one reflective binary.Write per element. The byte output
-// is identical to binary.Write(w, binary.LittleEndian, v) per element.
-func writeFloats(w io.Writer, scratch []byte, vals []float64) (int64, error) {
-	var n int64
-	for len(vals) > 0 {
-		c := len(vals)
-		if c > serializeChunk {
-			c = serializeChunk
-		}
-		b := scratch[:8*c]
-		for i, v := range vals[:c] {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-		}
-		m, err := w.Write(b)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-		vals = vals[c:]
-	}
-	return n, nil
-}
-
-// readFloats bulk-decodes into vals, the inverse of writeFloats.
-func readFloats(r io.Reader, scratch []byte, vals []float64) error {
-	for len(vals) > 0 {
-		c := len(vals)
-		if c > serializeChunk {
-			c = serializeChunk
-		}
-		b := scratch[:8*c]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return err
-		}
-		for i := range vals[:c] {
-			//lint:ignore nonfinite every restored row is validated whole by validateBuckets right after the bulk read
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-		vals = vals[c:]
-	}
-	return nil
-}
-
-// validateBuckets rejects NaN/±Inf in a restored row: a checkpoint carrying
-// non-finite buckets would silently corrupt every later estimate and update.
-func validateBuckets(kind string, row []float64) error {
-	for i, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("sketch: %s bucket %d is non-finite (%g)", kind, i, v)
-		}
-	}
-	return nil
-}
-
-func newScratch() []byte { return make([]byte, 8*serializeChunk) }
+// EncodedSize is the length of the sketch's serialization.
+func (cs *CountSketch) EncodedSize() int { return headerSize + 8*cs.Size() }
 
 // WriteTo serializes the sketch. It implements io.WriterTo.
 func (cs *CountSketch) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n, err := writeHeader(bw, magicCountSketch, cs.seed, cs.depth, cs.width, 0)
-	if err != nil {
-		return n, err
-	}
-	scratch := newScratch()
-	for _, row := range cs.rows {
-		m, err := writeFloats(bw, scratch, row)
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
+	return writeSketch(w, magicCountSketch, cs.seed, cs.depth, cs.width, 0, cs.rows...)
 }
 
-// ReadCountSketch deserializes a sketch written by WriteTo.
+// ReadCountSketch deserializes a sketch written by WriteTo, reading exactly
+// its bytes from r.
 func ReadCountSketch(r io.Reader) (*CountSketch, error) {
-	br := bufio.NewReader(r)
-	seed, depth, width, _, err := readHeader(br, magicCountSketch)
+	seed, depth, width, _, err := readHeader(r, magicCountSketch)
 	if err != nil {
 		return nil, err
 	}
-	cs := NewCountSketch(depth, width, seed)
-	scratch := newScratch()
-	for _, row := range cs.rows {
-		if err := readFloats(br, scratch, row); err != nil {
-			return nil, fmt.Errorf("sketch: truncated bucket data: %w", err)
-		}
-		if err := validateBuckets("count-sketch", row); err != nil {
-			return nil, err
-		}
+	buckets := make([]float64, depth*width)
+	if err := frame.ReadF64s(r, buckets); err != nil {
+		return nil, fmt.Errorf("sketch: count-sketch buckets: %w", err)
 	}
-	return cs, nil
+	return newCountSketch(depth, width, seed, buckets), nil
 }
 
 // WriteTo serializes the sketch. It implements io.WriterTo.
 func (cm *CountMin) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
 	flags := uint32(0)
 	if cm.conservative {
-		flags |= 1
+		flags = 1
 	}
-	n, err := writeHeader(bw, magicCountMin, cm.seed, cm.depth, cm.width, flags)
-	if err != nil {
-		return n, err
-	}
-	scratch := newScratch()
-	m, err := writeFloats(bw, scratch, []float64{cm.total})
-	n += m
-	if err != nil {
-		return n, err
-	}
-	for _, row := range cm.rows {
-		m, err := writeFloats(bw, scratch, row)
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
+	return writeSketch(w, magicCountMin, cm.seed, cm.depth, cm.width, flags,
+		append([][]float64{{cm.total}}, cm.rows...)...)
 }
 
-// ReadCountMin deserializes a sketch written by WriteTo.
+// ReadCountMin deserializes a sketch written by WriteTo, reading exactly
+// its bytes from r.
 func ReadCountMin(r io.Reader) (*CountMin, error) {
-	br := bufio.NewReader(r)
-	seed, depth, width, flags, err := readHeader(br, magicCountMin)
+	seed, depth, width, flags, err := readHeader(r, magicCountMin)
 	if err != nil {
 		return nil, err
 	}
-	cm := NewCountMin(depth, width, seed)
+	// The total and the buckets are one run of floats.
+	vals := make([]float64, 1+depth*width)
+	if err := frame.ReadF64s(r, vals); err != nil {
+		return nil, fmt.Errorf("sketch: count-min total and buckets: %w", err)
+	}
+	cm := newCountMin(depth, width, seed, vals[1:])
 	cm.conservative = flags&1 != 0
-	scratch := newScratch()
-	total := make([]float64, 1)
-	if err := readFloats(br, scratch, total); err != nil {
-		return nil, fmt.Errorf("sketch: truncated total: %w", err)
-	}
-	cm.total = total[0]
-	for _, row := range cm.rows {
-		if err := readFloats(br, scratch, row); err != nil {
-			return nil, fmt.Errorf("sketch: truncated bucket data: %w", err)
-		}
-		if err := validateBuckets("count-min", row); err != nil {
-			return nil, err
-		}
-	}
-	if math.IsNaN(cm.total) || math.IsInf(cm.total, 0) {
-		return nil, fmt.Errorf("sketch: corrupt total")
-	}
+	cm.total = vals[0]
 	return cm, nil
 }
 
-func writeHeader(w io.Writer, magic uint32, seed int64, depth, width int, flags uint32) (int64, error) {
-	var b [24]byte
-	binary.LittleEndian.PutUint32(b[0:], magic)
-	binary.LittleEndian.PutUint32(b[4:], serializeVersion)
-	binary.LittleEndian.PutUint64(b[8:], uint64(seed))
-	binary.LittleEndian.PutUint32(b[16:], uint32(depth))
-	binary.LittleEndian.PutUint32(b[20:], uint32(width))
-	n, err := w.Write(b[:])
-	if err != nil {
-		return int64(n), err
+// writeSketch writes the header and then each run of floats, encoded a
+// chunk at a time (one Write per serializeChunk values, where reflective
+// binary.Write would take one per value, with identical bytes).
+func writeSketch(w io.Writer, magic uint32, seed int64, depth, width int, flags uint32, runs ...[]float64) (int64, error) {
+	le := binary.LittleEndian
+	b := make([]byte, headerSize, 8*serializeChunk)
+	le.PutUint32(b[0:], magic)
+	le.PutUint32(b[4:], serializeVersion)
+	le.PutUint64(b[8:], uint64(seed))
+	le.PutUint32(b[16:], uint32(depth))
+	le.PutUint32(b[20:], uint32(width))
+	le.PutUint32(b[24:], flags)
+	var n int64
+	for _, run := range runs {
+		for len(run) > 0 {
+			if cap(b)-len(b) < 8 {
+				m, err := w.Write(b)
+				n += int64(m)
+				if err != nil {
+					return n, err
+				}
+				b = b[:0]
+			}
+			k := min(len(run), (cap(b)-len(b))/8)
+			for _, v := range run[:k] {
+				b = le.AppendUint64(b, math.Float64bits(v))
+			}
+			run = run[k:]
+		}
 	}
-	var fb [4]byte
-	binary.LittleEndian.PutUint32(fb[:], flags)
-	m, err := w.Write(fb[:])
-	return int64(n + m), err
+	m, err := w.Write(b)
+	return n + int64(m), err
 }
 
 func readHeader(r io.Reader, wantMagic uint32) (seed int64, depth, width int, flags uint32, err error) {
-	var b [28]byte
+	var b [headerSize]byte
 	if _, err = io.ReadFull(r, b[:]); err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("sketch: truncated header: %w", err)
 	}

@@ -107,7 +107,7 @@ func TestReadRejectsNonFiniteBuckets(t *testing.T) {
 // (one binary.Write per float64) as an executable reference: the bulk
 // encoder must emit byte-identical output.
 func reflectiveWriteTo(cs *CountSketch, w io.Writer) error {
-	if _, err := writeHeader(w, magicCountSketch, cs.seed, cs.depth, cs.width, 0); err != nil {
+	if _, err := writeSketch(w, magicCountSketch, cs.seed, cs.depth, cs.width, 0); err != nil {
 		return err
 	}
 	for _, row := range cs.rows {

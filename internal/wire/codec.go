@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
+	"wmsketch/internal/frame"
 	"wmsketch/internal/stream"
 )
 
@@ -25,83 +27,11 @@ import (
 //	ping              empty both ways
 //	error response    raw UTF-8 message (≤ MaxErrorBytes)
 //
-// Every decoder consumes its payload exactly — trailing bytes are a
-// malformed request — and rejects non-finite floats centrally, the same
-// contract the JSON path enforces in toVector. Encoders are append-style
-// so callers can pool the destination buffers.
-
-// reader is a bounds-checked cursor over one frame payload.
-type reader struct {
-	b   []byte
-	off int
-}
-
-func (r *reader) remaining() int { return len(r.b) - r.off }
-
-func (r *reader) u8() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, fmt.Errorf("truncated payload")
-	}
-	b := r.b[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad uvarint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads a uvarint and bounds it — the decode-bounds sanitizer every
-// allocation-sizing count must pass through.
-func (r *reader) count(limit int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(limit) {
-		return 0, fmt.Errorf("count %d exceeds limit %d", v, limit)
-	}
-	return int(v), nil
-}
-
-// f64 decodes one float64 and rejects NaN/±Inf centrally: no payload field
-// legitimately carries a non-finite value, and one smuggled past here
-// would poison model state while comparing false against every bound.
-func (r *reader) f64() (float64, error) {
-	if r.remaining() < 8 {
-		return 0, fmt.Errorf("truncated float")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("non-finite value on the wire (%g)", v)
-	}
-	return v, nil
-}
-
-func (r *reader) index() (uint32, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxUint32 {
-		return 0, fmt.Errorf("feature index %d overflows uint32", v)
-	}
-	return uint32(v), nil
-}
-
-// done requires the payload to be fully consumed.
-func (r *reader) done() error {
-	if n := r.remaining(); n > 0 {
-		return fmt.Errorf("%d trailing bytes after payload", n)
-	}
-	return nil
-}
+// Every decoder reads its payload through a frame.Cursor, so it consumes
+// the payload exactly — trailing bytes are a malformed request — and
+// rejects non-finite floats centrally, the same contract the JSON path
+// enforces in toVector. Encoders are append-style so callers can pool the
+// destination buffers.
 
 // ---- append-style encoders ----
 
@@ -119,7 +49,7 @@ func appendVector(dst []byte, x stream.Vector) ([]byte, error) {
 	}
 	dst = appendUvarint(dst, uint64(len(x)))
 	for _, f := range x {
-		if math.IsNaN(f.Value) || math.IsInf(f.Value, 0) {
+		if !frame.Finite(f.Value) {
 			return dst, fmt.Errorf("wire: feature %d has non-finite value", f.Index)
 		}
 		dst = appendUvarint(dst, uint64(f.Index))
@@ -162,23 +92,23 @@ func AppendUpdateRequest(dst []byte, batch []stream.Example) ([]byte, error) {
 // nnzScratch is transient per-example bookkeeping the caller may pool, and
 // the possibly-grown scratch is returned for reuse.
 func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []int, error) {
-	rd := &reader{b: payload}
-	n, err := rd.count(MaxBatchExamples)
+	c := frame.NewCursor(payload)
+	n, err := c.Count(MaxBatchExamples)
 	if err != nil {
 		return nil, nnzScratch, fmt.Errorf("batch count: %w", err)
 	}
 	if n == 0 {
 		return nil, nnzScratch, fmt.Errorf("no examples")
 	}
-	batch := make([]stream.Example, 0, upfrontCap(n))
+	batch := make([]stream.Example, 0, frame.UpfrontCap(n))
 	nnz := nnzScratch[:0]
 	// Features decode into one flat backing array, subsliced per example
 	// afterwards: one allocation per frame instead of one per example. The
 	// capacity bound is exact-by-construction — every encoded feature costs
 	// at least 9 payload bytes, and those bytes have already arrived.
-	feats := make([]stream.Feature, 0, rd.remaining()/9)
+	feats := make([]stream.Feature, 0, c.Len()/9)
 	for i := 0; i < n; i++ {
-		lb, err := rd.u8()
+		lb, err := c.U8()
 		if err != nil {
 			return nil, nnz, fmt.Errorf("example %d: %w", i, err)
 		}
@@ -191,15 +121,16 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 		default:
 			return nil, nnz, fmt.Errorf("example %d: label must be +1 or -1, got byte %#x", i, lb)
 		}
-		m, err := rd.count(MaxVectorNNZ)
+		m, err := c.Count(MaxVectorNNZ)
 		if err != nil {
 			return nil, nnz, fmt.Errorf("example %d: nnz: %w", i, err)
 		}
 		// Per-feature parsing is the hot loop of the hot endpoint; it runs
-		// open-coded on a local cursor (single-byte uvarint fast path, one
-		// bounds check per float) instead of through the reader helpers.
-		// The contract is unchanged: indices fit uint32, values are finite.
-		b, off := rd.b, rd.off
+		// open-coded over the cursor's unread bytes (single-byte uvarint
+		// fast path, one bounds check per float) and then skips what it
+		// used. The contract is the cursor's: indices fit uint32, values
+		// are finite.
+		b, off := c.Rest(), 0
 		for j := 0; j < m; j++ {
 			var idx uint64
 			if off < len(b) && b[off] < 0x80 {
@@ -208,7 +139,7 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 			} else {
 				v, k := binary.Uvarint(b[off:])
 				if k <= 0 {
-					return nil, nnz, fmt.Errorf("example %d feature %d: bad uvarint at offset %d", i, j, off)
+					return nil, nnz, fmt.Errorf("example %d feature %d: bad uvarint", i, j)
 				}
 				if v > math.MaxUint32 {
 					return nil, nnz, fmt.Errorf("example %d feature %d: feature index %d overflows uint32", i, j, v)
@@ -221,16 +152,16 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 			}
 			v := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 			off += 8
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, nnz, fmt.Errorf("example %d feature %d: non-finite value on the wire (%g)", i, j, v)
+			if !frame.Finite(v) {
+				return nil, nnz, fmt.Errorf("example %d feature %d: %w", i, j, frame.NonFinite(v))
 			}
 			feats = append(feats, stream.Feature{Index: uint32(idx), Value: v})
 		}
-		rd.off = off
+		c.Skip(off)
 		batch = append(batch, stream.Example{Y: y})
 		nnz = append(nnz, m)
 	}
-	if err := rd.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return nil, nnz, err
 	}
 	off := 0
@@ -250,19 +181,19 @@ func AppendUpdateResponse(dst []byte, applied int, steps int64) []byte {
 
 // DecodeUpdateResponse decodes an update result.
 func DecodeUpdateResponse(payload []byte) (applied int, steps int64, err error) {
-	rd := &reader{b: payload}
-	a, err := rd.count(MaxBatchExamples)
+	c := frame.NewCursor(payload)
+	a, err := c.Count(MaxBatchExamples)
 	if err != nil {
 		return 0, 0, fmt.Errorf("applied: %w", err)
 	}
-	s, err := rd.uvarint()
+	s, err := c.Uvarint()
 	if err != nil {
 		return 0, 0, fmt.Errorf("steps: %w", err)
 	}
 	if s > math.MaxInt64 {
 		return 0, 0, fmt.Errorf("steps %d overflows int64", s)
 	}
-	if err := rd.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return 0, 0, err
 	}
 	return a, int64(s), nil
@@ -277,27 +208,24 @@ func AppendPredictRequest(dst []byte, x stream.Vector) ([]byte, error) {
 // (predict is synchronous — the backend does not retain the vector, so the
 // caller may pool it).
 func DecodePredictRequest(payload []byte, scratch stream.Vector) (stream.Vector, error) {
-	rd := &reader{b: payload}
-	n, err := rd.count(MaxVectorNNZ)
+	c := frame.NewCursor(payload)
+	n, err := c.Count(MaxVectorNNZ)
 	if err != nil {
 		return scratch[:0], fmt.Errorf("nnz: %w", err)
 	}
-	x := scratch[:0]
-	if cap(x) < upfrontCap(n) {
-		x = make(stream.Vector, 0, upfrontCap(n))
-	}
+	x := slices.Grow(scratch[:0], frame.UpfrontCap(n))
 	for j := 0; j < n; j++ {
-		idx, err := rd.index()
+		idx, err := c.Index()
 		if err != nil {
 			return x[:0], fmt.Errorf("feature %d: %w", j, err)
 		}
-		v, err := rd.f64()
+		v, err := c.F64()
 		if err != nil {
 			return x[:0], fmt.Errorf("feature %d: %w", j, err)
 		}
 		x = append(x, stream.Feature{Index: idx, Value: v})
 	}
-	if err := rd.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return x[:0], err
 	}
 	return x, nil
@@ -314,11 +242,11 @@ func AppendPredictResponse(dst []byte, margin float64, label int) []byte {
 
 // DecodePredictResponse decodes a predict result.
 func DecodePredictResponse(payload []byte) (margin float64, label int, err error) {
-	rd := &reader{b: payload}
-	if margin, err = rd.f64(); err != nil {
+	c := frame.NewCursor(payload)
+	if margin, err = c.F64(); err != nil {
 		return 0, 0, fmt.Errorf("margin: %w", err)
 	}
-	lb, err := rd.u8()
+	lb, err := c.U8()
 	if err != nil {
 		return 0, 0, fmt.Errorf("label: %w", err)
 	}
@@ -330,7 +258,7 @@ func DecodePredictResponse(payload []byte) (margin float64, label int, err error
 	default:
 		return 0, 0, fmt.Errorf("label byte %#x", lb)
 	}
-	if err := rd.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return 0, 0, err
 	}
 	return margin, label, nil
@@ -354,26 +282,23 @@ func AppendEstimateRequest(dst []byte, indices []uint32) ([]byte, error) {
 // DecodeEstimateRequest decodes an index batch into scratch's capacity
 // (estimate is synchronous; the caller may pool the slice).
 func DecodeEstimateRequest(payload []byte, scratch []uint32) ([]uint32, error) {
-	rd := &reader{b: payload}
-	n, err := rd.count(MaxEstimateIndices)
+	c := frame.NewCursor(payload)
+	n, err := c.Count(MaxEstimateIndices)
 	if err != nil {
 		return scratch[:0], fmt.Errorf("index count: %w", err)
 	}
 	if n == 0 {
 		return scratch[:0], fmt.Errorf("no indices")
 	}
-	out := scratch[:0]
-	if cap(out) < upfrontCap(n) {
-		out = make([]uint32, 0, upfrontCap(n))
-	}
+	out := slices.Grow(scratch[:0], frame.UpfrontCap(n))
 	for j := 0; j < n; j++ {
-		idx, err := rd.index()
+		idx, err := c.Index()
 		if err != nil {
 			return out[:0], fmt.Errorf("index %d: %w", j, err)
 		}
 		out = append(out, idx)
 	}
-	if err := rd.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return out[:0], err
 	}
 	return out, nil
@@ -390,23 +315,20 @@ func AppendEstimateResponse(dst []byte, weights []float64) []byte {
 
 // DecodeEstimateResponse decodes weight estimates into scratch's capacity.
 func DecodeEstimateResponse(payload []byte, scratch []float64) ([]float64, error) {
-	rd := &reader{b: payload}
-	n, err := rd.count(MaxEstimateIndices)
+	c := frame.NewCursor(payload)
+	n, err := c.Count(MaxEstimateIndices)
 	if err != nil {
 		return scratch[:0], fmt.Errorf("weight count: %w", err)
 	}
-	out := scratch[:0]
-	if cap(out) < upfrontCap(n) {
-		out = make([]float64, 0, upfrontCap(n))
-	}
+	out := slices.Grow(scratch[:0], frame.UpfrontCap(n))
 	for j := 0; j < n; j++ {
-		w, err := rd.f64()
+		w, err := c.F64()
 		if err != nil {
 			return out[:0], fmt.Errorf("weight %d: %w", j, err)
 		}
 		out = append(out, w)
 	}
-	if err := rd.done(); err != nil {
+	if err := c.Done(); err != nil {
 		return out[:0], err
 	}
 	return out, nil

@@ -99,7 +99,7 @@ func FuzzReadResponseFrame(f *testing.F) {
 
 // TestTruncatedFrameAllocation pins the bounded-allocation property the
 // fuzzers rely on: a frame declaring MaxPayloadBytes but delivering almost
-// nothing must fail after at most one maxUpfrontAlloc-sized chunk, not
+// nothing must fail after at most one frame.MaxUpfrontAlloc-sized chunk, not
 // after allocating the full declared size.
 func TestTruncatedFrameAllocation(t *testing.T) {
 	var hdr bytes.Buffer
@@ -118,7 +118,7 @@ func TestTruncatedFrameAllocation(t *testing.T) {
 			t.Fatal("truncated frame accepted")
 		}
 	})
-	// One pooled-buffer make (≤ maxUpfrontAlloc) plus error plumbing; the
+	// One pooled-buffer make (≤ frame.MaxUpfrontAlloc) plus error plumbing; the
 	// exact count is not the contract, the absence of an 8 MiB make is.
 	if allocs > 10 {
 		t.Fatalf("truncated oversize frame cost %.0f allocations", allocs)

@@ -6,12 +6,13 @@
 // premise is that the sketch is cheap enough to train inline with the
 // stream, so the protocol must not be the bottleneck.
 //
-// The format reuses the decode discipline proven on the gossip wire
-// (internal/cluster/wire.go): length-prefixed frames, a CRC32 over every
-// frame, bounded counts on every decoded length, chunked allocation so a
-// tiny hostile frame cannot demand gigabytes up front, and central
-// rejection of non-finite floats before they can reach model state. See
-// SERVING.md "Binary protocol" for the layout diagram and versioning rules.
+// The format shares the gossip wire's decode rules, which live once in
+// internal/frame: length-prefixed frames, a CRC32 over every frame,
+// bounded counts on every decoded length, chunked allocation so a tiny
+// hostile frame cannot demand gigabytes up front, exact consumption of
+// every payload, and central rejection of non-finite floats before they
+// can reach model state. See SERVING.md "Binary protocol" for the layout
+// diagram and versioning rules.
 //
 // # Connection layout
 //
@@ -63,6 +64,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"wmsketch/internal/frame"
 )
 
 // Handshake constants.
@@ -111,20 +114,7 @@ const (
 	MaxEstimateIndices = 1 << 16
 	// MaxErrorBytes bounds an error-response message.
 	MaxErrorBytes = 1 << 10
-	// maxUpfrontAlloc caps capacity allocated from a wire-supplied count
-	// alone; larger (still-bounded) buffers grow by append as payload bytes
-	// actually arrive, the same hostile-length discipline as the gossip
-	// wire's readPayload.
-	maxUpfrontAlloc = 1 << 16
 )
-
-// upfrontCap bounds the capacity allocated before payload bytes arrive.
-func upfrontCap(n int) int {
-	if n > maxUpfrontAlloc {
-		return maxUpfrontAlloc
-	}
-	return n
-}
 
 // validOp reports whether b is a known request op.
 func validOp(b byte) bool { return b >= OpUpdate && b <= OpPing }
@@ -251,31 +241,10 @@ func readFrame(r io.Reader, buf []byte, valid func(byte) bool, dir string) (kind
 	if err != nil {
 		return 0, 0, nil, buf, err
 	}
-	// Grow by bounded chunks as bytes actually arrive: a hostile length
-	// cannot demand more than maxUpfrontAlloc ahead of real payload data.
-	if cap(buf) < upfrontCap(n) {
-		buf = make([]byte, 0, upfrontCap(n))
-	}
-	payload = buf[:0]
-	for len(payload) < n {
-		chunk := n - len(payload)
-		if chunk > maxUpfrontAlloc {
-			chunk = maxUpfrontAlloc
-		}
-		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, payload[start:]); err != nil {
-			return 0, 0, nil, payload[:0], fmt.Errorf("wire: truncated payload: %w", err)
-		}
-	}
-	var trailer [4]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return 0, 0, nil, payload[:0], fmt.Errorf("wire: truncated checksum: %w", err)
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != crc {
-		return 0, 0, nil, payload[:0], fmt.Errorf("wire: checksum mismatch (computed %#x, trailer %#x)", crc, got)
+	// The CRC covers the header too, so the header's checksum seeds it.
+	payload, err = frame.ReadPayload(r, buf, n, crc32.ChecksumIEEE(hdr[:]))
+	if err != nil {
+		return 0, 0, nil, payload, fmt.Errorf("wire: %w", err)
 	}
 	return kind, tag, payload, payload, nil
 }

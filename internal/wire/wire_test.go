@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"wmsketch/internal/frame"
 	"wmsketch/internal/stream"
 )
 
@@ -61,7 +62,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		nil,
 		{0x42},
 		bytes.Repeat([]byte{0xAB}, 1000),
-		bytes.Repeat([]byte{0xCD}, maxUpfrontAlloc+5000), // spans chunked growth
+		bytes.Repeat([]byte{0xCD}, frame.MaxUpfrontAlloc+5000), // spans chunked growth
 	}
 	var buf []byte
 	for i, p := range payloads {

@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build vet test race bench bench-json bench-serve bench-serve-check serve-smoke cluster-smoke bench-cluster bench-sim fuzz-smoke lint lint-tools
+.PHONY: all build vet test race bench bench-json bench-serve bench-serve-check serve-smoke cluster-smoke bench-sim fuzz-smoke lint lint-tools
 
 all: vet build lint test
 
@@ -38,10 +38,11 @@ bench:
 bench-json:
 	$(GO) run ./cmd/wmbench -throughput -json BENCH_throughput.json
 
-# End-to-end serving throughput/latency (wmserve + loadgen), one leg per
-# protocol — HTTP/JSON and the binary hot protocol (SERVING.md "Binary
-# protocol") — recorded side by side with the speedup ratio in
-# BENCH_serve.json next to BENCH_throughput.json.
+# End-to-end serving throughput/latency: wmbench boots an in-process
+# wmserve and drives it with concurrent clients, one leg per protocol —
+# HTTP/JSON and the binary hot protocol (SERVING.md "Binary protocol") —
+# recorded side by side with the speedup ratio in BENCH_serve.json next to
+# BENCH_throughput.json.
 bench-serve:
 	$(GO) run ./cmd/wmbench -serve-bench -json BENCH_serve.json
 
@@ -51,22 +52,21 @@ bench-serve:
 bench-serve-check:
 	$(GO) run ./cmd/wmbench -serve-bench -json /tmp/bench_serve_check.json -serve-baseline BENCH_serve.json
 
-# Boot wmserve on loopback and exercise the whole API end to end:
-# update -> predict -> checkpoint -> restore -> verify, plus a concurrent
-# loadgen smoke. CI runs this.
+# The serving API end to end on loopback, every backend: update ->
+# predict -> topk -> estimate -> checkpoint -> restore, span chains and
+# structured logs, the /metrics families, the background refresher, the
+# JSON/binary conformance suite, and wmserve's restore-before-serve boot.
+# CI runs these inside `go test -race ./...`.
 serve-smoke:
-	$(GO) run ./cmd/wmserve -smoke
+	$(GO) test -run 'TestServer|TestTracesAndStructuredLogs|TestMetricsEndpoint|TestBackgroundRefresh|TestConformance|TestBoot' ./internal/server ./cmd/wmserve
 
-# Boot a 3-node loopback cluster, train disjoint partitions, gossip to
-# quiescence, and verify convergence vs the single-learner-on-union
-# baseline (CLUSTER.md). CI runs this with the report discarded.
+# A 3-node loopback cluster trained on disjoint thirds of a stream, gossiped
+# to quiescence: every node must land within 5% (relative) of a single
+# learner trained on the union, and delta rounds must move under 0.8x the
+# bytes of full-sync rounds (CLUSTER.md). -v logs rounds, bytes and errors.
+# CI runs it inside `go test -race ./...`.
 cluster-smoke:
-	$(GO) run ./cmd/wmserve -cluster-smoke -cluster-json ''
-
-# The same harness, recording rounds-to-convergence and bytes-on-wire
-# (full-sync rounds vs delta rounds vs idle rounds) to BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/wmserve -cluster-smoke -cluster-json BENCH_cluster.json
+	$(GO) test -run TestClusterMatchesUnionLearner -v ./internal/server
 
 # Discrete-event robustness gate: 100 in-memory nodes under 10% message
 # loss, a 30-round partition, and 20% churn, fixed seed. Fails unless

@@ -36,7 +36,7 @@ func main() {
 		seed       = flag.Int64("seed", 42, "base random seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		throughput = flag.Bool("throughput", false, "measure update throughput instead of running experiments")
-		serveBench = flag.Bool("serve-bench", false, "measure serving throughput (wmserve loadgen) instead of running experiments")
+		serveBench = flag.Bool("serve-bench", false, "measure serving throughput (in-process wmserve, JSON and binary clients) instead of running experiments")
 		clients    = flag.Int("clients", 4, "concurrent clients for -serve-bench")
 		workers    = flag.Int("workers", 0, "max worker count for -throughput / sharded workers for -serve-bench (0 = GOMAXPROCS)")
 		proto      = flag.String("proto", "both", "protocols for -serve-bench: json, binary, or both")
@@ -56,7 +56,10 @@ func main() {
 		return
 	}
 	if *serveBench {
-		runServeBench(*examples, *clients, *workers, *proto, *jsonPath, *baseline)
+		if err := runServeBench(*examples, *clients, *workers, *proto, *jsonPath, *baseline); err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
 		return
 	}
 	if *exp == "" {

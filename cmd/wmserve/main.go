@@ -6,14 +6,15 @@
 // Usage:
 //
 //	wmserve -addr :8080 -backend sharded -workers 4 -checkpoint model.ckpt
-//	wmserve -loadgen -clients 8 -examples 200000 -json BENCH_serve.json
-//	wmserve -loadgen -target http://host:8080 -clients 8
-//	wmserve -smoke          # end-to-end self-test (CI runs this)
+//	wmserve -addr :8080 -bin-addr :8081     # plus the binary hot protocol
+//	wmserve -sim -sim-json BENCH_sim.json   # 100-node cluster simulation (CI runs this)
 //
 // On SIGINT/SIGTERM the server drains in-flight requests and flushes a
 // final checkpoint to -checkpoint (when set) before exiting. With -restore,
-// an existing checkpoint at that path is loaded at boot, so a restarted
-// server resumes the stream where it left off.
+// an existing checkpoint at that path is loaded at boot, before any
+// listener serves, so a restarted server resumes the stream where it left
+// off. The API's tests live in internal/server; `wmbench -serve-bench`
+// measures it.
 package main
 
 import (
@@ -75,24 +76,8 @@ func main() {
 		originGC       = flag.Duration("origin-gc", 15*time.Minute, "cluster: idle age before a departed node's model decays out of the served mix (negative disables)")
 		chaosSpec      = flag.String("chaos", "", "cluster: fault-inject outbound gossip, e.g. drop=0.1,dup=0.05,corrupt=0.01,delay=50ms,seed=7 (testing only)")
 
-		loadgen   = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		target    = flag.String("target", "", "loadgen: drive this URL instead of a self-hosted server")
-		targetBin = flag.String("target-bin", "", "loadgen: drive this binary listener (host:port) when -proto binary")
-		proto     = flag.String("proto", "json", "loadgen: wire protocol, json or binary")
-		inFlight  = flag.Int("in-flight", 32, "loadgen: binary pipeline depth per connection")
-		clients   = flag.Int("clients", 4, "loadgen: concurrent clients")
-		examples  = flag.Int("examples", 50_000, "loadgen: total examples")
-		batch     = flag.Int("batch", 64, "loadgen: examples per update request")
-		jsonPath  = flag.String("json", "BENCH_serve.json", "loadgen: write the report to this file ('' disables)")
-
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-
-		smoke = flag.Bool("smoke", false, "run the end-to-end self-test and exit")
-
-		clusterSmoke = flag.Bool("cluster-smoke", false, "run the multi-node convergence self-test and exit (CI runs this)")
-		clusterNodes = flag.Int("cluster-nodes", 3, "cluster-smoke: number of in-process nodes")
-		clusterJSON  = flag.String("cluster-json", "BENCH_cluster.json", "cluster-smoke: write the convergence/bytes report here ('' disables)")
 
 		simMode  = flag.Bool("sim", false, "run the discrete-event cluster simulation (100 nodes, loss+partition+churn) and exit (CI runs this)")
 		simNodes = flag.Int("sim-nodes", 0, "sim: fleet size override (0 = the standard 100-node acceptance scenario)")
@@ -142,60 +127,17 @@ func main() {
 		}
 	}
 
-	switch {
-	case *simMode:
+	if *simMode {
 		if err := runSim(*simNodes, *simSeed, *simJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "sim: FAIL:", err)
 			os.Exit(1)
 		}
 		fmt.Println("sim: ok")
-	case *clusterSmoke:
-		err := server.ClusterSmoke(opt, server.ClusterSmokeOptions{
-			Nodes:    *clusterNodes,
-			JSONPath: *clusterJSON,
-			Seed:     *seed,
-		}, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cluster-smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("cluster-smoke: ok")
-	case *smoke:
-		if err := server.Smoke(opt, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "smoke: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("smoke: ok")
-	case *loadgen:
-		report, err := server.RunLoadgen(server.LoadgenOptions{
-			TargetURL: *target,
-			TargetBin: *targetBin,
-			Proto:     *proto,
-			InFlight:  *inFlight,
-			Server:    opt,
-			Clients:   *clients,
-			Examples:  *examples,
-			Batch:     *batch,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("loadgen: %d examples in %.2fs = %.0f updates/sec (update p50 %.2f ms, p99 %.2f ms)\n",
-			report.Examples, report.WallSeconds, report.UpdatesPerSec,
-			report.Update.P50Ms, report.Update.P99Ms)
-		if *jsonPath != "" {
-			if err := server.WriteReport(report, *jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, "loadgen:", err)
-				os.Exit(1)
-			}
-			fmt.Println("wrote", *jsonPath)
-		}
-	default:
-		if err := serve(opt, logger, *addr, *binAddr, *debugAddr, *restore); err != nil {
-			fmt.Fprintln(os.Stderr, "wmserve:", err)
-			os.Exit(1)
-		}
+		return
+	}
+	if err := serve(opt, logger, *addr, *binAddr, *debugAddr, *restore); err != nil {
+		fmt.Fprintln(os.Stderr, "wmserve:", err)
+		os.Exit(1)
 	}
 }
 
@@ -269,7 +211,15 @@ func runSim(nodes int, seed int64, jsonPath string) error {
 }
 
 func serve(opt server.Options, logger *slog.Logger, addr, binAddr, debugAddr string, restore bool) error {
-	srv, err := server.New(opt)
+	var bln net.Listener
+	if binAddr != "" {
+		var err error
+		if bln, err = net.Listen("tcp", binAddr); err != nil {
+			return fmt.Errorf("bin listener: %w", err)
+		}
+		defer bln.Close()
+	}
+	srv, err := boot(opt, logger, restore, bln)
 	if err != nil {
 		return err
 	}
@@ -279,27 +229,6 @@ func serve(opt server.Options, logger *slog.Logger, addr, binAddr, debugAddr str
 			return err
 		}
 		defer ds.Close()
-	}
-	if binAddr != "" {
-		bln, err := net.Listen("tcp", binAddr)
-		if err != nil {
-			return fmt.Errorf("bin listener: %w", err)
-		}
-		defer bln.Close()
-		go func() {
-			if err := srv.ServeBin(bln); err != nil {
-				logger.Error("binary listener failed", slog.String("error", err.Error()))
-			}
-		}()
-		logger.Info("binary protocol listening", slog.String("addr", binAddr))
-	}
-	if restore && opt.CheckpointPath != "" {
-		if _, err := os.Stat(opt.CheckpointPath); err == nil {
-			if err := srv.Restore(opt.CheckpointPath); err != nil {
-				return fmt.Errorf("restore %s: %w", opt.CheckpointPath, err)
-			}
-			logger.Info("restored checkpoint", slog.String("path", opt.CheckpointPath))
-		}
 	}
 
 	hs := &http.Server{Addr: addr, Handler: srv}
@@ -331,4 +260,32 @@ func serve(opt server.Options, logger *slog.Logger, addr, binAddr, debugAddr str
 		logger.Info("flushed final checkpoint", slog.String("path", opt.CheckpointPath))
 	}
 	return nil
+}
+
+// boot builds the server, restores the checkpoint when asked, and only then
+// serves the binary listener bln (nil when -bin-addr is empty). Restore
+// swaps in the checkpoint's backend and closes the old one, so an update
+// served before it would be acknowledged and then lost.
+func boot(opt server.Options, logger *slog.Logger, restore bool, bln net.Listener) (*server.Server, error) {
+	srv, err := server.New(opt)
+	if err != nil {
+		return nil, err
+	}
+	if restore && opt.CheckpointPath != "" {
+		if _, err := os.Stat(opt.CheckpointPath); err == nil {
+			if err := srv.Restore(opt.CheckpointPath); err != nil {
+				return nil, fmt.Errorf("restore %s: %w", opt.CheckpointPath, err)
+			}
+			logger.Info("restored checkpoint", slog.String("path", opt.CheckpointPath))
+		}
+	}
+	if bln != nil {
+		go func() {
+			if err := srv.ServeBin(bln); err != nil {
+				logger.Error("binary listener failed", slog.String("error", err.Error()))
+			}
+		}()
+		logger.Info("binary protocol listening", slog.String("addr", bln.Addr().String()))
+	}
+	return srv, nil
 }

@@ -17,7 +17,7 @@ import (
 // http.RoundTripper with seeded, deterministic drop/delay/duplicate/
 // corrupt/partition rules. Tests use it to drive the gossip client through
 // failure schedules; `wmserve -chaos "drop=0.1,delay=50ms"` wires it into
-// the cluster client for smoke runs, so an operator can watch membership,
+// the cluster client of a live node, so an operator can watch membership,
 // backoff, and /healthz react to a known fault mix on a live fleet.
 
 // ChaosConfig is the fault mix. All probabilities are per request in

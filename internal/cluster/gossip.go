@@ -110,8 +110,8 @@ func (n *Node) Close() {
 // GossipOnce runs one round: publish the local model, sweep the origin GC,
 // then reconcile with a random sample of live peers (plus an occasional
 // dead-peer probe). It returns the number of peers successfully
-// reconciled. Tests, the smoke harness, and the simulator call it directly
-// for deterministic rounds.
+// reconciled. Tests and the simulator call it directly for deterministic
+// rounds.
 func (n *Node) GossipOnce() int {
 	n.met.rounds.Inc()
 	// The round span is the trace every downstream apply must link back to:

@@ -35,7 +35,7 @@ type Config struct {
 	Local core.Snapshotter
 	// Interval is the gossip cadence. 0 selects 2s; negative disables the
 	// background loop (rounds then run only via GossipOnce, which tests and
-	// the smoke harness drive directly).
+	// the simulator drive directly).
 	Interval time.Duration
 	// HistoryDepth is how many recent versions of each origin's snapshot
 	// are retained as delta bases. A peer whose acked version has aged out

@@ -22,8 +22,9 @@ var SizeBuckets = []float64{
 	1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20,
 }
 
-// BatchBuckets spans 1 to 16384 examples: the loadgen default batch is 64,
-// streaming ingest applies chunks of 512, and /v1/estimate caps at 65536.
+// BatchBuckets spans 1 to 16384 examples: wmbench -serve-bench sends JSON
+// batches of 64 and binary frames of 512, streaming ingest applies chunks
+// of 512, and /v1/estimate caps at 65536.
 var BatchBuckets = []float64{
 	1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384,
 }

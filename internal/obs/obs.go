@@ -95,8 +95,8 @@ type Histogram struct {
 }
 
 // NewHistogram builds a standalone histogram over the given ascending
-// bucket upper bounds. Standalone histograms are for harness-side use
-// (e.g. the loadgen's client-side latency); registry-exposed histograms
+// bucket upper bounds. Standalone histograms are for client-side use
+// (e.g. wmbench -serve-bench's request latency); registry-exposed histograms
 // come from Registry.Histogram / HistogramVec. Panics on empty, unsorted,
 // or non-finite bounds — bucket layout is a compile-time decision.
 func NewHistogram(buckets []float64) *Histogram {

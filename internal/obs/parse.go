@@ -9,9 +9,9 @@ import (
 	"strings"
 )
 
-// Exposition-format validation. wmserve -smoke scrapes its own /metrics
-// through CheckText so a malformed line or a silently-vanished family
-// fails CI instead of a production scrape. The grammar accepted here is
+// Exposition-format validation. The server tests scrape /metrics through
+// CheckText so a malformed line or a silently-vanished family fails CI
+// instead of a production scrape. The grammar accepted here is
 // the text exposition format 0.0.4 subset this package emits (plus
 // summaries, so the checker stays honest against foreign registries).
 

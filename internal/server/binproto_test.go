@@ -26,17 +26,21 @@ func newBinServer(t *testing.T, backend string, bin BinOptions, hook func(op byt
 		t.Fatal(err)
 	}
 	srv.binHook = hook
+	t.Cleanup(func() { _ = srv.Close() })
+	return srv, serveBin(t, srv)
+}
+
+// serveBin serves srv's binary protocol on a loopback listener, closed at
+// cleanup, and returns its address.
+func serveBin(t *testing.T, srv *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		_ = srv.Close()
 		t.Fatal(err)
 	}
 	go func() { _ = srv.ServeBin(ln) }()
-	t.Cleanup(func() {
-		_ = ln.Close()
-		_ = srv.Close()
-	})
-	return srv, ln.Addr().String()
+	t.Cleanup(func() { _ = ln.Close() })
+	return ln.Addr().String()
 }
 
 func dialBin(t *testing.T, addr string) *wire.Client {

@@ -127,9 +127,8 @@ func (s *Server) registerChaosMetrics(ct *cluster.ChaosTransport) {
 		stat(func(st cluster.ChaosStats) int64 { return st.Partitioned }))
 }
 
-// ClusterNode exposes the node for harnesses that drive gossip rounds
-// deterministically (the cluster smoke test); nil when cluster mode is
-// off.
+// ClusterNode exposes the node for tests that drive gossip rounds
+// deterministically; nil when cluster mode is off.
 func (s *Server) ClusterNode() *cluster.Node { return s.cluster }
 
 // publishRestored pushes a just-restored backend into the cluster view

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,9 +15,9 @@ import (
 	"wmsketch/internal/stream"
 )
 
-// clusterPair boots n servers wired as a full mesh over httptest
-// listeners, gossip driven manually.
-func clusterServers(t *testing.T, n int, token string) ([]*Server, []*httptest.Server) {
+// clusterServers boots n servers configured from opt, wired as a full mesh
+// over httptest listeners, gossip driven manually.
+func clusterServers(t *testing.T, n int, opt Options) ([]*Server, []*httptest.Server) {
 	t.Helper()
 	// Reserve listeners first so every node knows all URLs up front.
 	https := make([]*httptest.Server, n)
@@ -26,8 +28,8 @@ func clusterServers(t *testing.T, n int, token string) ([]*Server, []*httptest.S
 	}
 	srvs := make([]*Server, n)
 	for i := range srvs {
-		opt := testOptions(t, BackendAWM)
-		opt.AuthToken = token
+		opt := opt
+		opt.CheckpointPath = filepath.Join(t.TempDir(), "node.ckpt")
 		opt.Cluster = ClusterOptions{
 			Self:     urls[i],
 			Peers:    append(append([]string{}, urls[:i]...), urls[i+1:]...),
@@ -54,7 +56,7 @@ func clusterServers(t *testing.T, n int, token string) ([]*Server, []*httptest.S
 // gossip over the actual endpoints until every node serves the identical
 // merged view.
 func TestClusterOverHTTPConverges(t *testing.T) {
-	srvs, https := clusterServers(t, 3, "")
+	srvs, https := clusterServers(t, 3, testOptions(t, BackendAWM))
 	gen := datagen.RCV1Like(23)
 	data := gen.Take(1800)
 	for i, hs := range https {
@@ -114,7 +116,9 @@ func TestClusterOverHTTPConverges(t *testing.T) {
 // share the token).
 func TestClusterPushRequiresAuth(t *testing.T) {
 	const token = "mesh-token"
-	srvs, https := clusterServers(t, 2, token)
+	opt := testOptions(t, BackendAWM)
+	opt.AuthToken = token
+	srvs, https := clusterServers(t, 2, opt)
 
 	// Raw unauthenticated push: 401.
 	resp, err := http.Post(https[0].URL+"/v1/cluster/push", "application/octet-stream",
@@ -180,28 +184,261 @@ type PullRequestJSON struct {
 
 func itoa(v uint32) string { return strconv.FormatUint(uint64(v), 10) }
 
-// TestClusterSmoke runs the full multi-node harness — the same entry point
-// `wmserve -cluster-smoke` and CI use.
-func TestClusterSmoke(t *testing.T) {
+// TestClusterMatchesUnionLearner boots three nodes as a full mesh, trains
+// each on a disjoint round-robin third of a stream over NDJSON ingest, and
+// gossips to quiescence. It checks the paper's mergeability claim end to
+// end: every node's holdout error lands within ε = 0.05 (relative) of one
+// AWM-Sketch trained on the whole stream. It checks that delta compression
+// does its job: with every base acked, the incremental phase rides on
+// delta frames and its rounds average under 0.8× the full-sync rounds'
+// bytes. It measures an idle round, requires the wmgossip_* families on
+// every node, and requires a peer to apply node 0's frames under node 0's
+// gossip-round trace id. It logs the rounds, bytes, frames and holdout
+// errors it measures.
+func TestClusterMatchesUnionLearner(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-node harness; skipped in -short")
+		t.Skip("multi-node convergence run; skipped in -short")
 	}
-	opt := Options{
-		Backend: BackendAWM,
-		Config:  core.Config{Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: 42},
+	const (
+		nodes     = 3
+		examples  = 9000
+		holdout   = 4000
+		epsilon   = 0.05
+		maxRounds = 32 // per phase
+		seed      = 42
+	)
+	opt := testOptions(t, BackendAWM)
+	opt.Config = core.Config{Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: seed}
+
+	// A labeled stream split into two training stages, then a holdout
+	// drawn after the training prefix.
+	gen := datagen.RCV1Like(seed)
+	train := gen.Take(examples)
+	test := gen.Take(holdout)
+	stage1, stage2 := train[:2*len(train)/3], train[2*len(train)/3:]
+
+	// The union baseline: one learner, the whole stream, in order.
+	union := core.NewAWMSketch(opt.Config)
+	for _, ex := range train {
+		union.Update(ex.X, ex.Y)
 	}
-	err := ClusterSmoke(opt, ClusterSmokeOptions{
-		JSONPath: filepath.Join(t.TempDir(), "bench_cluster.json"),
-	}, testWriter{t})
-	if err != nil {
-		t.Fatal(err)
+	wrong := 0
+	for _, ex := range test {
+		// The predict handler's label: +1 for a positive margin, else -1.
+		if (union.Predict(ex.X) > 0) != (ex.Y == 1) {
+			wrong++
+		}
 	}
+	errUnion := float64(wrong) / float64(len(test))
+	if errUnion == 0 {
+		t.Fatal("degenerate stream: the union learner has zero holdout error")
+	}
+
+	srvs, https := clusterServers(t, nodes, opt)
+	// ingest streams node i the examples at i, i+n, … as NDJSON.
+	ingest := func(hss []*httptest.Server, examples []stream.Example) {
+		t.Helper()
+		for i, hs := range hss {
+			var b strings.Builder
+			count := 0
+			for j := i; j < len(examples); j += len(hss) {
+				blob, err := json.Marshal(exampleWire(examples[j]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b.Write(blob)
+				b.WriteByte('\n')
+				count++
+			}
+			code, body := postBody(t, hs.URL+"/v1/update", "application/x-ndjson", b.String())
+			if code != http.StatusOK {
+				t.Fatalf("node %d ingest: HTTP %d: %s", i, code, body)
+			}
+			var up UpdateResponse
+			if err := json.Unmarshal([]byte(body), &up); err != nil {
+				t.Fatal(err)
+			}
+			if up.Applied != count {
+				t.Fatalf("node %d ingest applied %d, want %d", i, up.Applied, count)
+			}
+		}
+	}
+	syncAll := func(hss []*httptest.Server) {
+		t.Helper()
+		for _, hs := range hss {
+			if code := doJSON(t, "POST", hs.URL+"/v1/sync", struct{}{}, nil); code != http.StatusOK {
+				t.Fatalf("sync %s: HTTP %d", hs.URL, code)
+			}
+		}
+	}
+	holdoutErrors := func() []float64 {
+		t.Helper()
+		errs := make([]float64, len(https))
+		for i, hs := range https {
+			wrong := 0
+			for _, ex := range test {
+				var pr PredictResponse
+				if code := doJSON(t, "POST", hs.URL+"/v1/predict", PredictRequest{X: vecWire(ex.X)}, &pr); code != http.StatusOK {
+					t.Fatalf("node %d predict: HTTP %d", i, code)
+				}
+				if pr.Label != ex.Y {
+					wrong++
+				}
+			}
+			errs[i] = float64(wrong) / float64(len(test))
+		}
+		return errs
+	}
+	round := func() {
+		for _, s := range srvs {
+			s.ClusterNode().GossipOnce()
+		}
+	}
+	// quiesce runs rounds until every node reports the same digest over
+	// all origins, after at least two rounds so push-backs have settled.
+	quiesce := func() int {
+		t.Helper()
+		for r := 1; r <= maxRounds; r++ {
+			round()
+			if r >= 2 && digestsAgree(srvs) {
+				return r
+			}
+		}
+		t.Fatalf("no quiescence after %d rounds", maxRounds)
+		return 0
+	}
+	// transfer sums every node's gossip bytes in and out and the frames it
+	// pushed.
+	transfer := func() (bytes, fulls, deltas int64) {
+		for _, s := range srvs {
+			st := s.ClusterNode().Status()
+			bytes += st.BytesIn + st.BytesOut
+			fulls += st.FullsOut
+			deltas += st.DeltasOut
+		}
+		return bytes, fulls, deltas
+	}
+
+	// Stage 1, then the pre-gossip errors: each node has seen only its
+	// partition.
+	ingest(https, stage1)
+	syncAll(https)
+	errPart := holdoutErrors()
+
+	// Phase A: gossip to quiescence from cold; full snapshots dominate.
+	roundsA := quiesce()
+	bytesA, fullsA, deltasA := transfer()
+
+	// Phase B: continuous training with a round after each small chunk, so
+	// with every base acked this phase must ride on delta frames.
+	const chunks = 8
+	chunkLen := (len(stage2) + chunks - 1) / chunks
+	roundsB := 0
+	for lo := 0; lo < len(stage2); lo += chunkLen {
+		ingest(https, stage2[lo:min(lo+chunkLen, len(stage2))])
+		syncAll(https)
+		round()
+		roundsB++
+	}
+	roundsB += quiesce()
+	bytesAll, fullsAll, deltasAll := transfer()
+	bytesB, deltasB := bytesAll-bytesA, deltasAll-deltasA
+
+	// A quiescent round moves digests only: the at-rest cost of the
+	// anti-entropy loop.
+	round()
+	bytesIdle, _, _ := transfer()
+	bytesIdle -= bytesAll
+
+	if deltasB == 0 {
+		t.Fatalf("the incremental phase sent no delta frames (fulls %d → %d)", fullsA, fullsAll)
+	}
+	perFullRound := float64(bytesA) / float64(roundsA)
+	perDeltaRound := float64(bytesB) / float64(roundsB)
+	t.Logf("full-sync phase: %d rounds, %d B (%.0f B/round), %d full and %d delta frames",
+		roundsA, bytesA, perFullRound, fullsA, deltasA)
+	t.Logf("delta phase: %d rounds, %d B (%.0f B/round, %.1f%% of full-sync), %d delta frames; idle round %d B",
+		roundsB, bytesB, perDeltaRound, 100*perDeltaRound/perFullRound, deltasB, bytesIdle)
+	t.Logf("frames: %d full, %d delta", fullsAll, deltasAll)
+	if perDeltaRound >= 0.8*perFullRound {
+		t.Errorf("delta rounds average %.0f B, not under 0.8× the full-sync rounds' %.0f B",
+			perDeltaRound, perFullRound)
+	}
+
+	// Every node must now answer within ε (relative) of the union learner.
+	errConv := holdoutErrors()
+	maxGap := 0.0
+	for _, e := range errConv {
+		maxGap = max(maxGap, abs(e-errUnion)/errUnion)
+	}
+	t.Logf("holdout error: union %.5g, partitioned %v, converged %v, max relative gap %.4g (ε %.2f)",
+		errUnion, errPart, errConv, maxGap, epsilon)
+	if maxGap > epsilon {
+		t.Errorf("converged error gap %.4f exceeds ε %.2f (union %.4f, nodes %v)", maxGap, epsilon, errUnion, errConv)
+	}
+
+	for i, s := range srvs {
+		t.Run(fmt.Sprintf("metrics/node%d", i), func(t *testing.T) {
+			requireFamilies(t, s,
+				"wmgossip_rounds_total",
+				"wmgossip_peer_rounds_total",
+				"wmgossip_stream_bytes_total",
+				"wmgossip_frames_total",
+				"wmgossip_frame_bytes_total",
+				"wmgossip_frames_built_total",
+				"wmgossip_frames_applied_total",
+				"wmgossip_delta_built_ratio",
+			)
+		})
+	}
+
+	// Cross-node causal linkage: a round minted on node 0 must show up in
+	// its peers' lineage under the same trace id, carried by the push RPC's
+	// traceparent header. It runs after the converged evaluation, so its
+	// extra examples cannot move the ε gate, and drains the lineage of the
+	// phases first, so it sees only this round.
+	for _, s := range srvs {
+		s.ClusterNode().DrainLineage()
+	}
+	ingest(https[:1], gen.Take(64))
+	syncAll(https[:1])
+	srvs[0].ClusterNode().GossipOnce()
+	tid := srvs[0].ClusterNode().LastRoundTrace()
+	if tid.IsZero() {
+		t.Fatal("node 0's gossip round minted no trace id")
+	}
+	linked := 0
+	for _, s := range srvs[1:] {
+		entries, _ := s.ClusterNode().DrainLineage()
+		for _, e := range entries {
+			if e.Trace == tid && e.Origin == https[0].URL {
+				linked++
+			}
+		}
+	}
+	if linked == 0 {
+		t.Fatalf("no peer recorded an applied frame under node 0's round trace %s", tid)
+	}
+	t.Logf("cross-node linkage: %d peer applies under round trace %s", linked, tid)
 }
 
-// testWriter routes harness narration through t.Logf.
-type testWriter struct{ t *testing.T }
-
-func (w testWriter) Write(p []byte) (int, error) {
-	w.t.Logf("%s", strings.TrimRight(string(p), "\n"))
-	return len(p), nil
+// digestsAgree reports whether every node knows every origin at the same
+// version.
+func digestsAgree(srvs []*Server) bool {
+	ref := srvs[0].ClusterNode().Digest()
+	if len(ref) < len(srvs) {
+		return false // not every origin has propagated yet
+	}
+	for _, s := range srvs[1:] {
+		d := s.ClusterNode().Digest()
+		if len(d) != len(ref) {
+			return false
+		}
+		for k, v := range ref {
+			if d[k] != v {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -5,12 +5,11 @@ import (
 	"net/http/pprof"
 )
 
-// DebugMux builds the debug surface served on the -debug-addr listener
-// (and booted by the smoke harness on a loopback socket): the Prometheus
-// exposition, the net/http/pprof suite, and the flight recorder's trace
-// endpoints. It is deliberately NOT part of the instrumented API mux — a
-// debug scrape must never perturb the request metrics or the recorder it
-// is inspecting.
+// DebugMux builds the debug surface served on the -debug-addr listener:
+// the Prometheus exposition, the net/http/pprof suite, and the flight
+// recorder's trace endpoints. It is deliberately NOT part of the
+// instrumented API mux — a debug scrape must never perturb the request
+// metrics or the recorder it is inspecting.
 //
 //	GET /metrics               Prometheus text exposition
 //	GET /debug/pprof/...       net/http/pprof suite

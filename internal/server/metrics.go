@@ -313,11 +313,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 func (c *countingReader) Close() error { return c.rc.Close() }
 
 // MetricsRegistry exposes the process registry (the /metrics source) for
-// harnesses and tests.
+// tests.
 func (s *Server) MetricsRegistry() *obs.Registry { return s.met.reg }
 
-// Tracer exposes the server's flight recorder for harnesses and the debug
-// endpoints.
+// Tracer exposes the server's flight recorder, whose slowest trace
+// wmbench -serve-bench embeds in its report.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // RoutePatterns lists every pattern registered through the instrumented

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wmsketch/internal/datagen"
 	"wmsketch/internal/obs"
 )
 
@@ -97,15 +98,11 @@ func TestMiddlewareClassesAndErrors(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint scrapes GET /metrics and validates the exposition
-// end to end with the obs checker.
-func TestMetricsEndpoint(t *testing.T) {
-	srv, err := New(testOptions(t, BackendAWM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+// requireFamilies GETs /metrics from srv through the instrumented mux,
+// validates the whole exposition with the obs checker, and fails for each
+// named family it lacks.
+func requireFamilies(t *testing.T, srv *Server, names ...string) {
+	t.Helper()
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -119,11 +116,68 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	for _, fam := range []string{
-		"wmserve_http_requests_total", "wmcore_updates_applied_total", "wmserve_uptime_seconds",
-	} {
+	for _, fam := range names {
 		if _, ok := families[fam]; !ok {
-			t.Errorf("family %q missing", fam)
+			t.Errorf("family %q missing from the exposition (%d families present)", fam, len(families))
 		}
+	}
+}
+
+// TestMetricsEndpoint drives HTTP and binary traffic at every backend,
+// then scrapes GET /metrics: the exposition must parse line by line and
+// declare every serving, core and binary-protocol family.
+func TestMetricsEndpoint(t *testing.T) {
+	for _, backend := range backends() {
+		t.Run(backend, func(t *testing.T) {
+			srv, addr := newBinServer(t, backend, BinOptions{}, nil)
+			hs := httptest.NewServer(srv)
+			defer hs.Close()
+			gen := datagen.RCV1Like(21)
+			if code := doJSON(t, "POST", hs.URL+"/v1/update", UpdateRequest{Examples: toWire(gen.Take(256))}, nil); code != 200 {
+				t.Fatalf("update: HTTP %d", code)
+			}
+			probe := gen.Next().X
+			if code := doJSON(t, "POST", hs.URL+"/v1/predict", PredictRequest{X: vecWire(probe)}, nil); code != 200 {
+				t.Fatalf("predict: HTTP %d", code)
+			}
+			if code := doJSON(t, "GET", hs.URL+"/v1/estimate?i=3", nil, nil); code != 200 {
+				t.Fatalf("estimate: HTTP %d", code)
+			}
+			if code := doJSON(t, "POST", hs.URL+"/v1/checkpoint", CheckpointRequest{Action: "save"}, nil); code != 200 {
+				t.Fatalf("checkpoint save: HTTP %d", code)
+			}
+			if code := doJSON(t, "POST", hs.URL+"/v1/checkpoint", CheckpointRequest{Action: "restore"}, nil); code != 200 {
+				t.Fatalf("checkpoint restore: HTTP %d", code)
+			}
+			cl := dialBin(t, addr)
+			if _, _, err := cl.Update(gen.Take(256)); err != nil {
+				t.Fatalf("binary update: %v", err)
+			}
+			if _, _, err := cl.Predict(probe); err != nil {
+				t.Fatalf("binary predict: %v", err)
+			}
+
+			requireFamilies(t, srv,
+				"wmserve_http_in_flight_requests",
+				"wmserve_http_requests_total",
+				"wmserve_http_request_duration_seconds",
+				"wmserve_http_body_bytes_total",
+				"wmserve_predicts_total",
+				"wmserve_estimates_total",
+				"wmserve_uptime_seconds",
+				"wmcore_updates_applied_total",
+				"wmcore_update_batch_size",
+				"wmcore_checkpoint_saves_total",
+				"wmcore_checkpoint_restores_total",
+				"wmcore_steps",
+				"wmcore_memory_bytes",
+				"wmbin_connections_total",
+				"wmbin_connections_open",
+				"wmbin_requests_total",
+				"wmbin_request_duration_seconds",
+				"wmbin_bytes_total",
+				"wmbin_in_flight_requests",
+			)
+		})
 	}
 }

@@ -559,8 +559,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 // applyBatch trains the backend on a validated batch and returns the step
 // counter after it. The span pair here ("backend.apply" around the lock,
-// "learner.update" around the model mutation) is the tree the smoke test
-// asserts under every update's route span.
+// "learner.update" around the model mutation) is the tree
+// TestTracesAndStructuredLogs asserts under every update's route span.
 func (s *Server) applyBatch(ctx context.Context, batch []stream.Example) (steps int64) {
 	if len(batch) == 0 {
 		return 0

@@ -7,14 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wmsketch/internal/core"
 	"wmsketch/internal/datagen"
+	"wmsketch/internal/stream"
 )
 
 func testOptions(t *testing.T, backend string) Options {
@@ -77,6 +78,26 @@ func doJSON(t *testing.T, method, url string, req, resp interface{}) int {
 }
 
 func backends() []string { return []string{BackendSharded, BackendAWM, BackendWM} }
+
+func toWire(batch []stream.Example) []ExampleJSON {
+	out := make([]ExampleJSON, len(batch))
+	for i, ex := range batch {
+		out[i] = exampleWire(ex)
+	}
+	return out
+}
+
+func exampleWire(ex stream.Example) ExampleJSON {
+	return ExampleJSON{Y: ex.Y, X: vecWire(ex.X)}
+}
+
+func vecWire(x stream.Vector) []FeatureJSON {
+	fs := make([]FeatureJSON, len(x))
+	for j, f := range x {
+		fs[j] = FeatureJSON{I: f.Index, V: f.Value}
+	}
+	return fs
+}
 
 func TestServerEndToEnd(t *testing.T) {
 	for _, backend := range backends() {
@@ -141,7 +162,7 @@ func TestServerEndToEnd(t *testing.T) {
 			if code := doJSON(t, "GET", hs.URL+"/v1/stats", nil, &st); code != 200 {
 				t.Fatalf("stats: HTTP %d", code)
 			}
-			if st.Backend != backend || st.Updates != int64(len(data)) || st.Steps == 0 {
+			if st.Backend != backend || st.Updates != int64(len(data)) || st.Steps == 0 || st.UptimeSeconds <= 0 {
 				t.Fatalf("stats: %+v", st)
 			}
 		})
@@ -354,50 +375,73 @@ func TestServerLibSVMPredict(t *testing.T) {
 	}
 }
 
-func TestLoadgenSelfHosted(t *testing.T) {
-	report, err := RunLoadgen(LoadgenOptions{
-		Server:   testOptions(t, BackendSharded),
-		Clients:  3,
-		Examples: 900,
-		Batch:    32,
-		Seed:     2,
+// TestBackgroundRefresh runs the sharded backend's refresher, which
+// testOptions turns off: updates sent without /v1/sync must reach
+// /v1/topk on their own, each refresh is counted, and an idle server stops
+// refreshing.
+func TestBackgroundRefresh(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	opt := testOptions(t, BackendSharded)
+	opt.RefreshInterval = interval
+	srv, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		hs.Close()
+		_ = srv.Close()
 	})
-	if err != nil {
-		t.Fatal(err)
+	refreshes := func() float64 {
+		v, _ := srv.MetricsRegistry().Value("wmcore_snapshot_refreshes_total")
+		return v
 	}
-	if report.Examples != 900 {
-		t.Errorf("examples %d, want 900", report.Examples)
-	}
-	if report.UpdatesPerSec <= 0 || report.Update.Requests == 0 || report.Update.P99Ms <= 0 {
-		t.Errorf("implausible report: %+v", report)
-	}
-	if report.Predict.Requests == 0 {
-		t.Error("no predict requests recorded")
-	}
-	path := filepath.Join(t.TempDir(), "report.json")
-	if err := WriteReport(report, path); err != nil {
-		t.Fatal(err)
-	}
-	var back LoadgenReport
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.UpdatesPerSec != report.UpdatesPerSec {
-		t.Error("report did not round-trip")
-	}
-}
-
-func TestSmoke(t *testing.T) {
-	for _, backend := range backends() {
-		opt := testOptions(t, backend)
-		opt.CheckpointPath = "" // Smoke provisions its own temp path
-		if err := Smoke(opt, nil); err != nil {
-			t.Errorf("%s: %v", backend, err)
+	deadline := time.Now().Add(10 * time.Second)
+	// settle waits until five intervals pass without a refresh and returns
+	// the count. A refresher that re-merged on every tick never settles.
+	settle := func() float64 {
+		t.Helper()
+		n := refreshes()
+		for quiet := 0; quiet < 5; {
+			if time.Now().After(deadline) {
+				t.Fatalf("refresher never went quiet: %v refreshes", n)
+			}
+			time.Sleep(interval)
+			if v := refreshes(); v != n {
+				n, quiet = v, 0
+			} else {
+				quiet++
+			}
 		}
+		return n
+	}
+
+	idle := settle()
+	data := datagen.RCV1Like(13).Take(1024)
+	if code := doJSON(t, "POST", hs.URL+"/v1/update", UpdateRequest{Examples: toWire(data)}, nil); code != 200 {
+		t.Fatalf("update: HTTP %d", code)
+	}
+	for {
+		var top TopKResponse
+		if code := doJSON(t, "GET", hs.URL+"/v1/topk?k=8", nil, &top); code != 200 {
+			t.Fatalf("topk: HTTP %d", code)
+		}
+		if len(top.Features) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("updates sent without /v1/sync never reached /v1/topk")
+		}
+		time.Sleep(interval)
+	}
+	if n := refreshes(); n <= idle {
+		t.Fatalf("wmcore_snapshot_refreshes_total %v after the updates reached /v1/topk, want above the idle %v", n, idle)
+	}
+
+	caughtUp := settle()
+	time.Sleep(20 * interval)
+	if n := refreshes(); n != caughtUp {
+		t.Fatalf("idle server refreshed %v more times", n-caughtUp)
 	}
 }
 

@@ -126,9 +126,9 @@ func (t *Tracer) Slowest() []*Record {
 
 // SlowestRecord returns the single worst kept trace of the tracer's
 // lifetime (nil when nothing has been kept). Pinned outside the rings, so
-// the answer is not limited to the last few hundred traces — the bench
-// harness embeds this in its report and a run's true worst must not be
-// evicted by the fast traffic that followed it.
+// the answer is not limited to the last few hundred traces —
+// wmbench -serve-bench embeds this in its report and a run's true worst
+// must not be evicted by the fast traffic that followed it.
 func (t *Tracer) SlowestRecord() *Record {
 	if t == nil {
 		return nil

@@ -14,10 +14,10 @@ import (
 
 // Throughput mode measures raw update throughput of the paper's primary
 // contribution on the current hardware: single-thread AWM-/WM-Sketch at
-// the standard 2 KB and 32 KB budgets, plus the sharded parallel learner
-// across worker counts. Results go to stdout and, with -json, to a
-// machine-readable file for the perf trajectory (`make bench-json` writes
-// BENCH_throughput.json).
+// the standard 2 KB and 32 KB budgets and at perfbench's ingest geometry,
+// plus the sharded parallel learner across worker counts. Results go to
+// stdout and, with -json, to a machine-readable file for the perf
+// trajectory (`make bench-json` writes BENCH_throughput.json).
 
 // throughputResult is one measurement row.
 type throughputResult struct {
@@ -33,6 +33,7 @@ type throughputReport struct {
 	GOOS       string             `json:"goos"`
 	GOARCH     string             `json:"goarch"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
+	NumCPU     int                `json:"num_cpu"`
 	Timestamp  string             `json:"timestamp"`
 	Results    []throughputResult `json:"results"`
 }
@@ -55,6 +56,7 @@ func runThroughput(examples, workers int, jsonPath string) {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
 	add := func(name string, w int, fn func() int) {
@@ -83,6 +85,24 @@ func runThroughput(examples, workers int, jsonPath string) {
 	add("awm_update_2kb_single", 1, single(core.NewAWMSketch(cfg2KB)))
 	add("awm_update_32kb_single", 1, single(core.NewAWMSketch(cfg32KB)))
 	add("wm_update_depth2_single", 1, single(core.NewWMSketch(cfgWM)))
+
+	// The learner of perfbench's ingest workload (3×2^17, heap 2048, a
+	// URL-like stream), warm-started on 32768 examples as the workload's
+	// checkpoint is, then timed over the same number of updates as the rows
+	// above, cycling through at most 32768 fresh examples to bound memory.
+	urls := datagen.URLLike(1)
+	ingest := core.NewAWMSketch(core.Config{Width: 1 << 17, Depth: 3, HeapSize: 2048, Lambda: 1e-6, Seed: 42})
+	for _, ex := range urls.Take(32768) {
+		ingest.Update(ex.X, ex.Y)
+	}
+	pool := urls.Take(min(examples, 32768))
+	add("awm_update_ingest_single", 1, func() int {
+		for i := 0; i < examples; i++ {
+			ex := pool[i%len(pool)]
+			ingest.Update(ex.X, ex.Y)
+		}
+		return examples
+	})
 
 	// The parallel learner at 1..workers, batch-routed (256 examples per
 	// batch) the way a real ingest pipeline would feed it.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wmsketch/internal/datagen"
 	"wmsketch/internal/frame"
 	"wmsketch/internal/linear"
 	"wmsketch/internal/stream"
@@ -246,16 +247,43 @@ func TestAWMSketchTopKFromActiveSet(t *testing.T) {
 	}
 }
 
+// BenchmarkAWMSketchUpdate times one fused update. planted is a depth-1
+// learner on a planted-signal stream; ingest and mixed are the learners of
+// perfbench's workloads of those names (geometry, heap, λ, seed and stream),
+// warm-started on as many examples as the workloads' checkpoints hold.
 func BenchmarkAWMSketchUpdate(b *testing.B) {
-	gen := newPlanted(100000, 10, defaultPlantedWeights(), 1)
-	examples := make([]stream.Example, 4096)
-	for i := range examples {
-		examples[i] = gen.next()
+	b.Run("planted", func(b *testing.B) {
+		gen := newPlanted(100000, 10, defaultPlantedWeights(), 1)
+		examples := make([]stream.Example, 4096)
+		for i := range examples {
+			examples[i] = gen.next()
+		}
+		benchUpdate(b, Config{Width: 2048, Depth: 1, HeapSize: 1024, Lambda: 1e-6, Seed: 1}, nil, examples)
+	})
+	b.Run("ingest", func(b *testing.B) {
+		gen := datagen.URLLike(5)
+		benchUpdate(b, Config{Width: 1 << 17, Depth: 3, HeapSize: 2048, Lambda: 1e-6, Seed: 42},
+			gen.Take(32768), gen.Take(4096))
+	})
+	b.Run("mixed", func(b *testing.B) {
+		gen := datagen.RCV1Like(5)
+		benchUpdate(b, Config{Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: 42},
+			gen.Take(16384), gen.Take(4096))
+	})
+}
+
+// benchUpdate trains an AWM-Sketch on warm, then times updates cycling
+// through examples (a power-of-two count).
+func benchUpdate(b *testing.B, cfg Config, warm, examples []stream.Example) {
+	a := NewAWMSketch(cfg)
+	for _, ex := range warm {
+		a.Update(ex.X, ex.Y)
 	}
-	a := NewAWMSketch(Config{Width: 2048, Depth: 1, HeapSize: 1024, Lambda: 1e-6, Seed: 1})
+	mask := len(examples) - 1
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex := examples[i&4095]
+		ex := examples[i&mask]
 		a.Update(ex.X, ex.Y)
 	}
 }

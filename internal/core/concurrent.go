@@ -90,6 +90,9 @@ func (c *Concurrent) Steps() int64 {
 // Workers returns 0: updates run on the caller's goroutine, not on a pool.
 func (c *Concurrent) Workers() int { return 0 }
 
+// QueuedMessages returns 0: there are no queues.
+func (c *Concurrent) QueuedMessages() int { return 0 }
+
 // MemoryBytes reports the wrapped model's footprint.
 func (c *Concurrent) MemoryBytes() int {
 	c.mu.RLock()

@@ -410,6 +410,18 @@ func (s *Sharded) Steps() int64 { return s.pending.Load() }
 // LoadSharded is the checkpoint's count rather than the requested one.
 func (s *Sharded) Workers() int { return len(s.workers) }
 
+// QueuedMessages returns the number of messages waiting in the workers'
+// queues: batches, single examples and control requests routed but not yet
+// taken up. It reads the channels' lengths, so the update path pays
+// nothing for it.
+func (s *Sharded) QueuedMessages() int {
+	n := 0
+	for _, w := range s.workers {
+		n += len(w.in)
+	}
+	return n
+}
+
 // MemoryBytes reports the aggregate cost-model footprint of the training
 // state: P private shards. The merged query snapshot is transient and not
 // charged.

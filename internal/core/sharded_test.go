@@ -175,3 +175,36 @@ func TestShardedIsDropInLearner(t *testing.T) {
 		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}
 }
+
+// TestShardedQueuedMessages: QueuedMessages counts the messages routed to
+// the workers and not yet taken up, and reads 0 once they have drained.
+func TestShardedQueuedMessages(t *testing.T) {
+	s := NewSharded(Config{Width: 64, Depth: 1, HeapSize: 8, Seed: 1},
+		ShardedOptions{Workers: 2, QueueSize: 8, SyncEvery: -1})
+	defer s.Close()
+	// Park both workers, so every message routed from here on stays queued.
+	ready, release := make(chan struct{}), make(chan struct{})
+	for _, w := range s.workers {
+		w.in <- shardMsg{freeze: &shardFreeze{ready: ready, release: release}}
+	}
+	for range s.workers {
+		<-ready
+	}
+	if got := s.QueuedMessages(); got != 0 {
+		t.Fatalf("QueuedMessages = %d with the workers parked and nothing routed", got)
+	}
+	gen := datagen.RCV1Like(1)
+	for i := 0; i < 3; i++ {
+		s.UpdateBatch(gen.Take(4)) // one chunk of 2 examples per worker
+	}
+	ex := gen.Next()
+	s.Update(ex.X, ex.Y)
+	if got := s.QueuedMessages(); got != 7 {
+		t.Fatalf("QueuedMessages = %d, want 7 (3 batches to 2 workers, 1 example)", got)
+	}
+	close(release)
+	s.Sync()
+	if got := s.QueuedMessages(); got != 0 {
+		t.Fatalf("QueuedMessages = %d after Sync, want 0", got)
+	}
+}

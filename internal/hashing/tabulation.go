@@ -9,7 +9,10 @@
 // from the O(log(d/δ))-wise independence required by the analysis.
 package hashing
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // tableBytes is the number of byte positions in a 32-bit key.
 const tableBytes = 4
@@ -45,11 +48,13 @@ func (t *Tabulation) Hash(key uint32) uint64 {
 
 // Sign returns ±1 derived from the top bit of the hash, independent of the
 // low bits used for bucket selection.
-func (t *Tabulation) Sign(key uint32) float64 {
-	if t.Hash(key)>>63 == 1 {
-		return -1
-	}
-	return 1
+func (t *Tabulation) Sign(key uint32) float64 { return signOf(t.Hash(key)) }
+
+// signOf is −1 when h's top bit is set and +1 otherwise. It copies that bit
+// into the sign bit of 1.0 instead of branching on it: the bit is set for
+// half of all keys, so a branch on it would be mispredicted half the time.
+func signOf(h uint64) float64 {
+	return math.Float64frombits(h&(1<<63) | math.Float64bits(1))
 }
 
 // Bucket returns a bucket index in [0, width) from the low bits of the hash.
@@ -63,11 +68,7 @@ func (t *Tabulation) Bucket(key uint32, width int) int {
 // single hash evaluation. This is the hot path for every sketch update.
 func (t *Tabulation) BucketSign(key uint32, width int) (int, float64) {
 	h := t.Hash(key)
-	b := int((h & 0xffffffff) * uint64(width) >> 32)
-	if h>>63 == 1 {
-		return b, -1
-	}
-	return b, 1
+	return int((h & 0xffffffff) * uint64(width) >> 32), signOf(h)
 }
 
 // Family is a collection of independent tabulation hash functions, one per

@@ -2,6 +2,7 @@ package hashing
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +75,42 @@ func TestTabulationSignValues(t *testing.T) {
 	dev := math.Abs(float64(plus)-n/2) / math.Sqrt(n/4)
 	if dev > 5 {
 		t.Fatalf("sign imbalance: %d plus vs %d minus (%.1f sigma)", plus, minus, dev)
+	}
+}
+
+// TestBucketSignMatchesBranchyDefinition pins the branch-free sign to its
+// definition, −1 exactly when the hash's top bit is set, bit for bit over
+// a sweep of keys, seeds and widths, together with the bucket.
+func TestBucketSignMatchesBranchyDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint32, 0, 1<<16+1<<12)
+	for k := uint32(0); k < 1<<16; k++ {
+		keys = append(keys, k)
+	}
+	for len(keys) < cap(keys) {
+		keys = append(keys, rng.Uint32())
+	}
+	keys = append(keys, math.MaxUint32)
+	for _, seed := range []int64{1, 42, -7} {
+		h := NewTabulation(seed)
+		for _, width := range []int{1, 3, 4096, 1 << 17} {
+			for _, key := range keys {
+				hv := h.Hash(key)
+				wantSign := 1.0
+				if hv>>63 == 1 {
+					wantSign = -1
+				}
+				wantBucket := int((hv & 0xffffffff) * uint64(width) >> 32)
+				b, sign := h.BucketSign(key, width)
+				if b != wantBucket || math.Float64bits(sign) != math.Float64bits(wantSign) {
+					t.Fatalf("seed %d width %d key %d: BucketSign = (%d, %v), want (%d, %v)",
+						seed, width, key, b, sign, wantBucket, wantSign)
+				}
+				if s := h.Sign(key); math.Float64bits(s) != math.Float64bits(wantSign) {
+					t.Fatalf("seed %d key %d: Sign = %v, want %v", seed, key, s, wantSign)
+				}
+			}
+		}
 	}
 }
 

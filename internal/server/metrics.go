@@ -162,6 +162,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 			s.withBackend(func(b learner) { v = b.MemoryBytes() })
 			return float64(v)
 		})
+	reg.GaugeFunc("wmcore_shard_queue_messages",
+		"messages waiting in the sharded backend's worker queues (0 for awm and wm)",
+		func() float64 {
+			var v int
+			s.withBackend(func(b learner) { v = b.QueuedMessages() })
+			return float64(v)
+		})
 	reg.GaugeFunc("wmserve_uptime_seconds", "seconds since the server was constructed",
 		func() float64 { return time.Since(s.start).Seconds() })
 	return m

@@ -171,6 +171,7 @@ func TestMetricsEndpoint(t *testing.T) {
 				"wmcore_checkpoint_restores_total",
 				"wmcore_steps",
 				"wmcore_memory_bytes",
+				"wmcore_shard_queue_messages",
 				"wmbin_connections_total",
 				"wmbin_connections_open",
 				"wmbin_requests_total",
@@ -178,6 +179,14 @@ func TestMetricsEndpoint(t *testing.T) {
 				"wmbin_bytes_total",
 				"wmbin_in_flight_requests",
 			)
+			// The awm and wm backends have no queues, and the sharded
+			// backend's are empty once a sync has returned.
+			if code := doJSON(t, "POST", hs.URL+"/v1/sync", struct{}{}, nil); code != http.StatusOK {
+				t.Fatalf("sync: HTTP %d", code)
+			}
+			if v, _ := srv.MetricsRegistry().Value("wmcore_shard_queue_messages"); v != 0 {
+				t.Fatalf("wmcore_shard_queue_messages = %v after a sync, want 0", v)
+			}
 		})
 	}
 }

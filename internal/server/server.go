@@ -53,6 +53,7 @@ type learner interface {
 	TopK(k int) []stream.Weighted
 	Steps() int64
 	Workers() int
+	QueuedMessages() int
 	MemoryBytes() int
 	// Sync refreshes the query snapshot so that queries reflect every
 	// update routed before the call.

@@ -111,3 +111,12 @@ func (cm *CountMin) Reset() {
 
 // MemoryBytes returns the cost-model size: 4 bytes per counter.
 func (cm *CountMin) MemoryBytes() int { return 4 * cm.depth * cm.width }
+
+// splitRows slices buckets into depth consecutive rows of width.
+func splitRows(buckets []float64, depth, width int) [][]float64 {
+	rows := make([][]float64, depth)
+	for j := range rows {
+		rows[j], buckets = buckets[:width], buckets[width:]
+	}
+	return rows
+}

@@ -8,6 +8,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"wmsketch/internal/hashing"
@@ -30,12 +31,14 @@ import (
 //     exactly once per example and reuses the recorded (bucket, sign) pairs
 //     for the prediction read, the gradient write, and the post-update
 //     estimate, instead of re-hashing on each access.
+//   - Depth 3 takes its median with a branch-free select network (median3)
+//     instead of a sort.
 type CountSketch struct {
-	depth  int
-	width  int
-	seed   int64
-	rows   [][]float64
-	hashes *hashing.Family
+	depth   int
+	width   int
+	seed    int64
+	buckets []float64 // depth rows of width, laid end to end
+	hashes  *hashing.Family
 }
 
 // maxStackDepth bounds the depth for which query paths use a stack-resident
@@ -52,6 +55,9 @@ func NewCountSketch(depth, width int, seed int64) *CountSketch {
 	if width <= 0 {
 		panic(fmt.Sprintf("sketch: width must be positive, got %d", width))
 	}
+	if depth > math.MaxInt32/width {
+		panic(fmt.Sprintf("sketch: %d×%d buckets overflow a Loc's int32 index", depth, width))
+	}
 	return newCountSketch(depth, width, seed, make([]float64, depth*width))
 }
 
@@ -59,21 +65,12 @@ func NewCountSketch(depth, width int, seed int64) *CountSketch {
 // laid end to end.
 func newCountSketch(depth, width int, seed int64, buckets []float64) *CountSketch {
 	return &CountSketch{
-		depth:  depth,
-		width:  width,
-		seed:   seed,
-		rows:   splitRows(buckets, depth, width),
-		hashes: hashing.NewFamily(depth, seed),
+		depth:   depth,
+		width:   width,
+		seed:    seed,
+		buckets: buckets,
+		hashes:  hashing.NewFamily(depth, seed),
 	}
-}
-
-// splitRows slices buckets into depth consecutive rows of width.
-func splitRows(buckets []float64, depth, width int) [][]float64 {
-	rows := make([][]float64, depth)
-	for j := range rows {
-		rows[j], buckets = buckets[:width], buckets[width:]
-	}
-	return rows
 }
 
 // Depth returns the number of rows.
@@ -94,12 +91,12 @@ func (cs *CountSketch) Seed() int64 { return cs.seed }
 func (cs *CountSketch) Update(key uint32, delta float64) {
 	if cs.depth == 1 {
 		b, sign := cs.hashes.Row(0).BucketSign(key, cs.width)
-		cs.rows[0][b] += sign * delta
+		cs.buckets[b] += sign * delta
 		return
 	}
 	for j := 0; j < cs.depth; j++ {
 		b, sign := cs.hashes.BucketSign(j, key, cs.width)
-		cs.rows[j][b] += sign * delta
+		cs.buckets[j*cs.width+b] += sign * delta
 	}
 }
 
@@ -111,7 +108,7 @@ func (cs *CountSketch) Update(key uint32, delta float64) {
 func (cs *CountSketch) Estimate(key uint32) float64 {
 	if cs.depth == 1 {
 		b, sign := cs.hashes.Row(0).BucketSign(key, cs.width)
-		return sign * cs.rows[0][b]
+		return sign * cs.buckets[b]
 	}
 	var buf [maxStackDepth]float64
 	xs := buf[:]
@@ -121,7 +118,7 @@ func (cs *CountSketch) Estimate(key uint32) float64 {
 	xs = xs[:cs.depth]
 	for j := 0; j < cs.depth; j++ {
 		b, sign := cs.hashes.BucketSign(j, key, cs.width)
-		xs[j] = sign * cs.rows[j][b]
+		xs[j] = sign * cs.buckets[j*cs.width+b]
 	}
 	return median(xs)
 }
@@ -132,18 +129,20 @@ func (cs *CountSketch) Estimate(key uint32) float64 {
 func (cs *CountSketch) SumSigned(key uint32) float64 {
 	if cs.depth == 1 {
 		b, sign := cs.hashes.Row(0).BucketSign(key, cs.width)
-		return sign * cs.rows[0][b]
+		return sign * cs.buckets[b]
 	}
 	sum := 0.0
 	for j := 0; j < cs.depth; j++ {
 		b, sign := cs.hashes.BucketSign(j, key, cs.width)
-		sum += sign * cs.rows[j][b]
+		sum += sign * cs.buckets[j*cs.width+b]
 	}
 	return sum
 }
 
-// Loc records where one key lands in one row: the bucket index and the ±1
-// sign. A key's full location is a []Loc of length Depth(), row-major.
+// Loc records where one key lands in one row: the ±1 sign, and as Bucket
+// the bucket's index in the sketch's flat bucket array, row j's bucket b
+// being j·Width()+b (so in row 0 it is the bucket itself). A key's full
+// location is a []Loc of length Depth(), row-major.
 type Loc struct {
 	Bucket int32
 	Sign   float64
@@ -157,37 +156,38 @@ type Loc struct {
 func (cs *CountSketch) Locate(key uint32, locs []Loc) {
 	for j := 0; j < cs.depth; j++ {
 		b, sign := cs.hashes.Row(j).BucketSign(key, cs.width)
-		locs[j] = Loc{Bucket: int32(b), Sign: sign}
+		locs[j] = Loc{Bucket: int32(j*cs.width + b), Sign: sign}
 	}
 }
 
 // SumAt is SumSigned evaluated at pre-computed locations: no hashing.
 func (cs *CountSketch) SumAt(locs []Loc) float64 {
 	if len(locs) == 1 {
-		return locs[0].Sign * cs.rows[0][locs[0].Bucket]
+		return locs[0].Sign * cs.buckets[locs[0].Bucket]
 	}
 	sum := 0.0
-	for j := range locs {
-		sum += locs[j].Sign * cs.rows[j][locs[j].Bucket]
+	for _, l := range locs {
+		sum += l.Sign * cs.buckets[l.Bucket]
 	}
 	return sum
 }
 
 // AddAt is Update evaluated at pre-computed locations: no hashing.
 func (cs *CountSketch) AddAt(locs []Loc, delta float64) {
-	if len(locs) == 1 {
-		cs.rows[0][locs[0].Bucket] += locs[0].Sign * delta
-		return
-	}
-	for j := range locs {
-		cs.rows[j][locs[j].Bucket] += locs[j].Sign * delta
+	for _, l := range locs {
+		cs.buckets[l.Bucket] += l.Sign * delta
 	}
 }
 
 // EstimateAt is Estimate evaluated at pre-computed locations: no hashing.
 func (cs *CountSketch) EstimateAt(locs []Loc) float64 {
-	if len(locs) == 1 {
-		return locs[0].Sign * cs.rows[0][locs[0].Bucket]
+	switch len(locs) {
+	case 1:
+		return locs[0].Sign * cs.buckets[locs[0].Bucket]
+	case 3:
+		return median3(locs[0].Sign*cs.buckets[locs[0].Bucket],
+			locs[1].Sign*cs.buckets[locs[1].Bucket],
+			locs[2].Sign*cs.buckets[locs[2].Bucket])
 	}
 	var buf [maxStackDepth]float64
 	xs := buf[:]
@@ -195,8 +195,8 @@ func (cs *CountSketch) EstimateAt(locs []Loc) float64 {
 		xs = make([]float64, len(locs))
 	}
 	xs = xs[:len(locs)]
-	for j := range locs {
-		xs[j] = locs[j].Sign * cs.rows[j][locs[j].Bucket]
+	for j, l := range locs {
+		xs[j] = l.Sign * cs.buckets[l.Bucket]
 	}
 	return median(xs)
 }
@@ -204,51 +204,31 @@ func (cs *CountSketch) EstimateAt(locs []Loc) float64 {
 // Scale multiplies every bucket by c. Used by callers implementing explicit
 // (non-lazy) ℓ2 weight decay.
 func (cs *CountSketch) Scale(c float64) {
-	for j := range cs.rows {
-		row := cs.rows[j]
-		for b := range row {
-			row[b] *= c
-		}
+	buckets := cs.buckets
+	for b := range buckets {
+		buckets[b] *= c
 	}
 }
 
 // Reset zeroes every bucket, retaining the hash functions.
-func (cs *CountSketch) Reset() {
-	for j := range cs.rows {
-		row := cs.rows[j]
-		for b := range row {
-			row[b] = 0
-		}
-	}
-}
+func (cs *CountSketch) Reset() { clear(cs.buckets) }
 
 // Clone returns a deep copy of the sketch sharing nothing with the original
 // except the (immutable) hash family. Used by the sharded learner to
 // snapshot worker-private sketches for merging.
 func (cs *CountSketch) Clone() *CountSketch {
-	out := &CountSketch{
-		depth:  cs.depth,
-		width:  cs.width,
-		seed:   cs.seed,
-		hashes: cs.hashes,
-	}
-	rows := make([][]float64, cs.depth)
-	backing := make([]float64, cs.depth*cs.width)
-	for j := range rows {
-		rows[j], backing = backing[:cs.width], backing[cs.width:]
-		copy(rows[j], cs.rows[j])
-	}
-	out.rows = rows
-	return out
+	out := *cs
+	out.buckets = slices.Clone(cs.buckets)
+	return &out
 }
 
 // L2Norm returns the Euclidean norm of the flattened bucket array, averaged
 // over rows; for a Count-Sketch of a vector x this approximates ‖x‖₂.
 func (cs *CountSketch) L2Norm() float64 {
 	total := 0.0
-	for j := range cs.rows {
+	for j := 0; j < cs.depth; j++ {
 		s := 0.0
-		for _, v := range cs.rows[j] {
+		for _, v := range cs.Row(j) {
 			s += v * v
 		}
 		total += s
@@ -257,7 +237,9 @@ func (cs *CountSketch) L2Norm() float64 {
 }
 
 // Row exposes row j read-only for tests and white-box diagnostics.
-func (cs *CountSketch) Row(j int) []float64 { return cs.rows[j] }
+func (cs *CountSketch) Row(j int) []float64 {
+	return cs.buckets[j*cs.width : (j+1)*cs.width]
+}
 
 // Hashes exposes the underlying hash family; the WM-Sketch shares it so that
 // sketched feature projections and queries use identical bucket assignments.
@@ -275,7 +257,7 @@ func (cs *CountSketch) Hashes() *hashing.Family { return cs.hashes }
 func (cs *CountSketch) MemoryBytes() int { return 4 * cs.depth * cs.width }
 
 // median returns the median of xs, averaging the two central elements for
-// even lengths. xs is reordered in place.
+// even lengths. xs may be reordered in place.
 func median(xs []float64) float64 {
 	n := len(xs)
 	if n == 0 {
@@ -287,11 +269,48 @@ func median(xs []float64) float64 {
 	if n == 2 {
 		return midpoint(xs[0], xs[1])
 	}
+	if n == 3 {
+		return median3(xs[0], xs[1], xs[2])
+	}
 	sort.Float64s(xs)
 	if n%2 == 1 {
 		return xs[n/2]
 	}
 	return midpoint(xs[n/2-1], xs[n/2])
+}
+
+// median3 returns the element sort.Float64s leaves in the middle of [a, b,
+// c], bit for bit. For three elements that sort is an insertion sort, which
+// amounts to compare-exchanging positions 0–1, then 1–2, then 0–1 again,
+// swapping only when the later element orders strictly first. median3 runs
+// the same three steps as bit selects instead of branches, so it inherits
+// the sort's order (NaN before every number) and its stability (equal
+// elements such as −0 and +0 keep their input order, so the same zero comes
+// back).
+func median3(a, b, c float64) float64 {
+	ua, ub := math.Float64bits(a), math.Float64bits(b)
+	d := (ua ^ ub) & before(b, a)
+	lo, hi := ua^d, ub^d // positions 0 and 1 after the first step
+	mid := hi ^ (hi^math.Float64bits(c))&before(c, math.Float64frombits(hi))
+	mid ^= (mid ^ lo) & before(math.Float64frombits(mid), math.Float64frombits(lo))
+	return math.Float64frombits(mid)
+}
+
+// before is an all-ones mask when sort.Float64s orders x strictly before y
+// (cmp.Less: x < y, or x is NaN and y is not) and zero otherwise.
+// !(y <= x) holds for x < y and for every pair with a NaN; y == y then
+// drops the pairs where y is the NaN. The bool-to-bit conversions compile
+// to flag sets, not branches.
+func before(x, y float64) uint64 {
+	return -(bit(!(y <= x)) & bit(y == y))
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // midpoint returns (a+b)/2 without overflowing for extreme magnitudes.

@@ -190,6 +190,56 @@ func TestMedian(t *testing.T) {
 	}
 }
 
+// TestMedian3MatchesSort compares the depth-3 median with the middle
+// element sort.Float64s leaves, bit for bit, for every ordered triple over
+// both zeros, ±1, the smallest subnormals, the largest finite floats, ±Inf
+// and NaN, repeats included: a −0/+0 tie must return the zero the sort
+// leaves in the middle, and NaN sorts first. It checks median3 itself and
+// the depth-3 paths that use it: Median, EstimateAt and Estimate.
+func TestMedian3MatchesSort(t *testing.T) {
+	vals := []float64{
+		math.Copysign(0, -1), 0, 1, -1,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	const key = 7
+	cs := NewCountSketch(3, 4, 1)
+	locs := make([]Loc, 3)
+	cs.Locate(key, locs)
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals {
+				// Store each value so that its signed read is the value.
+				for j, v := range []float64{a, b, c} {
+					cs.buckets[locs[j].Bucket] = locs[j].Sign * v
+				}
+				var read [3]float64
+				for j, l := range locs {
+					read[j] = l.Sign * cs.buckets[l.Bucket]
+				}
+				sorted := read
+				sort.Float64s(sorted[:])
+				want := math.Float64bits(sorted[1])
+				for _, got := range []struct {
+					name string
+					v    float64
+				}{
+					{"median3", median3(read[0], read[1], read[2])},
+					{"Median", Median(append([]float64(nil), read[:]...))},
+					{"EstimateAt", cs.EstimateAt(locs)},
+					{"Estimate", cs.Estimate(key)},
+				} {
+					if math.Float64bits(got.v) != want {
+						t.Fatalf("%s of %v = %v (%#x), sort leaves %v (%#x) in the middle",
+							got.name, read, got.v, math.Float64bits(got.v), sorted[1], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMedianPropertyBetweenMinMax(t *testing.T) {
 	f := func(xs []float64) bool {
 		if len(xs) == 0 {

@@ -40,13 +40,10 @@ func Diff(base, cur *CountSketch) ([]BucketChange, error) {
 		return nil, err
 	}
 	var changes []BucketChange
-	for j := range cur.rows {
-		b, c := base.rows[j], cur.rows[j]
-		off := uint32(j * cur.width)
-		for i := range c {
-			if c[i] != b[i] {
-				changes = append(changes, BucketChange{Index: off + uint32(i), Value: c[i]})
-			}
+	c, b := cur.buckets, base.buckets[:len(cur.buckets)]
+	for i := range c {
+		if c[i] != b[i] {
+			changes = append(changes, BucketChange{Index: uint32(i), Value: c[i]})
 		}
 	}
 	return changes, nil
@@ -67,9 +64,8 @@ func (cs *CountSketch) ApplyDiff(changes []BucketChange) error {
 			return fmt.Errorf("sketch: delta change %d (bucket %d) is non-finite", i, ch.Index)
 		}
 	}
-	w := uint32(cs.width)
 	for _, ch := range changes {
-		cs.rows[ch.Index/w][ch.Index%w] = ch.Value
+		cs.buckets[ch.Index] = ch.Value
 	}
 	return nil
 }
@@ -82,16 +78,14 @@ func (cs *CountSketch) AddScaled(other *CountSketch, c float64) error {
 	if err := compatible(cs.depth, other.depth, cs.width, other.width, cs.seed, other.seed); err != nil {
 		return err
 	}
-	for j := range cs.rows {
-		dst, src := cs.rows[j], other.rows[j]
-		if c == 1 {
-			for b := range dst {
-				dst[b] += src[b]
-			}
-		} else {
-			for b := range dst {
-				dst[b] += c * src[b]
-			}
+	dst, src := cs.buckets, other.buckets[:len(cs.buckets)]
+	if c == 1 {
+		for b := range dst {
+			dst[b] += src[b]
+		}
+	} else {
+		for b := range dst {
+			dst[b] += c * src[b]
 		}
 	}
 	return nil

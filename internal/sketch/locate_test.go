@@ -124,6 +124,7 @@ func benchEstimate(b *testing.B, depth, width int) {
 func BenchmarkCountSketchUpdateDepth1(b *testing.B)   { benchUpdate(b, 1, 4096) }
 func BenchmarkCountSketchUpdateDepth4(b *testing.B)   { benchUpdate(b, 4, 1024) }
 func BenchmarkCountSketchEstimateDepth1(b *testing.B) { benchEstimate(b, 1, 4096) }
+func BenchmarkCountSketchEstimateDepth3(b *testing.B) { benchEstimate(b, 3, 1<<17) }
 func BenchmarkCountSketchEstimateDepth4(b *testing.B) { benchEstimate(b, 4, 1024) }
 
 func BenchmarkCountSketchLocateSumAdd(b *testing.B) {

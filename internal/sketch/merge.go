@@ -12,11 +12,9 @@ func (cs *CountSketch) Merge(other *CountSketch) error {
 	if err := compatible(cs.depth, other.depth, cs.width, other.width, cs.seed, other.seed); err != nil {
 		return err
 	}
-	for j := range cs.rows {
-		dst, src := cs.rows[j], other.rows[j]
-		for b := range dst {
-			dst[b] += src[b]
-		}
+	dst, src := cs.buckets, other.buckets[:len(cs.buckets)]
+	for b := range dst {
+		dst[b] += src[b]
 	}
 	return nil
 }

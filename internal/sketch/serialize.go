@@ -58,7 +58,7 @@ func (cs *CountSketch) EncodedSize() int { return headerSize + 8*cs.Size() }
 
 // WriteTo serializes the sketch. It implements io.WriterTo.
 func (cs *CountSketch) WriteTo(w io.Writer) (int64, error) {
-	return writeSketch(w, magicCountSketch, cs.seed, cs.depth, cs.width, 0, cs.rows...)
+	return writeSketch(w, magicCountSketch, cs.seed, cs.depth, cs.width, 0, cs.buckets)
 }
 
 // ReadCountSketch deserializes a sketch written by WriteTo, reading exactly

@@ -110,8 +110,8 @@ func reflectiveWriteTo(cs *CountSketch, w io.Writer) error {
 	if _, err := writeSketch(w, magicCountSketch, cs.seed, cs.depth, cs.width, 0); err != nil {
 		return err
 	}
-	for _, row := range cs.rows {
-		for _, v := range row {
+	for j := 0; j < cs.depth; j++ {
+		for _, v := range cs.Row(j) {
 			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 				return err
 			}
@@ -149,7 +149,8 @@ func reflectiveReadCountSketch(r io.Reader) (*CountSketch, error) {
 		return nil, err
 	}
 	cs := NewCountSketch(depth, width, seed)
-	for _, row := range cs.rows {
+	for j := 0; j < depth; j++ {
+		row := cs.Row(j)
 		for i := range row {
 			if err := binary.Read(r, binary.LittleEndian, &row[i]); err != nil {
 				return nil, err

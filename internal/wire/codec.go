@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"wmsketch/internal/frame"
@@ -104,9 +105,12 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 	nnz := nnzScratch[:0]
 	// Features decode into one flat backing array, subsliced per example
 	// afterwards: one allocation per frame instead of one per example. The
-	// capacity bound is exact-by-construction — every encoded feature costs
-	// at least 9 payload bytes, and those bytes have already arrived.
-	feats := make([]stream.Feature, 0, c.Len()/9)
+	// length bound is exact-by-construction — every encoded feature costs
+	// at least 9 payload bytes, and those bytes have already arrived — so
+	// the array is sized once and each example's features are written by
+	// index into their own window of it.
+	feats := make([]stream.Feature, c.Len()/9)
+	k := 0 // features decoded so far
 	for i := 0; i < n; i++ {
 		lb, err := c.U8()
 		if err != nil {
@@ -125,39 +129,20 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 		if err != nil {
 			return nil, nnz, fmt.Errorf("example %d: nnz: %w", i, err)
 		}
-		// Per-feature parsing is the hot loop of the hot endpoint; it runs
-		// open-coded over the cursor's unread bytes (single-byte uvarint
-		// fast path, one bounds check per float) and then skips what it
-		// used. The contract is the cursor's: indices fit uint32, values
-		// are finite.
-		b, off := c.Rest(), 0
-		for j := 0; j < m; j++ {
-			var idx uint64
-			if off < len(b) && b[off] < 0x80 {
-				idx = uint64(b[off])
-				off++
-			} else {
-				v, k := binary.Uvarint(b[off:])
-				if k <= 0 {
-					return nil, nnz, fmt.Errorf("example %d feature %d: bad uvarint", i, j)
-				}
-				if v > math.MaxUint32 {
-					return nil, nnz, fmt.Errorf("example %d feature %d: feature index %d overflows uint32", i, j, v)
-				}
-				idx = v
-				off += k
-			}
-			if len(b)-off < 8 {
-				return nil, nnz, fmt.Errorf("example %d feature %d: truncated float", i, j)
-			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-			off += 8
-			if !frame.Finite(v) {
-				return nil, nnz, fmt.Errorf("example %d feature %d: %w", i, j, frame.NonFinite(v))
-			}
-			feats = append(feats, stream.Feature{Index: uint32(idx), Value: v})
+		dst := feats[k:min(k+m, len(feats))]
+		used, err := decodeFeatures(c.Rest(), dst, i, 0)
+		if err == nil && len(dst) < m {
+			// Only an nnz that overruns the payload outgrows the array:
+			// fewer than 9 bytes are left past the window, so the next
+			// feature fails, with the error it would fail with anyway.
+			var spill [1]stream.Feature
+			_, err = decodeFeatures(c.Rest()[used:], spill[:], i, len(dst))
 		}
-		c.Skip(off)
+		if err != nil {
+			return nil, nnz, err
+		}
+		c.Skip(used)
+		k += m
 		batch = append(batch, stream.Example{Y: y})
 		nnz = append(nnz, m)
 	}
@@ -170,6 +155,54 @@ func DecodeUpdateRequest(payload []byte, nnzScratch []int) ([]stream.Example, []
 		off += nnz[i]
 	}
 	return batch, nnz, nil
+}
+
+// decodeFeatures decodes len(dst) features of example i, numbered from j0,
+// off the front of b and returns the bytes it used. It is the hot loop of
+// the hot endpoint, so it is open-coded over b. An index of up to three
+// bytes (below 2^21: most indices) decodes from one 8-byte load without
+// branching on its length; longer ones, and the last few bytes of a
+// payload, go through binary.Uvarint. The contract is frame.Cursor's:
+// indices fit uint32 and values are finite.
+func decodeFeatures(b []byte, dst []stream.Feature, i, j0 int) (int, error) {
+	rest := b
+	for j := range dst {
+		// ends keeps the top bit of each of the first three bytes whose
+		// top bit is clear, the bytes that end a uvarint; its lowest set
+		// bit marks the index's last byte.
+		var idx, x, ends uint64
+		if len(rest) >= 8 {
+			x = binary.LittleEndian.Uint64(rest)
+			ends = ^x & 0x808080
+		}
+		if ends != 0 {
+			n := bits.TrailingZeros64(ends)/8 + 1
+			x &= 1<<(8*n) - 1
+			idx = x&0x7f | (x>>8&0x7f)<<7 | (x>>16&0x7f)<<14
+			//lint:ignore decodebounds n is 1–3 by construction (ends is nonzero within the low three bytes) and len(rest) ≥ 8
+			rest = rest[n:]
+		} else {
+			v, k := binary.Uvarint(rest)
+			if k <= 0 {
+				return 0, fmt.Errorf("example %d feature %d: bad uvarint", i, j0+j)
+			}
+			if v > math.MaxUint32 {
+				return 0, fmt.Errorf("example %d feature %d: feature index %d overflows uint32", i, j0+j, v)
+			}
+			idx = v
+			rest = rest[k:]
+		}
+		if len(rest) < 8 {
+			return 0, fmt.Errorf("example %d feature %d: truncated float", i, j0+j)
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(rest))
+		rest = rest[8:]
+		if !frame.Finite(v) {
+			return 0, fmt.Errorf("example %d feature %d: %w", i, j0+j, frame.NonFinite(v))
+		}
+		dst[j] = stream.Feature{Index: uint32(idx), Value: v}
+	}
+	return len(b) - len(rest), nil
 }
 
 // AppendUpdateResponse encodes an update result (applied count, step

@@ -44,6 +44,12 @@ func fuzzSeedFrames(f *testing.F) {
 
 func FuzzReadRequestFrame(f *testing.F) {
 	fuzzSeedFrames(f)
+	for _, payload := range decodeCases() {
+		var buf bytes.Buffer
+		if _, err := WriteFrame(&buf, OpUpdate, 9, payload); err == nil {
+			f.Add(buf.Bytes())
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, _, err := ReadRequestFrame(bytes.NewReader(data), nil)
 		if err != nil {
@@ -61,10 +67,11 @@ func FuzzReadRequestFrame(f *testing.F) {
 		}
 		// Any accepted frame's payload goes through its op decoder; the
 		// decoders must not panic and must reject trailing garbage
-		// internally (their own done() contract).
+		// internally (their own done() contract). The update decoder must
+		// also agree with its reference, bit for bit and error for error.
 		switch req.Op {
 		case OpUpdate:
-			_, _, _ = DecodeUpdateRequest(req.Payload, nil)
+			checkDecodeMatchesReference(t, req.Payload)
 		case OpPredict:
 			_, _ = DecodePredictRequest(req.Payload, nil)
 		case OpEstimate:

@@ -71,9 +71,11 @@ cluster-smoke:
 # Discrete-event robustness gate: 100 in-memory nodes under 10% message
 # loss, a 30-round partition, and 20% churn, fixed seed. Fails unless
 # survivors converge within the relative-error gate AND every churned-out
-# node's origin is GC'd to zero weight. Writes BENCH_sim.json. CI runs this.
+# node's origin is GC'd to zero weight AND the report equals BENCH_sim.json
+# byte for byte (on a mismatch the test prints the observed report). CI
+# runs it inside `go test -race ./...`.
 bench-sim:
-	$(GO) run ./cmd/wmserve -sim -sim-json BENCH_sim.json
+	$(GO) test -run TestAcceptanceScenario -v ./internal/cluster/sim
 
 # Short fuzz pass over the surfaces hostile bytes can reach: the gossip
 # wire decoder, sketch and learner checkpoint restore, both directions of

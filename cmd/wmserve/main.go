@@ -7,7 +7,6 @@
 //
 //	wmserve -addr :8080 -backend sharded -workers 4 -checkpoint model.ckpt
 //	wmserve -addr :8080 -bin-addr :8081     # plus the binary hot protocol
-//	wmserve -sim -sim-json BENCH_sim.json   # 100-node cluster simulation (CI runs this)
 //
 // On SIGINT/SIGTERM the server drains in-flight requests and flushes a
 // final checkpoint to -checkpoint (when set) before exiting. With -restore,
@@ -19,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"wmsketch/internal/cluster/sim"
 	"wmsketch/internal/core"
 	"wmsketch/internal/server"
 	"wmsketch/internal/trace"
@@ -74,15 +71,9 @@ func main() {
 		gossipTimeout  = flag.Duration("gossip-timeout", 10*time.Second, "cluster: wall-clock budget for one peer's gossip round (negative disables the deadline)")
 		gossipFanout   = flag.Int("gossip-fanout", 0, "cluster: peers sampled per round (0 = log2 of the peer count, negative = full sweep)")
 		originGC       = flag.Duration("origin-gc", 15*time.Minute, "cluster: idle age before a departed node's model decays out of the served mix (negative disables)")
-		chaosSpec      = flag.String("chaos", "", "cluster: fault-inject outbound gossip, e.g. drop=0.1,dup=0.05,corrupt=0.01,delay=50ms,seed=7 (testing only)")
 
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON lines (default: logfmt-style text)")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-
-		simMode  = flag.Bool("sim", false, "run the discrete-event cluster simulation (100 nodes, loss+partition+churn) and exit (CI runs this)")
-		simNodes = flag.Int("sim-nodes", 0, "sim: fleet size override (0 = the standard 100-node acceptance scenario)")
-		simSeed  = flag.Int64("sim-seed", 0, "sim: scenario seed override (0 = the standard fixed seed)")
-		simJSON  = flag.String("sim-json", "BENCH_sim.json", "sim: write the report here ('' disables)")
 	)
 	flag.Parse()
 
@@ -123,18 +114,9 @@ func main() {
 			GossipTimeout: *gossipTimeout,
 			Fanout:        *gossipFanout,
 			OriginGCAfter: *originGC,
-			Chaos:         *chaosSpec,
 		}
 	}
 
-	if *simMode {
-		if err := runSim(*simNodes, *simSeed, *simJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "sim: FAIL:", err)
-			os.Exit(1)
-		}
-		fmt.Println("sim: ok")
-		return
-	}
 	if err := serve(opt, logger, *addr, *binAddr, *debugAddr, *restore); err != nil {
 		fmt.Fprintln(os.Stderr, "wmserve:", err)
 		os.Exit(1)
@@ -166,48 +148,6 @@ func buildLogger(jsonLines bool, level string) (*slog.Logger, error) {
 		h = slog.NewTextHandler(os.Stderr, ho)
 	}
 	return slog.New(trace.NewLogHandler(h)), nil
-}
-
-// runSim drives the discrete-event cluster simulation (loss + partition +
-// churn under a fixed seed), writes the report, and fails when the fleet
-// does not converge — the CI robustness gate.
-func runSim(nodes int, seed int64, jsonPath string) error {
-	sc := sim.Default100()
-	if nodes > 0 {
-		sc.Nodes = nodes
-	}
-	if seed != 0 {
-		sc.Seed = seed
-	}
-	sc.Logf = func(format string, args ...interface{}) {
-		fmt.Printf(format+"\n", args...)
-	}
-	rep, err := sim.Run(sc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sim: %d live / %d dead nodes, %d RPCs (%d dropped, %d partition-refused, %d corrupted), %.1f MB on wire\n",
-		rep.LiveNodes, rep.DeadNodes, rep.RPCs, rep.Dropped, rep.PartitionRefusals, rep.Corrupted,
-		float64(rep.BytesOnWire)/1e6)
-	fmt.Printf("sim: max rel err %.4g (gate %.2f), %d/%d fully synced, max dead-origin weight %g, %d origins GCed\n",
-		rep.MaxRelErr, sim.RelErrGate, rep.FullySynced, rep.LiveNodes, rep.MaxDeadWeight, rep.OriginsGCed)
-	fmt.Printf("sim: causal lineage: %d applied frames checked, %d violations, %d dropped entries (consistent=%v)\n",
-		rep.LineageApplies, rep.LineageViolations, rep.LineageDropped, rep.LineageConsistent)
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote", jsonPath)
-	}
-	if !rep.Converged {
-		return fmt.Errorf("fleet did not converge: max rel err %.4g, max dead-origin weight %g",
-			rep.MaxRelErr, rep.MaxDeadWeight)
-	}
-	return nil
 }
 
 func serve(opt server.Options, logger *slog.Logger, addr, binAddr, debugAddr string, restore bool) error {

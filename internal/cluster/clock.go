@@ -8,20 +8,16 @@ import (
 
 // Clock is the cluster layer's single source of time. Everything in this
 // package that needs wall time — membership aging, backoff deadlines,
-// origin GC, the gossip ticker, chaos delay injection — goes through an
-// injected Clock, never the time package directly, so the discrete-event
-// simulator (internal/cluster/sim) and the membership tests can drive a
-// whole fleet on virtual time with zero wall-clock sleeps. The custom
+// origin GC, the gossip ticker — goes through an injected Clock, never the
+// time package directly, so the discrete-event simulator
+// (internal/cluster/sim) and the membership tests can drive a whole fleet
+// on virtual time with zero wall-clock sleeps. The custom
 // clockdet analyzer (cmd/wmlint, LINTING.md) mechanically enforces this:
 // any raw time.Now/time.After/time.Sleep/time.NewTimer/time.NewTicker call
 // in internal/cluster/... outside this file is a lint error.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// After returns a channel that delivers the clock's time once d has
-	// elapsed on this clock. Like time.After, a non-positive d fires
-	// immediately.
-	After(d time.Duration) <-chan time.Time
 	// NewTicker returns a ticker that delivers a tick every d on this
 	// clock. d must be positive.
 	NewTicker(d time.Duration) Ticker
@@ -46,9 +42,6 @@ type wallClock struct{}
 func (wallClock) Now() time.Time { return time.Now() }
 
 //lint:ignore clockdet this is the Clock implementation the rest of the package is routed through
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-//lint:ignore clockdet this is the Clock implementation the rest of the package is routed through
 func (wallClock) NewTicker(d time.Duration) Ticker { return wallTicker{time.NewTicker(d)} }
 
 type wallTicker struct{ t *time.Ticker }
@@ -57,11 +50,11 @@ func (w wallTicker) Chan() <-chan time.Time { return w.t.C }
 func (w wallTicker) Stop()                  { w.t.Stop() }
 
 // VirtualClock is a manually-advanced Clock for tests and the simulator.
-// Time moves only on Advance/Set; timers registered via After and NewTicker
-// fire during the advance, in deadline order, stamped with their scheduled
+// Time moves only on Advance/Set; tickers registered via NewTicker fire
+// during the advance, in deadline order, stamped with their scheduled
 // virtual fire time (never the wall clock). Safe for concurrent use, so a
-// goroutine blocked in ChaosTransport's delay can be released by a test
-// advancing the clock from outside.
+// goroutine blocked on a ticker can be released by a test advancing the
+// clock from outside.
 type VirtualClock struct {
 	mu     sync.Mutex
 	now    time.Time
@@ -70,7 +63,7 @@ type VirtualClock struct {
 
 type virtualTimer struct {
 	at      time.Time
-	period  time.Duration // 0 for one-shot After timers
+	period  time.Duration
 	ch      chan time.Time
 	stopped bool
 }
@@ -85,20 +78,6 @@ func (c *VirtualClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
-}
-
-// After implements Clock. A non-positive d fires immediately at the
-// current virtual time.
-func (c *VirtualClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- c.now
-		return ch
-	}
-	c.timers = append(c.timers, &virtualTimer{at: c.now.Add(d), ch: ch})
-	return ch
 }
 
 // NewTicker implements Clock. Ticks are delivered on Advance; like
@@ -147,8 +126,8 @@ func (c *VirtualClock) Set(t time.Time) {
 }
 
 // setLocked advances to target, repeatedly firing the earliest due timer so
-// interleaved one-shots and ticker re-arms are delivered in global deadline
-// order. Caller holds c.mu.
+// interleaved ticker re-arms are delivered in global deadline order. Caller
+// holds c.mu.
 func (c *VirtualClock) setLocked(target time.Time) {
 	for {
 		// Find the earliest live timer at or before target.
@@ -170,18 +149,14 @@ func (c *VirtualClock) setLocked(target time.Time) {
 		case t.ch <- t.at:
 		default: // lossy, like time.Ticker
 		}
-		if t.period > 0 {
-			t.at = t.at.Add(t.period)
-		} else {
-			t.stopped = true
-		}
+		t.at = t.at.Add(t.period)
 		c.compactLocked()
 	}
 	c.now = target
 }
 
-// compactLocked drops stopped timers so long-lived clocks do not leak
-// one-shot entries. Caller holds c.mu.
+// compactLocked drops stopped tickers so long-lived clocks do not leak
+// entries. Caller holds c.mu.
 func (c *VirtualClock) compactLocked() {
 	live := c.timers[:0]
 	for _, t := range c.timers {

@@ -5,68 +5,35 @@ import (
 	"time"
 )
 
-func TestVirtualClockAfterFiresOnAdvance(t *testing.T) {
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	c := NewVirtualClock(start)
-
-	ch := c.After(10 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("timer fired before the clock moved")
-	default:
-	}
-
-	c.Advance(9 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("timer fired 1s early")
-	default:
-	}
-
-	c.Advance(time.Second)
-	select {
-	case at := <-ch:
-		// The delivered time is the scheduled virtual deadline, not wall time.
-		if want := start.Add(10 * time.Second); !at.Equal(want) {
-			t.Fatalf("timer delivered %v, want %v", at, want)
-		}
-	default:
-		t.Fatal("timer did not fire at its deadline")
-	}
-}
-
-func TestVirtualClockAfterNonPositiveFiresImmediately(t *testing.T) {
-	c := NewVirtualClock(time.Unix(100, 0))
-	select {
-	case at := <-c.After(0):
-		if !at.Equal(time.Unix(100, 0)) {
-			t.Fatalf("immediate fire delivered %v", at)
-		}
-	default:
-		t.Fatal("After(0) did not fire immediately")
-	}
-}
-
+// TestVirtualClockTimersFireInDeadlineOrder: tickers registered out of
+// order fire during one Advance at their own scheduled deadlines, not at
+// the advance target, and re-arm from those deadlines.
 func TestVirtualClockTimersFireInDeadlineOrder(t *testing.T) {
 	start := time.Unix(0, 0)
 	c := NewVirtualClock(start)
-	// Register out of order; one Advance must deliver them deadline-first,
-	// each stamped with its own deadline.
-	late := c.After(30 * time.Second)
-	early := c.After(10 * time.Second)
-	mid := c.After(20 * time.Second)
-	c.Advance(time.Minute)
-	for _, tc := range []struct {
-		ch   <-chan time.Time
-		want time.Duration
-	}{{early, 10 * time.Second}, {mid, 20 * time.Second}, {late, 30 * time.Second}} {
-		select {
-		case at := <-tc.ch:
-			if !at.Equal(start.Add(tc.want)) {
-				t.Fatalf("timer for +%v delivered %v", tc.want, at)
+	late := c.NewTicker(30 * time.Second)
+	early := c.NewTicker(10 * time.Second)
+	mid := c.NewTicker(20 * time.Second)
+	defer late.Stop()
+	defer early.Stop()
+	defer mid.Stop()
+	// Undrained, each ticker keeps its first tick (lossy delivery), so the
+	// stamp it holds is its first deadline. After a drain, the next advance
+	// delivers the first deadline past the previous target.
+	for round, want := range [][3]time.Duration{
+		{10 * time.Second, 20 * time.Second, 30 * time.Second},
+		{70 * time.Second, 80 * time.Second, 90 * time.Second},
+	} {
+		c.Advance(time.Minute)
+		for i, tk := range []Ticker{early, mid, late} {
+			select {
+			case at := <-tk.Chan():
+				if !at.Equal(start.Add(want[i])) {
+					t.Fatalf("advance %d: tick due at +%v delivered at +%v", round+1, want[i], at.Sub(start))
+				}
+			default:
+				t.Fatalf("advance %d: tick due at +%v did not fire", round+1, want[i])
 			}
-		default:
-			t.Fatalf("timer for +%v did not fire", tc.want)
 		}
 	}
 }
@@ -123,21 +90,19 @@ func TestVirtualClockSetRefusesToGoBackwards(t *testing.T) {
 }
 
 func TestVirtualClockReleasesBlockedGoroutine(t *testing.T) {
-	// The property the chaos-delay path depends on: a goroutine blocked on
-	// After is released by another goroutine advancing the clock.
+	// The property the gossip loop depends on: a goroutine blocked on a
+	// ticker is released by another goroutine advancing the clock.
 	c := NewVirtualClock(time.Unix(0, 0))
+	tk := c.NewTicker(time.Hour)
+	defer tk.Stop()
 	done := make(chan struct{})
-	ready := make(chan (<-chan time.Time), 1)
 	go func() {
-		ch := c.After(time.Hour)
-		ready <- ch
-		<-ch
+		<-tk.Chan()
 		close(done)
 	}()
-	<-ready
 	select {
 	case <-done:
-		t.Fatal("goroutine ran past an unexpired virtual timer")
+		t.Fatal("goroutine ran past an unexpired virtual ticker")
 	case <-time.After(20 * time.Millisecond):
 	}
 	c.Advance(time.Hour)

@@ -45,15 +45,11 @@ type Config struct {
 	// AuthToken, when set, is sent as a bearer token on cluster push
 	// requests (the receiving node's -auth-token must match).
 	AuthToken string
-	// Client is the HTTP client used for gossip; nil selects a client with
-	// a 15s timeout (a coarse backstop — per-round deadlines come from
-	// RPCTimeout).
-	Client *http.Client
 	// RPCTimeout bounds one peer round's RPCs: pull, the bounded full
 	// re-pull, and the push-back share a single context deadline, so a
 	// stalled peer costs at most this much wall time per round. 0 selects
-	// 10s; negative disables the deadline (the Client timeout still
-	// applies per request).
+	// 10s; negative disables the deadline (the HTTP transport's 15s client
+	// timeout still applies per request).
 	RPCTimeout time.Duration
 	// Fanout is how many peers each round samples. 0 selects
 	// ⌈log₂(N+1)⌉ with a floor of 3 (so clusters of ≤3 peers keep full
@@ -81,12 +77,12 @@ type Config struct {
 	Seed int64
 	// Clock is the time source; nil selects WallClock. Tests and the
 	// discrete-event simulator inject a VirtualClock here, which is what
-	// makes membership timing (backoff, suspect/dead promotion, origin GC),
-	// the gossip ticker, and chaos delay injection drivable without
-	// wall-clock sleeps.
+	// makes membership timing (backoff, suspect/dead promotion, origin GC)
+	// and the gossip ticker drivable without wall-clock sleeps.
 	Clock Clock
-	// Transport carries gossip RPCs; nil selects HTTP via Client, with
-	// AuthToken on pushes.
+	// Transport carries gossip RPCs; nil selects HTTP with a 15s client
+	// timeout (a coarse backstop — per-round deadlines come from
+	// RPCTimeout) and AuthToken on pushes.
 	Transport Transport
 	// Registry receives the node's gossip instrumentation (see metrics.go
 	// for the family catalog). nil gives the node a private registry,
@@ -124,9 +120,6 @@ func (c *Config) fill() error {
 	if c.HistoryDepth <= 0 {
 		c.HistoryDepth = 8
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 15 * time.Second}
-	}
 	if c.RPCTimeout == 0 {
 		c.RPCTimeout = 10 * time.Second
 	}
@@ -154,7 +147,7 @@ func (c *Config) fill() error {
 		c.Clock = WallClock
 	}
 	if c.Transport == nil {
-		c.Transport = httpTransport{client: c.Client, authToken: c.AuthToken}
+		c.Transport = httpTransport{client: &http.Client{Timeout: 15 * time.Second}, authToken: c.AuthToken}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)

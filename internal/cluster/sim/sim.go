@@ -156,8 +156,8 @@ func Default100() Scenario {
 	}
 }
 
-// Report is the run outcome, serialized to BENCH_sim.json by `make
-// bench-sim`.
+// Report is the run outcome. TestAcceptanceScenario requires Default100's
+// report, indented JSON, to equal BENCH_sim.json byte for byte.
 type Report struct {
 	Scenario Scenario `json:"scenario"`
 

@@ -19,6 +19,15 @@ type Concurrent struct {
 	m  sketchModel // guarded by mu
 }
 
+// sketchModel is what Concurrent needs of the one WM- or AWM-Sketch it
+// wraps: learning, checkpointing, and a Snapshot for the cluster layer.
+type sketchModel interface {
+	stream.Learner
+	io.WriterTo
+	Snapshotter
+	Steps() int64
+}
+
 // NewConcurrent wraps m, a *WMSketch or *AWMSketch.
 func NewConcurrent(m sketchModel) *Concurrent {
 	if m == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -43,6 +44,10 @@ const (
 	// shardedHeaderSize is magic, version, variant, workers, routed count.
 	shardedHeaderSize = 4*4 + 8
 )
+
+// errShardVariant rejects a sharded checkpoint whose variant field is not
+// 0. Variant 1 held basic WM-Sketch shards, which Sharded no longer trains.
+var errShardVariant = errors.New("core: sharded checkpoint does not hold AWM shards (variant 0)")
 
 // WriteTo serializes the WM-Sketch state. It implements io.WriterTo.
 func (w *WMSketch) WriteTo(out io.Writer) (int64, error) {
@@ -144,7 +149,7 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 	var hdr [shardedHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magicSharded)
 	binary.LittleEndian.PutUint32(hdr[4:], serializeVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(s.opt.Variant))
+	// hdr[8:12], the variant, stays 0 (AWM shards).
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(s.workers)))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(s.pending.Load()))
 	m, err := out.Write(hdr[:])
@@ -164,10 +169,10 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 
 // LoadSharded restores a parallel learner checkpointed by Sharded.WriteTo.
 // loss and schedule replace the serialized behaviour (nil selects the
-// defaults); opt configures queue sizes and sync cadence, but the worker
-// count and shard variant come from the checkpoint — per-shard state cannot
-// be re-partitioned. The restored learner is live (workers running) with its
-// query snapshot already rebuilt.
+// defaults); opt configures the sync cadence, but the worker count comes
+// from the checkpoint — per-shard state cannot be re-partitioned. The
+// restored learner is live (workers running) with its query snapshot
+// already rebuilt.
 func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt ShardedOptions) (*Sharded, error) {
 	var hdr [shardedHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -187,39 +192,22 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 	if workers == 0 || workers > maxShardedWorkers {
 		return nil, fmt.Errorf("core: implausible worker count %d", workers)
 	}
-	if variant != uint32(ShardAWM) && variant != uint32(ShardWM) {
-		return nil, fmt.Errorf("core: unknown shard variant %d", variant)
+	if variant != 0 {
+		return nil, fmt.Errorf("%w: got %d", errShardVariant, variant)
 	}
 	if pending < 0 {
 		return nil, fmt.Errorf("core: negative update counter %d", pending)
 	}
-	models := make([]sketchModel, workers)
+	models := make([]*AWMSketch, workers)
 	var cfg Config
 	for i := range models {
-		var (
-			m   sketchModel
-			c   Config
-			err error
-		)
-		if ShardVariant(variant) == ShardWM {
-			var w *WMSketch
-			w, err = loadWMSketch(r, loss, schedule)
-			if w != nil {
-				m, c = w, w.cfg
-			}
-		} else {
-			var a *AWMSketch
-			a, err = loadAWMSketch(r, loss, schedule)
-			if a != nil {
-				m, c = a, a.cfg
-			}
-		}
+		m, err := loadAWMSketch(r, loss, schedule)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
 		if i == 0 {
-			cfg = c
-		} else if c.Width != cfg.Width || c.Depth != cfg.Depth || c.Seed != cfg.Seed {
+			cfg = m.cfg
+		} else if c := m.cfg; c.Width != cfg.Width || c.Depth != cfg.Depth || c.Seed != cfg.Seed {
 			return nil, fmt.Errorf("core: shard %d shape/seed disagrees with shard 0", i)
 		}
 		models[i] = m
@@ -228,7 +216,6 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 		return nil, err
 	}
 	opt.Workers = int(workers)
-	opt.Variant = ShardVariant(variant)
 	opt.fill()
 	s := newShardedFromModels(cfg, opt, models)
 	s.pending.Store(pending)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,7 @@ import (
 	"wmsketch/internal/stream"
 )
 
-// Sharded is a parallel learner that scales WM-/AWM-Sketch training across
+// Sharded is a parallel learner that scales AWM-Sketch training across
 // cores, realizing the asynchronous-update extension sketched in Section 9
 // of the paper. The incoming stream is partitioned round-robin across P
 // workers. Each worker owns a *private* sketch and heap — no shared mutable
@@ -47,38 +46,26 @@ type Sharded struct {
 	closeOnce sync.Once
 }
 
-// ShardVariant selects the per-shard model type.
-type ShardVariant int
-
-const (
-	// ShardAWM gives each worker a private AWM-Sketch (the default; the
-	// paper's best-performing configuration).
-	ShardAWM ShardVariant = iota
-	// ShardWM gives each worker a private basic WM-Sketch.
-	ShardWM
-)
-
-// ShardedOptions configures the parallel learner.
+// ShardedOptions configures the parallel learner. Every worker trains a
+// private AWM-Sketch, the paper's best-performing configuration.
 type ShardedOptions struct {
 	// Workers is the number of training goroutines. Defaults to
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// QueueSize is each worker's input buffer in examples. Defaults to 256.
-	QueueSize int
 	// SyncEvery refreshes the merged query snapshot after this many routed
 	// updates. 0 selects the default (65536); negative disables automatic
 	// refresh (snapshots then only rebuild on explicit Sync/Close).
 	SyncEvery int
-	// Variant selects the per-shard model.
-	Variant ShardVariant
 }
+
+// shardQueueSize is each worker's input buffer in messages: deep enough that
+// a producer rarely waits on a busy worker, bounded so a worker that falls
+// behind pushes back on producers instead of queueing without limit.
+const shardQueueSize = 256
 
 func (o *ShardedOptions) fill() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = 256
 	}
 	if o.SyncEvery == 0 {
 		o.SyncEvery = 65536
@@ -109,9 +96,8 @@ type shardFreeze struct {
 }
 
 // shardSnapshot is a worker's state handed to the merger: a deep copy with
-// the global scale folded in and (for AWM shards) the active set written
-// back, plus the worker's heavy-hitter candidates with their true-scale
-// weights (exact for AWM active sets, heap estimates for WM).
+// the global scale folded in and the active set written back, plus the
+// worker's active set with its exact true-scale weights.
 type shardSnapshot struct {
 	folded *sketch.CountSketch
 	heavy  []stream.Weighted
@@ -120,42 +106,7 @@ type shardSnapshot struct {
 
 type shardWorker struct {
 	in    chan shardMsg
-	model sketchModel
-}
-
-// sketchModel is the contract one WM- or AWM-Sketch satisfies: Sharded
-// trains one per worker and Concurrent wraps one behind a lock. In addition
-// to normal learning it can serialize itself, export a Snapshot for the
-// cluster layer, produce a folded deep copy of its sketch (scale applied,
-// exact heap weights reconciled), and report its heavy-hitter candidates
-// with true-scale weights.
-type sketchModel interface {
-	stream.Learner
-	io.WriterTo
-	Snapshotter
-	Steps() int64
-	foldedSketch() *sketch.CountSketch
-	heavyWeights() []stream.Weighted
-}
-
-// foldedSketch returns a deep copy of the WM-Sketch's projection with the
-// lazy decay factor folded into the buckets, so that √s·median queries on
-// the copy return true-scale weights.
-func (w *WMSketch) foldedSketch() *sketch.CountSketch {
-	c := w.cs.Clone()
-	if w.scale != 1 {
-		c.Scale(w.scale)
-	}
-	return c
-}
-
-func (w *WMSketch) heavyWeights() []stream.Weighted {
-	entries := w.heap.Entries()
-	out := make([]stream.Weighted, len(entries))
-	for i, e := range entries {
-		out[i] = stream.Weighted{Index: e.Key, Weight: w.scale * e.Weight}
-	}
-	return out
+	model *AWMSketch
 }
 
 // rawSketch returns a deep copy of the AWM-Sketch's projection with every
@@ -196,13 +147,9 @@ func (a *AWMSketch) heavyWeights() []stream.Weighted {
 func NewSharded(cfg Config, opt ShardedOptions) *Sharded {
 	cfg.fill()
 	opt.fill()
-	models := make([]sketchModel, opt.Workers)
+	models := make([]*AWMSketch, opt.Workers)
 	for i := range models {
-		if opt.Variant == ShardWM {
-			models[i] = NewWMSketch(cfg)
-		} else {
-			models[i] = NewAWMSketch(cfg)
-		}
+		models[i] = NewAWMSketch(cfg)
 	}
 	return newShardedFromModels(cfg, opt, models)
 }
@@ -210,10 +157,10 @@ func NewSharded(cfg Config, opt ShardedOptions) *Sharded {
 // newShardedFromModels assembles a sharded learner around existing models
 // — freshly constructed by NewSharded, or deserialized by LoadSharded — and
 // starts its workers. cfg must be filled and opt final.
-func newShardedFromModels(cfg Config, opt ShardedOptions, models []sketchModel) *Sharded {
+func newShardedFromModels(cfg Config, opt ShardedOptions, models []*AWMSketch) *Sharded {
 	s := &Sharded{cfg: cfg, opt: opt, workers: make([]*shardWorker, len(models))}
 	for i, m := range models {
-		s.workers[i] = &shardWorker{in: make(chan shardMsg, opt.QueueSize), model: m}
+		s.workers[i] = &shardWorker{in: make(chan shardMsg, shardQueueSize), model: m}
 		s.memBytes += m.MemoryBytes()
 	}
 	// Start with an empty (zero-sketch) snapshot so queries before the

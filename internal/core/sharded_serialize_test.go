@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -14,54 +15,52 @@ import (
 // continues on other goroutines.
 
 func TestShardedCheckpointRoundTrip(t *testing.T) {
-	for _, variant := range []ShardVariant{ShardAWM, ShardWM} {
-		cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Lambda: 1e-5, Seed: 21}
-		s := NewSharded(cfg, ShardedOptions{Workers: 3, SyncEvery: -1, Variant: variant})
-		gen := datagen.RCV1Like(8)
-		data := gen.Take(3000)
-		for i := 0; i+64 <= len(data); i += 64 {
-			s.UpdateBatch(data[i : i+64])
-		}
-
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			t.Fatalf("variant %d: WriteTo: %v", variant, err)
-		}
-		s.Sync() // learner must still be live after a checkpoint
-
-		got, err := LoadSharded(bytes.NewReader(buf.Bytes()), nil, nil, ShardedOptions{})
-		if err != nil {
-			t.Fatalf("variant %d: LoadSharded: %v", variant, err)
-		}
-		defer got.Close()
-
-		if got.Steps() != s.Steps() {
-			t.Errorf("variant %d: steps %d != %d", variant, got.Steps(), s.Steps())
-		}
-		for i := uint32(0); i < 2048; i++ {
-			if g, w := got.Estimate(i), s.Estimate(i); g != w {
-				t.Fatalf("variant %d: Estimate(%d) = %v, want %v", variant, i, g, w)
-			}
-		}
-		probe := gen.Next().X
-		if g, w := got.Predict(probe), s.Predict(probe); g != w {
-			t.Fatalf("variant %d: Predict = %v, want %v", variant, g, w)
-		}
-		gotTop, wantTop := got.TopK(16), s.TopK(16)
-		if len(gotTop) != len(wantTop) {
-			t.Fatalf("variant %d: TopK lengths %d vs %d", variant, len(gotTop), len(wantTop))
-		}
-		for i := range wantTop {
-			if gotTop[i] != wantTop[i] {
-				t.Fatalf("variant %d: TopK[%d] = %+v, want %+v", variant, i, gotTop[i], wantTop[i])
-			}
-		}
-
-		// The restored learner must keep training.
-		got.Update(probe, 1)
-		got.Sync()
-		s.Close()
+	cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Lambda: 1e-5, Seed: 21}
+	s := NewSharded(cfg, ShardedOptions{Workers: 3, SyncEvery: -1})
+	defer s.Close()
+	gen := datagen.RCV1Like(8)
+	data := gen.Take(3000)
+	for i := 0; i+64 <= len(data); i += 64 {
+		s.UpdateBatch(data[i : i+64])
 	}
+
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	s.Sync() // learner must still be live after a checkpoint
+
+	got, err := LoadSharded(bytes.NewReader(buf.Bytes()), nil, nil, ShardedOptions{})
+	if err != nil {
+		t.Fatalf("LoadSharded: %v", err)
+	}
+	defer got.Close()
+
+	if got.Steps() != s.Steps() {
+		t.Errorf("steps %d != %d", got.Steps(), s.Steps())
+	}
+	for i := uint32(0); i < 2048; i++ {
+		if g, w := got.Estimate(i), s.Estimate(i); g != w {
+			t.Fatalf("Estimate(%d) = %v, want %v", i, g, w)
+		}
+	}
+	probe := gen.Next().X
+	if g, w := got.Predict(probe), s.Predict(probe); g != w {
+		t.Fatalf("Predict = %v, want %v", g, w)
+	}
+	gotTop, wantTop := got.TopK(16), s.TopK(16)
+	if len(gotTop) != len(wantTop) {
+		t.Fatalf("TopK lengths %d vs %d", len(gotTop), len(wantTop))
+	}
+	for i := range wantTop {
+		if gotTop[i] != wantTop[i] {
+			t.Fatalf("TopK[%d] = %+v, want %+v", i, gotTop[i], wantTop[i])
+		}
+	}
+
+	// The restored learner must keep training.
+	got.Update(probe, 1)
+	got.Sync()
 }
 
 // TestShardedCheckpointAfterClose covers the quiescent path: a closed
@@ -139,6 +138,14 @@ func TestLoadShardedRejectsCorruptHeader(t *testing.T) {
 	bad[12], bad[13], bad[14], bad[15] = 0xff, 0xff, 0xff, 0x7f
 	if _, err := LoadSharded(bytes.NewReader(bad), nil, nil, ShardedOptions{}); err == nil {
 		t.Error("implausible worker count must be rejected")
+	}
+	// Any variant but 0 (AWM shards), including the retired WM-shard 1.
+	for _, variant := range []byte{1, 2, 0xff} {
+		bad := append([]byte(nil), blob...)
+		bad[8] = variant
+		if _, err := LoadSharded(bytes.NewReader(bad), nil, nil, ShardedOptions{}); !errors.Is(err, errShardVariant) {
+			t.Errorf("variant %d: err = %v, want errShardVariant", variant, err)
+		}
 	}
 	// Truncated model payload.
 	if _, err := LoadSharded(bytes.NewReader(blob[:len(blob)-9]), nil, nil, ShardedOptions{}); err == nil {

@@ -47,48 +47,36 @@ func TestShardedSingleWorkerMatchesSequential(t *testing.T) {
 // must largely agree on which features are heavy.
 func TestShardedMatchesSequentialTopK(t *testing.T) {
 	cfg := Config{Width: 4096, Depth: 1, HeapSize: 256, Lambda: 1e-6, Seed: 3}
-	for _, opt := range []ShardedOptions{
-		{Workers: 4, SyncEvery: -1},
-		{Workers: 4, SyncEvery: -1, Variant: ShardWM},
-	} {
-		sh := NewSharded(cfg, opt)
-		var seq stream.Learner
-		if opt.Variant == ShardWM {
-			seq = NewWMSketch(cfg)
-		} else {
-			seq = NewAWMSketch(cfg)
-		}
-		gen := datagen.RCV1Like(3)
-		for i := 0; i < 40000; i++ {
-			ex := gen.Next()
-			sh.Update(ex.X, ex.Y)
-			seq.Update(ex.X, ex.Y)
-		}
-		sh.Close()
+	sh := NewSharded(cfg, ShardedOptions{Workers: 4, SyncEvery: -1})
+	seq := NewAWMSketch(cfg)
+	gen := datagen.RCV1Like(3)
+	for i := 0; i < 40000; i++ {
+		ex := gen.Next()
+		sh.Update(ex.X, ex.Y)
+		seq.Update(ex.X, ex.Y)
+	}
+	sh.Close()
 
-		seqTop := seq.TopK(32)
-		inSh := map[uint32]bool{}
-		for _, e := range sh.TopK(64) {
-			inSh[e.Index] = true
+	seqTop := seq.TopK(32)
+	inSh := map[uint32]bool{}
+	for _, e := range sh.TopK(64) {
+		inSh[e.Index] = true
+	}
+	overlap := 0
+	for _, e := range seqTop {
+		if inSh[e.Index] {
+			overlap++
 		}
-		overlap := 0
-		for _, e := range seqTop {
-			if inSh[e.Index] {
-				overlap++
-			}
-		}
-		if overlap < 20 {
-			t.Fatalf("variant=%v: only %d/32 sequential top features in sharded TopK(64)",
-				opt.Variant, overlap)
-		}
-		// Mixed estimates of the sequential model's heavy features must
-		// agree in sign and rough magnitude.
-		for _, e := range seqTop[:8] {
-			got := sh.Estimate(e.Index)
-			if got*e.Weight <= 0 {
-				t.Fatalf("variant=%v: Estimate(%d) = %v, sequential %v (sign flip)",
-					opt.Variant, e.Index, got, e.Weight)
-			}
+	}
+	if overlap < 20 {
+		t.Fatalf("only %d/32 sequential top features in sharded TopK(64)", overlap)
+	}
+	// Mixed estimates of the sequential model's heavy features must agree
+	// in sign and rough magnitude.
+	for _, e := range seqTop[:8] {
+		got := sh.Estimate(e.Index)
+		if got*e.Weight <= 0 {
+			t.Fatalf("Estimate(%d) = %v, sequential %v (sign flip)", e.Index, got, e.Weight)
 		}
 	}
 }
@@ -98,7 +86,7 @@ func TestShardedMatchesSequentialTopK(t *testing.T) {
 // safety test for the whole sharded path.
 func TestShardedConcurrentUpdatesAndQueries(t *testing.T) {
 	cfg := Config{Width: 512, Depth: 1, HeapSize: 64, Lambda: 1e-6, Seed: 31}
-	sh := NewSharded(cfg, ShardedOptions{Workers: 4, QueueSize: 64, SyncEvery: 500})
+	sh := NewSharded(cfg, ShardedOptions{Workers: 4, SyncEvery: 500})
 	gen := datagen.RCV1Like(31)
 	examples := gen.Take(2048)
 
@@ -180,7 +168,7 @@ func TestShardedIsDropInLearner(t *testing.T) {
 // the workers and not yet taken up, and reads 0 once they have drained.
 func TestShardedQueuedMessages(t *testing.T) {
 	s := NewSharded(Config{Width: 64, Depth: 1, HeapSize: 8, Seed: 1},
-		ShardedOptions{Workers: 2, QueueSize: 8, SyncEvery: -1})
+		ShardedOptions{Workers: 2, SyncEvery: -1})
 	defer s.Close()
 	// Park both workers, so every message routed from here on stays queued.
 	ready, release := make(chan struct{}), make(chan struct{})

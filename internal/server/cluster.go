@@ -41,10 +41,6 @@ type ClusterOptions struct {
 	// OriginGCDecay is the decay ramp width (0 → OriginGCAfter/2).
 	OriginGCAfter time.Duration
 	OriginGCDecay time.Duration
-	// Chaos, when non-empty, is a fault-injection spec ("drop=0.1,dup=0.05,
-	// corrupt=0.01,delay=50ms,delayp=0.5,seed=7") applied to this node's
-	// *outbound* gossip transport — a testing aid, never for production.
-	Chaos string
 }
 
 func (o *ClusterOptions) enabled() bool { return len(o.Peers) > 0 }
@@ -63,19 +59,6 @@ func (s *Server) startCluster() error {
 	if s.opt.Cluster.Self == "" {
 		return fmt.Errorf("server: cluster mode requires a node id (-node-id)")
 	}
-	var client *http.Client
-	if s.opt.Cluster.Chaos != "" {
-		chaos, err := cluster.ParseChaos(s.opt.Cluster.Chaos)
-		if err != nil {
-			return fmt.Errorf("server: -chaos: %w", err)
-		}
-		ct := cluster.NewChaosTransport(http.DefaultTransport, chaos)
-		client = &http.Client{
-			Timeout:   15 * time.Second,
-			Transport: ct,
-		}
-		s.registerChaosMetrics(ct)
-	}
 	n, err := cluster.NewNode(cluster.Config{
 		Self:  s.opt.Cluster.Self,
 		Peers: s.opt.Cluster.Peers,
@@ -87,7 +70,6 @@ func (s *Server) startCluster() error {
 		Interval:      s.opt.Cluster.Interval,
 		HistoryDepth:  s.opt.Cluster.HistoryDepth,
 		AuthToken:     s.opt.AuthToken,
-		Client:        client,
 		RPCTimeout:    s.opt.Cluster.GossipTimeout,
 		Fanout:        s.opt.Cluster.Fanout,
 		OriginGCAfter: s.opt.Cluster.OriginGCAfter,
@@ -102,29 +84,6 @@ func (s *Server) startCluster() error {
 	s.cluster = n
 	n.Start()
 	return nil
-}
-
-// registerChaosMetrics surfaces the fault injector's counters as gauges
-// (they are read live from the transport, not accumulated in the
-// registry), so a chaos run's drop/corruption pressure shows up on the
-// same /metrics page as the gossip traffic it distorts.
-func (s *Server) registerChaosMetrics(ct *cluster.ChaosTransport) {
-	reg := s.met.reg
-	stat := func(pick func(cluster.ChaosStats) int64) func() float64 {
-		return func() float64 { return float64(pick(ct.Stats())) }
-	}
-	reg.GaugeFunc("wmchaos_requests", "gossip RPCs seen by the fault injector",
-		stat(func(st cluster.ChaosStats) int64 { return st.Requests }))
-	reg.GaugeFunc("wmchaos_dropped", "gossip RPCs dropped by the fault injector",
-		stat(func(st cluster.ChaosStats) int64 { return st.Dropped }))
-	reg.GaugeFunc("wmchaos_duplicated", "gossip RPCs duplicated by the fault injector",
-		stat(func(st cluster.ChaosStats) int64 { return st.Duplicated }))
-	reg.GaugeFunc("wmchaos_corrupted", "gossip responses corrupted by the fault injector",
-		stat(func(st cluster.ChaosStats) int64 { return st.Corrupted }))
-	reg.GaugeFunc("wmchaos_delayed", "gossip RPCs delayed by the fault injector",
-		stat(func(st cluster.ChaosStats) int64 { return st.Delayed }))
-	reg.GaugeFunc("wmchaos_partitioned", "gossip RPCs refused by a simulated partition",
-		stat(func(st cluster.ChaosStats) int64 { return st.Partitioned }))
 }
 
 // ClusterNode exposes the node for tests that drive gossip rounds

@@ -105,22 +105,20 @@ func TestHealthzDegraded(t *testing.T) {
 }
 
 // TestClusterOptionsPlumbing: the serving-layer knobs reach cluster.Config —
-// a bad chaos spec must fail construction, a good one must not.
+// peers without a node id must fail construction, peers with one must not.
 func TestClusterOptionsPlumbing(t *testing.T) {
 	opt := testOptions(t, BackendAWM)
 	opt.Cluster = ClusterOptions{
-		Self:          "http://127.0.0.1:0",
 		Peers:         []string{"http://127.0.0.1:1"},
 		Interval:      -1,
 		GossipTimeout: 5 * time.Second,
 		Fanout:        2,
 		OriginGCAfter: time.Minute,
-		Chaos:         "drop=not-a-number",
 	}
 	if _, err := New(opt); err == nil {
-		t.Fatal("bad -chaos spec accepted")
+		t.Fatal("cluster peers without a node id accepted")
 	}
-	opt.Cluster.Chaos = "drop=0.5,seed=9"
+	opt.Cluster.Self = "http://127.0.0.1:0"
 	srv, err := New(opt)
 	if err != nil {
 		t.Fatal(err)

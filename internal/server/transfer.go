@@ -37,12 +37,15 @@ func (s *Server) handleCheckpointDownload(w http.ResponseWriter, r *http.Request
 	}
 }
 
-// handleCheckpointUpload replaces the backend with the posted state.
+// handleCheckpointUpload replaces the backend with the posted state. It
+// reports the bytes the loader consumed: a chunked body has no
+// Content-Length to echo.
 func (s *Server) handleCheckpointUpload(w http.ResponseWriter, r *http.Request) {
 	if !s.authorized(w, r) {
 		return
 	}
-	if err := s.restoreFromReader(r.Context(), r.Body); err != nil {
+	body := &countingReader{rc: r.Body}
+	if err := s.restoreFromReader(r.Context(), body); err != nil {
 		writeError(w, http.StatusBadRequest, "upload: %v", err)
 		return
 	}
@@ -53,5 +56,5 @@ func (s *Server) handleCheckpointUpload(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusInternalServerError, "restored but publish failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointResponse{Action: "upload", Bytes: r.ContentLength, Warning: warning})
+	writeJSON(w, http.StatusOK, CheckpointResponse{Action: "upload", Bytes: body.n, Warning: warning})
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -76,6 +77,57 @@ func TestCheckpointDownloadUploadRoundTrip(t *testing.T) {
 				t.Fatalf("estimate differs after transfer: %v vs %v", dst.Weights[0], src.Weights[0])
 			}
 		})
+	}
+}
+
+// TestCheckpointUploadReportsConsumedBytes: the upload response counts the
+// checkpoint bytes the loader consumed, both for a body with a
+// Content-Length and for a chunked one streamed from an io.Pipe, whose
+// length is unknown (-1) to the handler.
+func TestCheckpointUploadReportsConsumedBytes(t *testing.T) {
+	_, source := newTestServer(t, BackendSharded)
+	if code := doJSON(t, "POST", source.URL+"/v1/update",
+		UpdateRequest{Examples: toWire(datagen.RCV1Like(5).Take(300))}, nil); code != 200 {
+		t.Fatalf("update: HTTP %d", code)
+	}
+	resp, err := http.Get(source.URL + "/v1/checkpoint/download")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("download: HTTP %d, %v", resp.StatusCode, err)
+	}
+
+	_, target := newTestServer(t, BackendSharded)
+	for _, tc := range []struct {
+		name string
+		body func() io.Reader
+	}{
+		{"content-length", func() io.Reader { return bytes.NewReader(blob) }},
+		{"chunked", func() io.Reader {
+			pr, pw := io.Pipe()
+			go func() {
+				_, err := pw.Write(blob)
+				pw.CloseWithError(err)
+			}()
+			return pr
+		}},
+	} {
+		up, err := http.Post(target.URL+"/v1/checkpoint/upload", "application/octet-stream", tc.body())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cr CheckpointResponse
+		err = json.NewDecoder(up.Body).Decode(&cr)
+		up.Body.Close()
+		if err != nil || up.StatusCode != http.StatusOK {
+			t.Fatalf("%s upload: HTTP %d, %v", tc.name, up.StatusCode, err)
+		}
+		if cr.Bytes != int64(len(blob)) {
+			t.Fatalf("%s upload reported %d bytes, want %d", tc.name, cr.Bytes, len(blob))
+		}
 	}
 }
 

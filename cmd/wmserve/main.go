@@ -1,19 +1,21 @@
-// Command wmserve serves a WM-/AWM-Sketch classifier over HTTP/JSON: live
+// Command wmserve serves an AWM-Sketch classifier over HTTP/JSON: live
 // training (/v1/update), prediction (/v1/predict), weight recovery
 // (/v1/estimate, /v1/topk), operational stats (/v1/stats), and checkpoint
-// save/restore (/v1/checkpoint). See SERVING.md for the API reference.
+// save/restore (/v1/checkpoint). The learner is either AWM shards trained
+// in parallel (-backend sharded) or one AWM-Sketch (-backend awm). See
+// SERVING.md for the API reference.
 //
 // Usage:
 //
 //	wmserve -addr :8080 -backend sharded -workers 4 -checkpoint model.ckpt
 //	wmserve -addr :8080 -bin-addr :8081     # plus the binary hot protocol
 //
-// On SIGINT/SIGTERM the server drains in-flight requests and flushes a
-// final checkpoint to -checkpoint (when set) before exiting. With -restore,
-// an existing checkpoint at that path is loaded at boot, before any
-// listener serves, so a restarted server resumes the stream where it left
-// off. The API's tests live in internal/server; `wmbench -serve-bench`
-// measures it.
+// On SIGINT/SIGTERM the server drains in-flight requests on both protocols
+// and flushes a final checkpoint to -checkpoint (when set) before exiting.
+// With -restore, an existing checkpoint at that path is loaded at boot,
+// before any listener serves, so a restarted server resumes the stream
+// where it left off. The API's tests live in internal/server;
+// `wmbench -serve-bench` measures it.
 package main
 
 import (
@@ -51,7 +53,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		binAddr   = flag.String("bin-addr", "", "binary hot-protocol listen address (e.g. :8081; empty disables; see SERVING.md \"Binary protocol\")")
-		backend   = flag.String("backend", server.BackendSharded, "learner backend: sharded, awm, or wm")
+		backend   = flag.String("backend", server.BackendSharded, "learner backend: sharded (parallel AWM shards) or awm (one AWM-Sketch)")
 		width     = flag.Int("width", 4096, "sketch width (buckets per row)")
 		depth     = flag.Int("depth", 1, "sketch depth (rows)")
 		heapSize  = flag.Int("heap", 2048, "top-weight heap / active-set capacity")
@@ -192,7 +194,8 @@ func serve(opt server.Options, logger *slog.Logger, addr, binAddr, debugAddr str
 	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	// Final flush: Close checkpoints to opt.CheckpointPath when configured.
+	// Final flush: Close drains the binary connections, then checkpoints to
+	// opt.CheckpointPath when configured.
 	if err := srv.Close(); err != nil {
 		return fmt.Errorf("final checkpoint: %w", err)
 	}

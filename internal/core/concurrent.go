@@ -7,29 +7,20 @@ import (
 	"wmsketch/internal/stream"
 )
 
-// Concurrent wraps one WM- or AWM-Sketch with a reader/writer lock so that
-// one writer (the update path) and many readers (Estimate/TopK/Predict
-// queries) can share it safely across goroutines. Queries always see every
-// update that returned before them. It offers the same serving surface as
-// Sharded — UpdateBatch, Sync, Close, checkpointing and snapshots — so a
-// server can hold either behind one interface; Sync and Close are no-ops
-// here because there is no merged snapshot to refresh and no worker to stop.
+// Concurrent wraps one AWM-Sketch with a reader/writer lock so that one
+// writer (the update path) and many readers (Estimate/TopK/Predict queries)
+// can share it safely across goroutines. Queries always see every update
+// that returned before them. It offers the same serving surface as Sharded
+// — UpdateBatch, Sync, Close, checkpointing and snapshots — so a server can
+// hold either behind one interface; Sync and Close are no-ops here because
+// there is no merged snapshot to refresh and no worker to stop.
 type Concurrent struct {
 	mu sync.RWMutex
-	m  sketchModel // guarded by mu
+	m  *AWMSketch // guarded by mu
 }
 
-// sketchModel is what Concurrent needs of the one WM- or AWM-Sketch it
-// wraps: learning, checkpointing, and a Snapshot for the cluster layer.
-type sketchModel interface {
-	stream.Learner
-	io.WriterTo
-	Snapshotter
-	Steps() int64
-}
-
-// NewConcurrent wraps m, a *WMSketch or *AWMSketch.
-func NewConcurrent(m sketchModel) *Concurrent {
+// NewConcurrent wraps m.
+func NewConcurrent(m *AWMSketch) *Concurrent {
 	if m == nil {
 		panic("core: nil learner")
 	}

@@ -78,7 +78,7 @@ func TestConcurrentNilPanics(t *testing.T) {
 }
 
 func TestConcurrentIsDropInLearner(t *testing.T) {
-	var l stream.Learner = NewConcurrent(NewWMSketch(Config{
+	var l stream.Learner = NewConcurrent(NewAWMSketch(Config{
 		Width: 64, Depth: 1, HeapSize: 8, Seed: 33,
 	}))
 	l.Update(stream.OneHot(1), 1)
@@ -93,37 +93,28 @@ func TestConcurrentIsDropInLearner(t *testing.T) {
 // disturb it.
 func TestConcurrentUpdateBatchMatchesSequential(t *testing.T) {
 	cfg := Config{Width: 256, Depth: 2, HeapSize: 32, Lambda: 1e-6, Seed: 17}
-	for _, tc := range []struct {
-		name          string
-		wrapped, bare sketchModel
-	}{
-		{"awm", NewAWMSketch(cfg), NewAWMSketch(cfg)},
-		{"wm", NewWMSketch(cfg), NewWMSketch(cfg)},
-	} {
-		c := NewConcurrent(tc.wrapped)
-		gen := datagen.RCV1Like(17)
-		for i := 0; i < 50; i++ {
-			batch := gen.Take(1 + i%9)
-			c.UpdateBatch(batch)
-			for _, ex := range batch {
-				tc.bare.Update(ex.X, ex.Y)
-			}
+	c, bare := NewConcurrent(NewAWMSketch(cfg)), NewAWMSketch(cfg)
+	gen := datagen.RCV1Like(17)
+	for i := 0; i < 50; i++ {
+		batch := gen.Take(1 + i%9)
+		c.UpdateBatch(batch)
+		for _, ex := range batch {
+			bare.Update(ex.X, ex.Y)
 		}
-		c.Sync()
-		c.Close()
-		var got, want bytes.Buffer
-		if _, err := c.WriteTo(&got); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tc.bare.WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: UpdateBatch checkpoint differs from sequential Updates", tc.name)
-		}
-		if c.Steps() != tc.bare.Steps() || c.Workers() != 0 {
-			t.Fatalf("%s: steps %d (want %d), workers %d (want 0)",
-				tc.name, c.Steps(), tc.bare.Steps(), c.Workers())
-		}
+	}
+	c.Sync()
+	c.Close()
+	var got, want bytes.Buffer
+	if _, err := c.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("UpdateBatch checkpoint differs from sequential Updates")
+	}
+	if c.Steps() != bare.Steps() || c.Workers() != 0 {
+		t.Fatalf("steps %d (want %d), workers %d (want 0)", c.Steps(), bare.Steps(), c.Workers())
 	}
 }

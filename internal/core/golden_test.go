@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"math"
 	"os"
@@ -10,6 +13,7 @@ import (
 
 	"wmsketch/internal/datagen"
 	"wmsketch/internal/sketch"
+	"wmsketch/internal/stream"
 )
 
 // goldenCheckpoints builds the checkpoints pinned under testdata: a
@@ -121,6 +125,76 @@ func TestGoldenCheckpoints(t *testing.T) {
 			}
 			if again := reloadCheckpoint(t, name, want); !bytes.Equal(again, want) {
 				t.Fatal("golden checkpoint does not survive a restore/WriteTo round trip")
+			}
+		})
+	}
+}
+
+// shardedViewDigest trains a 2-worker Sharded on whole batches of data,
+// each split evenly over the workers, and hashes the view it serves twice:
+// after a Sync halfway through and after Close. The hash covers Estimate
+// over feature ids [0, 2^16), the full TopK, and every merged bucket.
+func shardedViewDigest(tb testing.TB, cfg Config, data []stream.Example, batch int) string {
+	tb.Helper()
+	sh := NewSharded(cfg, ShardedOptions{Workers: 2, SyncEvery: -1})
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	hashView := func() {
+		for i := uint32(0); i < 1<<16; i++ {
+			put(math.Float64bits(sh.Estimate(i)))
+		}
+		for _, w := range sh.TopK(cfg.HeapSize) {
+			put(uint64(w.Index))
+			put(math.Float64bits(w.Weight))
+		}
+		cs := sh.currentView().Sketch()
+		for j := 0; j < cs.Depth(); j++ {
+			for _, b := range cs.Row(j) {
+				put(math.Float64bits(b))
+			}
+		}
+	}
+	for i := 0; i < len(data); i += batch {
+		sh.UpdateBatch(data[i : i+batch])
+		if i+batch == len(data)/2 {
+			sh.Sync()
+			hashView()
+		}
+	}
+	sh.Close()
+	hashView()
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestShardedViewPinned pins the merged view of a 2-worker Sharded at the
+// geometries the benchmark's ingest (3×2^17, batches of 512) and mixed
+// (4096×1, batches of 64) workloads serve. The digests were recorded once
+// and are never rewritten: a change to how shards hand their state to the
+// merge must leave the view bit for bit as it was whenever the shards hold
+// equal step counts.
+func TestShardedViewPinned(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   Config
+		data  []stream.Example
+		batch int
+		want  string
+	}{
+		{"ingest", Config{Width: 1 << 17, Depth: 3, HeapSize: 2048, Lambda: 1e-6, Seed: 42},
+			datagen.URLLike(5).Take(16 * 512), 512,
+			"6ece671d4978592171be2533c7d42c8ab2364835b23c4555222aa6466b09e60d"},
+		{"mixed", Config{Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: 42},
+			datagen.RCV1Like(5).Take(64 * 64), 64,
+			"5fd70457e868343df09dffade9442fd8a717bb8a5ab6e64245f4fd59ffbfea35"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := shardedViewDigest(t, tc.cfg, tc.data, tc.batch); got != tc.want {
+				t.Fatalf("merged view digest %s, pinned %s", got, tc.want)
 			}
 		})
 	}

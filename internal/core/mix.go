@@ -80,7 +80,7 @@ func (sn *Snapshot) factorOr1() float64 {
 }
 
 // Snapshotter is implemented by learners that can export their model state
-// for merging. All core learners implement it.
+// for merging: AWMSketch, and Concurrent and Sharded, which serve it.
 type Snapshotter interface {
 	ModelSnapshot() (Snapshot, error)
 }
@@ -256,16 +256,24 @@ func (m *Mixed) Sketch() *sketch.CountSketch { return m.cs }
 
 // ---- Snapshotter implementations ----
 
-// ModelSnapshot implements Snapshotter: a raw deep copy plus the current
-// decay scale, so that version-to-version deltas stay sparse.
-func (w *WMSketch) ModelSnapshot() (Snapshot, error) {
-	return Snapshot{CS: w.cs.Clone(), Scale: w.scale, Heavy: rawHeapWeights(w.heap.Entries()), Steps: w.t}, nil
-}
-
 // ModelSnapshot implements Snapshotter: a raw deep copy with the active
-// set written back, plus the current decay scale.
+// set written back, plus the current decay scale, so that version-to-version
+// deltas stay sparse.
 func (a *AWMSketch) ModelSnapshot() (Snapshot, error) {
 	return Snapshot{CS: a.rawSketch(), Scale: a.scale, Heavy: rawHeapWeights(a.active.Entries()), Steps: a.t}, nil
+}
+
+// rawSketch returns a deep copy of the AWM-Sketch's projection with every
+// active-set weight written back (sketch(i) += S[i] − Query(i), the same
+// reconciliation Algorithm 2 performs on eviction) but the decay scale NOT
+// folded, so it answers √s·scale·median queries for *all* features.
+func (a *AWMSketch) rawSketch() *sketch.CountSketch {
+	c := a.cs.Clone()
+	for _, e := range a.active.Entries() {
+		delta := e.Weight - a.sqrtS*c.Estimate(e.Key)
+		c.Update(e.Key, delta/a.sqrtS)
+	}
+	return c
 }
 
 // rawHeapWeights converts heap entries to unscaled Weighted pairs (the
@@ -300,7 +308,6 @@ func (s *Sharded) ModelSnapshot() (Snapshot, error) {
 }
 
 var (
-	_ Snapshotter = (*WMSketch)(nil)
 	_ Snapshotter = (*AWMSketch)(nil)
 	_ Snapshotter = (*Concurrent)(nil)
 	_ Snapshotter = (*Sharded)(nil)

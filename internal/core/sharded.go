@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
 )
 
@@ -72,16 +71,14 @@ func (o *ShardedOptions) fill() {
 	}
 }
 
-// shardMsg is one unit of work for a worker: a training example, a batch
-// of examples, (when snap is non-nil) a request to report the worker's
-// current state, or (when freeze is non-nil) a request to pause in place.
-// Control requests ride the same FIFO channel as examples, so they reflect
-// every example routed to that worker before the request.
+// shardMsg is one unit of work for a worker: a batch of examples, (when
+// snap is non-nil) a request to report the worker's current state, or (when
+// freeze is non-nil) a request to pause in place. Control requests ride the
+// same FIFO channel as examples, so they reflect every example routed to
+// that worker before the request.
 type shardMsg struct {
-	x      stream.Vector
-	y      int
 	batch  []stream.Example
-	snap   chan<- *shardSnapshot
+	snap   chan<- Snapshot
 	freeze *shardFreeze
 }
 
@@ -95,50 +92,9 @@ type shardFreeze struct {
 	release <-chan struct{}
 }
 
-// shardSnapshot is a worker's state handed to the merger: a deep copy with
-// the global scale folded in and the active set written back, plus the
-// worker's active set with its exact true-scale weights.
-type shardSnapshot struct {
-	folded *sketch.CountSketch
-	heavy  []stream.Weighted
-	steps  int64
-}
-
 type shardWorker struct {
 	in    chan shardMsg
 	model *AWMSketch
-}
-
-// rawSketch returns a deep copy of the AWM-Sketch's projection with every
-// active-set weight written back (sketch(i) += S[i] − Query(i), the same
-// reconciliation Algorithm 2 performs on eviction) but the decay scale NOT
-// folded, so it answers √s·scale·median queries for *all* features.
-func (a *AWMSketch) rawSketch() *sketch.CountSketch {
-	c := a.cs.Clone()
-	for _, e := range a.active.Entries() {
-		delta := e.Weight - a.sqrtS*c.Estimate(e.Key)
-		c.Update(e.Key, delta/a.sqrtS)
-	}
-	return c
-}
-
-// foldedSketch is rawSketch with the decay factor folded in, so the copy
-// answers √s·median queries directly.
-func (a *AWMSketch) foldedSketch() *sketch.CountSketch {
-	c := a.rawSketch()
-	if a.scale != 1 {
-		c.Scale(a.scale)
-	}
-	return c
-}
-
-func (a *AWMSketch) heavyWeights() []stream.Weighted {
-	entries := a.active.Entries()
-	out := make([]stream.Weighted, len(entries))
-	for i, e := range entries {
-		out[i] = stream.Weighted{Index: e.Key, Weight: e.Weight * a.scale}
-	}
-	return out
 }
 
 // NewSharded returns a parallel learner over cfg with opt.Workers training
@@ -182,38 +138,28 @@ func (s *Sharded) runWorker(w *shardWorker) {
 			<-msg.freeze.release
 		case msg.snap != nil:
 			msg.snap <- w.snapshot()
-		case msg.batch != nil:
+		default:
 			for _, ex := range msg.batch {
 				w.model.Update(ex.X, ex.Y)
 			}
-		default:
-			w.model.Update(msg.x, msg.y)
 		}
 	}
 }
 
-func (w *shardWorker) snapshot() *shardSnapshot {
-	return &shardSnapshot{
-		folded: w.model.foldedSketch(),
-		heavy:  w.model.heavyWeights(),
-		steps:  w.model.Steps(),
-	}
+// snapshot returns the worker's model in the form cluster nodes send it:
+// the raw sketch, the decay scale and the raw active set. It cannot fail.
+func (w *shardWorker) snapshot() Snapshot {
+	sn, _ := w.model.ModelSnapshot()
+	return sn
 }
 
-// Update routes example (x, y) to a worker. It blocks only when the
-// worker's queue is full, and briefly when it is the update that triggers a
-// periodic snapshot refresh. High-throughput producers should prefer
-// UpdateBatch: a channel synchronization per example costs more than a
-// depth-1 sketch update itself.
+// Update routes example (x, y) to a worker as a one-example batch. It
+// blocks only when the worker's queue is full, and briefly when it is the
+// update that triggers a periodic snapshot refresh. High-throughput
+// producers should prefer UpdateBatch: a channel synchronization per
+// example costs more than a depth-1 sketch update itself.
 func (s *Sharded) Update(x stream.Vector, y int) {
-	if s.closed.Load() {
-		panic("core: Update on closed Sharded")
-	}
-	i := int(s.next.Add(1)-1) % len(s.workers)
-	s.workers[i].in <- shardMsg{x: x, y: y}
-	if n := s.pending.Add(1); s.opt.SyncEvery > 0 && n%int64(s.opt.SyncEvery) == 0 {
-		s.Sync()
-	}
+	s.UpdateBatch([]stream.Example{{X: x, Y: y}})
 }
 
 // UpdateBatch routes a batch of examples, splitting it into one contiguous
@@ -255,13 +201,13 @@ func (s *Sharded) Sync() {
 	if s.closed.Load() {
 		return // final snapshot was installed by Close
 	}
-	replies := make([]chan *shardSnapshot, len(s.workers))
+	replies := make([]chan Snapshot, len(s.workers))
 	for i, w := range s.workers {
-		ch := make(chan *shardSnapshot, 1)
+		ch := make(chan Snapshot, 1)
 		replies[i] = ch
 		w.in <- shardMsg{snap: ch}
 	}
-	snaps := make([]*shardSnapshot, len(replies))
+	snaps := make([]Snapshot, len(replies))
 	for i, ch := range replies {
 		snaps[i] = <-ch
 	}
@@ -282,7 +228,7 @@ func (s *Sharded) Close() {
 		s.wg.Wait()
 		// Workers have exited; wg.Wait is the happens-before barrier that
 		// makes their private state safe to read directly.
-		snaps := make([]*shardSnapshot, len(s.workers))
+		snaps := make([]Snapshot, len(s.workers))
 		for i, w := range s.workers {
 			snaps[i] = w.snapshot()
 		}
@@ -307,24 +253,17 @@ func (s *Sharded) mixOptions() MixOptions {
 	return MixOptions{Depth: s.cfg.Depth, Width: s.cfg.Width, Seed: s.cfg.Seed, HeapSize: s.cfg.HeapSize}
 }
 
-// buildView merges shard snapshots into a read-only model. The folded shard
-// sketches go through core.MixSnapshots — the same example-count-weighted
-// parameter mixing the cluster layer uses across machines — which also
-// gives every heavy-key candidate a mixed "exact" weight that Estimate and
-// TopK prefer over the (collision-noisier) merged-sketch query.
-func (s *Sharded) buildView(snaps []*shardSnapshot) *Mixed {
-	in := make([]Snapshot, len(snaps))
-	for i, sn := range snaps {
-		in[i] = Snapshot{
-			// Zero-padded so the canonical Origin order equals worker order.
-			Origin: fmt.Sprintf("%06d", i),
-			CS:     sn.folded,
-			Scale:  1, // shard snapshots arrive scale-folded
-			Heavy:  sn.heavy,
-			Steps:  sn.steps,
-		}
+// buildView merges the workers' snapshots, in worker order, through
+// core.MixSnapshots — the same example-count-weighted parameter mixing the
+// cluster layer applies to the snapshots nodes send — which also gives
+// every heavy-key candidate a mixed "exact" weight that Estimate and TopK
+// prefer over the (collision-noisier) merged-sketch query.
+func (s *Sharded) buildView(snaps []Snapshot) *Mixed {
+	for i := range snaps {
+		// Zero-padded so the canonical Origin order equals worker order.
+		snaps[i].Origin = fmt.Sprintf("%06d", i)
 	}
-	v, err := MixSnapshots(in, s.mixOptions())
+	v, err := MixSnapshots(snaps, s.mixOptions())
 	if err != nil {
 		// Same shape and seed by construction; mixing cannot fail.
 		panic("core: shard merge: " + err.Error())
@@ -358,9 +297,9 @@ func (s *Sharded) Steps() int64 { return s.pending.Load() }
 func (s *Sharded) Workers() int { return len(s.workers) }
 
 // QueuedMessages returns the number of messages waiting in the workers'
-// queues: batches, single examples and control requests routed but not yet
-// taken up. It reads the channels' lengths, so the update path pays
-// nothing for it.
+// queues: update batches and control requests routed but not yet taken
+// up. It reads the channels' lengths, so the update path pays nothing for
+// it.
 func (s *Sharded) QueuedMessages() int {
 	n := 0
 	for _, w := range s.workers {

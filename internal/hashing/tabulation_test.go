@@ -144,7 +144,7 @@ func TestTabulationPairwiseCollisions(t *testing.T) {
 	pairs := 0
 	buckets := make([]int, n)
 	for i := 0; i < n; i++ {
-		buckets[i] = h.Bucket(uint32(i*2654435761), width)
+		buckets[i] = h.Bucket(uint32(i)*2654435761, width)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

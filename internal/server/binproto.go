@@ -100,8 +100,10 @@ var (
 // ServeBin accepts binary-protocol connections on ln until the listener
 // closes. Run it in its own goroutine next to the HTTP listener; a closed
 // listener returns nil (the graceful-shutdown path), any other accept
-// error is returned.
+// error is returned. Close closes ln and drains its connections.
 func (s *Server) ServeBin(ln net.Listener) error {
+	stop := context.AfterFunc(s.stop, func() { _ = ln.Close() })
+	defer stop()
 	opt := s.opt.Bin.fill()
 	for {
 		conn, err := ln.Accept()
@@ -111,8 +113,27 @@ func (s *Server) ServeBin(ln net.Listener) error {
 			}
 			return err
 		}
-		go s.serveBinConn(conn, opt)
+		if !s.track() {
+			_ = conn.Close() // accepted as Close began
+			continue
+		}
+		go func() {
+			defer s.running.Done()
+			s.serveBinConn(conn, opt)
+		}()
 	}
+}
+
+// track counts one more goroutine for Close to wait for, unless Close has
+// begun, in which case it reports false and counts nothing.
+func (s *Server) track() bool {
+	s.runningMu.Lock()
+	defer s.runningMu.Unlock()
+	if s.stop.Err() != nil {
+		return false
+	}
+	s.running.Add(1)
+	return true
 }
 
 // binConn is one pipelined connection's shared state.
@@ -149,13 +170,13 @@ func (c *binConn) fail() {
 	})
 }
 
-// serveBinConn owns one connection: handshake, read loop, teardown. It
-// returns only when every in-flight handler has finished and the write
-// loop has exited, so an abrupt disconnect can never leak goroutines.
 func (c *binConn) logAttrs() []slog.Attr {
 	return []slog.Attr{slog.String("proto", "bin"), slog.String("remote", c.conn.RemoteAddr().String())}
 }
 
+// serveBinConn owns one connection: handshake, read loop, teardown. It
+// returns only when every in-flight handler has finished and the write
+// loop has exited, so an abrupt disconnect can never leak goroutines.
 func (s *Server) serveBinConn(conn net.Conn, opt BinOptions) {
 	m := &s.met.bin
 	m.connsTotal.Inc()
@@ -172,11 +193,19 @@ func (s *Server) serveBinConn(conn net.Conn, opt BinOptions) {
 		sem:  make(chan struct{}, opt.MaxInFlight),
 	}
 	defer c.fail() // idempotent close
+	// Close stops the connection by moving its read deadline into the
+	// past. Every deadline this goroutine sets is followed by a look at
+	// s.stop, so none can undo Close's unnoticed.
+	stop := context.AfterFunc(s.stop, func() { _ = conn.SetReadDeadline(time.Unix(1, 0)) })
+	defer stop()
 
 	// Handshake, under the idle deadline: a connection that never sends
 	// its preamble is torn down like any other dead client.
 	if opt.IdleTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(opt.IdleTimeout))
+	}
+	if s.stop.Err() != nil {
+		return
 	}
 	if err := wire.ReadHandshake(conn); err != nil {
 		m.connErrors.Inc()
@@ -214,10 +243,13 @@ func (c *binConn) readLoop(br *bufio.Reader) {
 		if c.opt.IdleTimeout > 0 {
 			_ = c.conn.SetReadDeadline(time.Now().Add(c.opt.IdleTimeout))
 		}
+		if c.srv.stop.Err() != nil {
+			return // Close: answer what was read, read nothing more
+		}
 		req, grown, err := wire.ReadRequestFrame(br, pb.b)
 		pb.b = grown
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
+			if !errors.Is(err, io.EOF) && c.srv.stop.Err() == nil {
 				m.connErrors.Inc()
 				c.srv.logger.LogAttrs(c.ctx, slog.LevelWarn, "bin connection failed",
 					append(c.logAttrs(), slog.String("error", err.Error()))...)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,6 +395,86 @@ func TestBinIdleTimeout(t *testing.T) {
 	waitForValue(t, func() (float64, bool) {
 		return srv.MetricsRegistry().Value("wmbin_connections_open")
 	}, 0)
+}
+
+// TestCloseDrainsBinaryConnections: Close stops the binary protocol before
+// its final checkpoint. An update a handler is still applying when Close
+// begins holds Close up, is answered, and is in the checkpoint; after
+// Close the connection takes no further update and the listener no new
+// client.
+func TestCloseDrainsBinaryConnections(t *testing.T) {
+	for _, backend := range backends() {
+		t.Run(backend, func(t *testing.T) {
+			entered, release := make(chan struct{}), make(chan struct{})
+			var updates atomic.Int32
+			hook := func(op byte) {
+				if op == wire.OpUpdate && updates.Add(1) == 2 {
+					close(entered)
+					<-release
+				}
+			}
+			srv, addr := newBinServer(t, backend, BinOptions{}, hook)
+			unblock := sync.OnceFunc(func() { close(release) })
+			t.Cleanup(unblock)
+			cl := dialBin(t, addr)
+			gen := datagen.RCV1Like(23)
+			if _, steps, err := cl.Update(gen.Take(64)); err != nil || steps != 64 {
+				t.Fatalf("first update: steps %d, err %v", steps, err)
+			}
+			enc, err := wire.AppendUpdateRequest(nil, gen.Take(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			call, err := cl.Go(wire.OpUpdate, enc, nil)
+			if err == nil {
+				err = cl.Flush()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case err := <-closed:
+				t.Fatalf("Close returned (err %v) while an update was being applied", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			unblock()
+			status, payload, err := call.Wait()
+			if err != nil || status != wire.StatusOK {
+				t.Fatalf("in-flight update: status %d, err %v", status, err)
+			}
+			if _, steps, err := wire.DecodeUpdateResponse(payload); err != nil || steps != 128 {
+				t.Fatalf("in-flight update: steps %d, err %v", steps, err)
+			}
+			if err := <-closed; err != nil {
+				t.Fatalf("close: %v", err)
+			}
+
+			if _, steps, err := cl.Update(gen.Take(64)); err == nil {
+				t.Fatalf("update after Close acknowledged at steps %d", steps)
+			}
+			if late, err := wire.Dial(addr, time.Second); err == nil {
+				late.Close()
+				t.Fatal("listener accepted a client after Close")
+			}
+			restored, err := New(testOptions(t, backend))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			if err := restored.Restore(srv.opt.CheckpointPath); err != nil {
+				t.Fatal(err)
+			}
+			var steps int64
+			restored.withBackend(func(b learner) { steps = b.Steps() })
+			if steps != 128 {
+				t.Fatalf("final checkpoint holds %d steps, 128 were acknowledged", steps)
+			}
+		})
+	}
 }
 
 // waitForValue polls a metric until it reaches want or the deadline fires.

@@ -163,7 +163,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(v)
 		})
 	reg.GaugeFunc("wmcore_shard_queue_messages",
-		"messages waiting in the sharded backend's worker queues (0 for awm and wm)",
+		"messages waiting in the sharded backend's worker queues (0 for awm)",
 		func() float64 {
 			var v int
 			s.withBackend(func(b learner) { v = b.QueuedMessages() })

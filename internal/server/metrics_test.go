@@ -179,7 +179,7 @@ func TestMetricsEndpoint(t *testing.T) {
 				"wmbin_bytes_total",
 				"wmbin_in_flight_requests",
 			)
-			// The awm and wm backends have no queues, and the sharded
+			// The awm backend has no queues, and the sharded
 			// backend's are empty once a sync has returned.
 			if code := doJSON(t, "POST", hs.URL+"/v1/sync", struct{}{}, nil); code != http.StatusOK {
 				t.Fatalf("sync: HTTP %d", code)

@@ -1,8 +1,8 @@
-// Package server exposes a WM-/AWM-Sketch learner over HTTP/JSON: the
-// paper's target deployment is continuous monitoring, where classifiers are
-// trained *and queried* live over a stream, so the repository needs a
+// Package server exposes an AWM-Sketch learner over HTTP/JSON: the paper's
+// target deployment is continuous monitoring, where classifiers are trained
+// *and queried* live over a stream, so the repository needs a
 // network-facing layer rather than batch CLIs only. The server owns one
-// backend — a core.Sharded parallel learner, or one WM-/AWM-Sketch behind a
+// backend — a core.Sharded parallel learner, or one AWM-Sketch behind a
 // core.Concurrent lock — through a single learner interface, and serves
 // updates, predictions, weight estimates, top-K queries, stats, and
 // checkpoint save/restore. See SERVING.md for the API reference and
@@ -40,7 +40,6 @@ const maxRequestBytes = 8 << 20
 const (
 	BackendSharded = "sharded" // core.Sharded, AWM shards (parallel training)
 	BackendAWM     = "awm"     // core.Concurrent around one AWM-Sketch
-	BackendWM      = "wm"      // core.Concurrent around one WM-Sketch
 )
 
 // learner is what the server calls on a backend. *core.Sharded and
@@ -65,8 +64,8 @@ type learner interface {
 
 // Options configures a Server.
 type Options struct {
-	// Backend selects the learner: BackendSharded, BackendAWM, or BackendWM.
-	// Empty selects BackendSharded.
+	// Backend selects the learner: BackendSharded or BackendAWM. Empty
+	// selects BackendSharded.
 	Backend string
 	// Config is the sketch configuration shared by every backend.
 	Config core.Config
@@ -130,9 +129,13 @@ type Server struct {
 	tracer *trace.Tracer
 	logger *slog.Logger
 
-	stopRefresh chan struct{}
-	stopOnce    sync.Once
-	refreshWG   sync.WaitGroup
+	// stop is cancelled by Close. It ends the refresh loop and every
+	// ServeBin listener and connection; running counts those goroutines,
+	// and runningMu orders a connection's running.Add before Close's Wait.
+	stop      context.Context
+	cancel    context.CancelFunc
+	runningMu sync.Mutex
+	running   sync.WaitGroup
 
 	// binHook, when non-nil, runs at the start of every binary-protocol
 	// dispatch. Tests use it to inject slow handlers and force out-of-order
@@ -151,15 +154,13 @@ func New(opt Options) (*Server, error) {
 		b = core.NewSharded(opt.Config, opt.Sharded)
 	case BackendAWM:
 		b = core.NewConcurrent(core.NewAWMSketch(opt.Config))
-	case BackendWM:
-		b = core.NewConcurrent(core.NewWMSketch(opt.Config))
 	default:
 		return nil, fmt.Errorf("server: unknown backend %q", opt.Backend)
 	}
 	if opt.RefreshInterval == 0 {
 		opt.RefreshInterval = 200 * time.Millisecond
 	}
-	s := &Server{opt: opt, backend: b, start: time.Now(), stopRefresh: make(chan struct{})}
+	s := &Server{opt: opt, backend: b, start: time.Now()}
 	s.logger = opt.Logger
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -174,8 +175,9 @@ func New(opt Options) (*Server, error) {
 		}
 	}
 	s.routes()
+	s.stop, s.cancel = context.WithCancel(context.Background())
 	if opt.Backend == BackendSharded && opt.RefreshInterval > 0 {
-		s.refreshWG.Add(1)
+		s.running.Add(1)
 		go s.refreshLoop()
 	}
 	return s, nil
@@ -186,13 +188,13 @@ func New(opt Options) (*Server, error) {
 // TopK answers under continuous training. New starts it for the sharded
 // backend only.
 func (s *Server) refreshLoop() {
-	defer s.refreshWG.Done()
+	defer s.running.Done()
 	t := time.NewTicker(s.opt.RefreshInterval)
 	defer t.Stop()
 	var synced int64 = -1
 	for {
 		select {
-		case <-s.stopRefresh:
+		case <-s.stop.Done():
 			return
 		case <-t.C:
 			s.withBackend(func(b learner) {
@@ -277,10 +279,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Close flushes a final checkpoint to CheckpointPath (when configured) and
 // shuts the backend down. It is the graceful-shutdown hook: call it after
-// the HTTP listener has drained. Close is idempotent.
+// the HTTP listener has drained. Before the checkpoint it closes every
+// ServeBin listener, stops each binary connection from reading further
+// requests, and waits until the requests already read are applied and
+// answered, so every update acknowledged on either protocol is in the
+// final checkpoint. Close is idempotent.
 func (s *Server) Close() error {
-	s.stopOnce.Do(func() { close(s.stopRefresh) })
-	s.refreshWG.Wait()
+	s.runningMu.Lock()
+	s.cancel()
+	s.runningMu.Unlock()
+	s.running.Wait()
 	if s.cluster != nil {
 		s.cluster.Close()
 	}
@@ -757,33 +765,53 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, UpdateResponse{Steps: steps})
 }
 
-// saveCheckpoint writes the backend state to path atomically (temp file +
-// rename), so a crash mid-write never clobbers the previous checkpoint.
+// saveCheckpoint writes the backend state to path atomically and durably:
+// the temp file is synced before it is renamed over path, and the directory
+// after, so a crash at any point leaves either the previous checkpoint or
+// the complete new one.
 func (s *Server) saveCheckpoint(ctx context.Context, path string) (int64, error) {
 	_, sp := s.tracer.StartSpan(ctx, "checkpoint.save")
 	defer sp.Finish()
 	began := time.Now()
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".wmserve-ckpt-*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".wmserve-ckpt-*")
 	if err != nil {
 		return 0, err
 	}
 	defer os.Remove(tmp.Name())
 	var n int64
-	var werr error
-	s.withBackend(func(b learner) { n, werr = b.WriteTo(tmp) })
-	if werr != nil {
-		tmp.Close()
-		return n, werr
+	s.withBackend(func(b learner) { n, err = b.WriteTo(tmp) })
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return n, err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err != nil {
 		return n, err
 	}
 	s.met.saves.Inc()
 	s.met.saveDur.ObserveDuration(time.Since(began))
 	return n, nil
+}
+
+// syncDir flushes a directory's entries, making a rename in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // restoreCheckpoint replaces the backend with the state at path. The new
@@ -818,12 +846,6 @@ func (s *Server) restoreFromReader(ctx context.Context, f io.Reader) error {
 			return err
 		}
 		fresh = core.NewConcurrent(a)
-	case BackendWM:
-		m, err := core.LoadWMSketch(f, s.opt.Config.Loss, s.opt.Config.Schedule)
-		if err != nil {
-			return err
-		}
-		fresh = core.NewConcurrent(m)
 	}
 
 	s.mu.Lock()

@@ -77,7 +77,7 @@ func doJSON(t *testing.T, method, url string, req, resp interface{}) int {
 	return r.StatusCode
 }
 
-func backends() []string { return []string{BackendSharded, BackendAWM, BackendWM} }
+func backends() []string { return []string{BackendSharded, BackendAWM} }
 
 func toWire(batch []stream.Example) []ExampleJSON {
 	out := make([]ExampleJSON, len(batch))
@@ -361,8 +361,18 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnknownBackend: the WM-Sketch is not served, so "wm" is
+// an unknown backend like any other name.
+func TestNewRejectsUnknownBackend(t *testing.T) {
+	for _, name := range []string{"wm", "bogus"} {
+		if _, err := New(Options{Backend: name}); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+			t.Errorf("New(Backend %q): err %v, want the unknown-backend error", name, err)
+		}
+	}
+}
+
 func TestServerLibSVMPredict(t *testing.T) {
-	_, hs := newTestServer(t, BackendWM)
+	_, hs := newTestServer(t, BackendAWM)
 	doJSON(t, "POST", hs.URL+"/v1/update",
 		UpdateRequest{Example: &ExampleJSON{LibSVM: "+1 1:2.0 5:0.5"}}, nil)
 	var viaJSON, viaLibSVM PredictResponse

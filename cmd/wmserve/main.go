@@ -63,7 +63,7 @@ func main() {
 		syncEvery = flag.Int("sync-every", 0, "sharded snapshot refresh cadence in updates (0 = default, <0 disables)")
 		ckpt      = flag.String("checkpoint", "", "checkpoint path: /v1/checkpoint default and final flush on shutdown")
 		restore   = flag.Bool("restore", false, "restore from -checkpoint at boot when the file exists")
-		authToken = flag.String("auth-token", "", "bearer token required on mutating endpoints (update/checkpoint/cluster push)")
+		authToken = flag.String("auth-token", "", "bearer token required on mutating endpoints (update/checkpoint/cluster push); refused with -bin-addr")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and net/http/pprof on this separate listener (e.g. 127.0.0.1:6060; empty disables)")
 
 		peers          = flag.String("peers", "", "cluster: comma-separated peer base URLs (enables replication; see CLUSTER.md)")
@@ -78,6 +78,10 @@ func main() {
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 	)
 	flag.Parse()
+	if err := checkFlags(*addr, *binAddr, *authToken, *peers, *nodeID); err != nil {
+		fmt.Fprintln(os.Stderr, "wmserve:", err)
+		os.Exit(2)
+	}
 
 	logger, err := buildLogger(*logJSON, *logLevel)
 	if err != nil {
@@ -99,13 +103,6 @@ func main() {
 	if *peers != "" {
 		self := *nodeID
 		if self == "" {
-			// A host-less -addr like ":8080" would default every node in
-			// the fleet to the same id ("http://:8080"), making each drop
-			// the others' frames as its own origin — refuse to guess.
-			if host, _, err := net.SplitHostPort(*addr); err != nil || host == "" {
-				fmt.Fprintf(os.Stderr, "wmserve: -peers requires -node-id when -addr (%q) has no host part\n", *addr)
-				os.Exit(2)
-			}
 			self = "http://" + *addr
 		}
 		opt.Cluster = server.ClusterOptions{
@@ -123,6 +120,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wmserve:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses the flag combinations wmserve must not run with,
+// before any listener is bound.
+func checkFlags(addr, binAddr, authToken, peers, nodeID string) error {
+	// The binary handshake carries no credentials (SERVING.md), so a
+	// token-protected server would take unauthenticated writes on it.
+	if binAddr != "" && authToken != "" {
+		return errors.New("-bin-addr cannot be combined with -auth-token: the binary protocol does not authenticate")
+	}
+	// A host-less -addr like ":8080" would default every node in the fleet
+	// to the same id ("http://:8080"), making each drop the others' frames
+	// as its own origin — refuse to guess.
+	if peers != "" && nodeID == "" {
+		if host, _, err := net.SplitHostPort(addr); err != nil || host == "" {
+			return fmt.Errorf("-peers requires -node-id when -addr (%q) has no host part", addr)
+		}
+	}
+	return nil
 }
 
 // buildLogger assembles the process logger: text or JSON lines on stderr at

@@ -82,6 +82,29 @@ func TestBootRestoresBeforeServingBinary(t *testing.T) {
 	}
 }
 
+// TestCheckFlagsRefusesUnsafeCombinations: wmserve exits before binding a
+// listener on a binary listener with an auth token (the binary protocol
+// does not authenticate) and on -peers without an id it can derive.
+func TestCheckFlagsRefusesUnsafeCombinations(t *testing.T) {
+	cases := []struct {
+		addr, binAddr, authToken, peers, nodeID string
+		refused                                 bool
+	}{
+		{addr: ":8080", binAddr: ":8081", authToken: "T", refused: true},
+		{addr: ":8080", binAddr: ":8081"},
+		{addr: ":8080", authToken: "T"},
+		{addr: ":8080", peers: "http://10.0.0.2:8080", refused: true},
+		{addr: "10.0.0.1:8080", peers: "http://10.0.0.2:8080"},
+		{addr: ":8080", peers: "http://10.0.0.2:8080", nodeID: "node-1"},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.addr, c.binAddr, c.authToken, c.peers, c.nodeID)
+		if (err != nil) != c.refused {
+			t.Errorf("checkFlags(%+v) = %v, want refused %v", c, err, c.refused)
+		}
+	}
+}
+
 func examplesJSON(data []stream.Example) []server.ExampleJSON {
 	out := make([]server.ExampleJSON, len(data))
 	for i, ex := range data {

@@ -195,6 +195,7 @@ func (n *Node) sweepOrigins() {
 			o.gone = true
 			o.snap = core.Snapshot{}
 			o.history = nil
+			o.built = nil
 			n.met.originsGCed.Inc()
 			n.cfg.Logger.Info("origin idle past the GC window; dropped from the mix",
 				slog.String("origin", o.id),

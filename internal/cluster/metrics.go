@@ -125,9 +125,9 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		})
 
 	m.staleDropped = reg.Counter("wmgossip_stale_frames_total",
-		"frames dropped because the held version was not older")
+		"frames dropped because the held version was not older (own origin included)")
 	m.rejectedFrames = reg.Counter("wmgossip_rejected_frames_total",
-		"frames refused by validation (bad kind, own origin, geometry, decode)")
+		"frames refused by validation (bad kind, newer own origin, geometry, decode)")
 	m.originsGCed = reg.Counter("wmgossip_origins_gced_total",
 		"origins tombstoned by the age-based GC")
 	m.retriesDeferred = reg.Counter("wmgossip_retries_deferred_total",

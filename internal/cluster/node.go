@@ -181,6 +181,11 @@ type originState struct {
 	// factorQ is the quantized GC factor at the last view rebuild, used to
 	// re-dirty the view only when the decay ramp has moved perceptibly.
 	factorQ uint8
+	// built is the frame last built for the current version, against the
+	// peer-acked version builtBase. Peers that acked the same base get it
+	// again instead of a fresh diff; a new version or a tombstone drops it.
+	built     *Frame
+	builtBase int64
 }
 
 func (o *originState) baseFor(version int64) (core.Snapshot, bool) {
@@ -197,6 +202,7 @@ func (o *originState) adopt(version int64, snap core.Snapshot, depth int, now ti
 	o.snap = snap
 	o.lastAdvance = now
 	o.gone = false
+	o.built = nil
 	o.history = append(o.history, versioned{version: version, snap: snap})
 	if len(o.history) > depth {
 		o.history = o.history[len(o.history)-depth:]
@@ -338,8 +344,14 @@ func (n *Node) View() *core.Mixed {
 
 // PublishLocal snapshots the local learner and, when it has progressed,
 // installs it as this origin's newest version. Returns the current version
-// and whether a new one was published.
+// and whether a new one was published. A learner that has not moved since
+// the last publish costs one Steps call, not a snapshot.
 func (n *Node) PublishLocal() (int64, bool, error) {
+	// Steps and ModelSnapshot run outside n.mu, so the learner's own lock
+	// (the server's backend lock) never nests inside it.
+	if v, moved := n.localMoved(n.cfg.Local.Steps()); !moved {
+		return v, false, nil
+	}
 	sn, err := n.cfg.Local.ModelSnapshot()
 	if err != nil {
 		return 0, false, fmt.Errorf("cluster: local snapshot: %w", err)
@@ -348,11 +360,7 @@ func (n *Node) PublishLocal() (int64, bool, error) {
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	self := n.origins[n.cfg.Self]
-	if self == nil {
-		self = &originState{id: n.cfg.Self}
-		n.origins[n.cfg.Self] = self
-	}
+	self := n.selfLocked()
 	// The version IS the example count: monotonic while the process lives,
 	// and it resumes rather than regresses after a checkpoint restore.
 	if sn.Steps <= self.version {
@@ -366,6 +374,26 @@ func (n *Node) PublishLocal() (int64, bool, error) {
 	self.adopt(sn.Steps, sn, n.cfg.HistoryDepth, n.cfg.Clock.Now())
 	n.viewDirty.Store(true)
 	return self.version, true, nil
+}
+
+// localMoved returns this node's published version and whether a learner
+// at steps examples is past it.
+func (n *Node) localMoved(steps int64) (int64, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	v := n.selfLocked().version
+	return v, steps > v
+}
+
+// selfLocked returns this node's own origin entry, creating it at version 0
+// on first use. Caller holds n.mu.
+func (n *Node) selfLocked() *originState {
+	self := n.origins[n.cfg.Self]
+	if self == nil {
+		self = &originState{id: n.cfg.Self}
+		n.origins[n.cfg.Self] = self
+	}
+	return self
 }
 
 // Digest returns origin → version for every origin this node knows.
@@ -417,8 +445,24 @@ func (n *Node) BuildFrames(theirs map[string]int64, includeDigest bool) []Frame 
 	return frames
 }
 
-// frameForLocked picks delta vs full for one origin. Caller holds n.mu.
+// frameForLocked returns o's frame for a peer that acked version acked,
+// reusing the one last built for that base. The frame is shared: its
+// slices must not be written. Caller holds n.mu.
 func (n *Node) frameForLocked(o *originState, acked int64) Frame {
+	if o.built == nil || o.builtBase != acked {
+		f := buildFrame(o, acked)
+		o.built, o.builtBase = &f, acked
+	}
+	if o.built.Kind == kindDelta {
+		n.met.builtDelta.Inc()
+	} else {
+		n.met.builtFull.Inc()
+	}
+	return *o.built
+}
+
+// buildFrame picks delta vs full for one origin.
+func buildFrame(o *originState, acked int64) Frame {
 	if acked > 0 {
 		if base, ok := o.baseFor(acked); ok {
 			changes, err := sketch.Diff(base.CS, o.snap.CS)
@@ -429,7 +473,6 @@ func (n *Node) frameForLocked(o *originState, acked int64) Frame {
 				// the buckets changed, the full snapshot is the smaller
 				// frame.
 				if 3*len(changes) <= 2*o.snap.CS.Size() {
-					n.met.builtDelta.Inc()
 					return Frame{
 						Kind: kindDelta, Origin: o.id, Version: o.version, Base: acked,
 						Scale:   o.snap.Scale,
@@ -439,7 +482,6 @@ func (n *Node) frameForLocked(o *originState, acked int64) Frame {
 			}
 		}
 	}
-	n.met.builtFull.Inc()
 	return FullFrame(o.snap)
 }
 
@@ -467,8 +509,11 @@ func (n *Node) ApplyFrames(frames []Frame) ApplyResult {
 // ApplyFramesCtx ingests a frame stream from a peer: full frames replace an
 // origin's snapshot when newer, delta frames reconstruct the new version
 // from the acked base, and everything is validated (geometry, finiteness,
-// bounds) before it can touch the state table. Frames claiming this node's
-// own origin are rejected — each node is authoritative for itself.
+// bounds) before it can touch the state table. A frame for this node's own
+// origin is stale when it is no newer than what the node published (a peer
+// answering a digest that went stale during its round echoes it back) and
+// rejected when it claims a newer version — each node is authoritative for
+// itself.
 //
 // The ctx carries the delivery's trace (remote-continued from the sender's
 // gossip round when the stream header had an annotation); every adopted
@@ -493,18 +538,19 @@ func (n *Node) ApplyFramesCtx(ctx context.Context, frames []Frame) ApplyResult {
 			n.met.rejectedFrames.Inc()
 			continue
 		}
-		if f.Origin == n.cfg.Self {
-			res.Rejected++
-			n.met.rejectedFrames.Inc()
-			n.cfg.Logger.LogAttrs(ctx, slog.LevelWarn,
-				"peer sent a frame for our own origin; dropped",
-				slog.String("origin", f.Origin))
-			continue
-		}
 		o := n.origins[f.Origin]
 		if o != nil && f.Version <= o.version {
 			res.Stale++
 			n.met.staleDropped.Inc()
+			continue
+		}
+		if f.Origin == n.cfg.Self {
+			res.Rejected++
+			n.met.rejectedFrames.Inc()
+			n.cfg.Logger.LogAttrs(ctx, slog.LevelWarn,
+				"peer sent a newer frame for our own origin; dropped",
+				slog.String("origin", f.Origin),
+				slog.Int64("version", f.Version))
 			continue
 		}
 		var snap core.Snapshot

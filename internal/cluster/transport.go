@@ -71,10 +71,23 @@ func (t httpTransport) Push(ctx context.Context, peerURL string, frames []byte) 
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, msg)
 	}
 	return nil
+}
+
+// maxDrainBytes bounds how much of an unread response body drainClose
+// reads; a push answer is a few dozen bytes of JSON.
+const maxDrainBytes = 4 << 10
+
+// drainClose reads a response body to EOF (up to maxDrainBytes) before
+// closing it: the HTTP client returns a connection to its idle pool only
+// when the body was read to the end, so an unread body costs every push a
+// fresh TCP connection.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrainBytes))
+	_ = body.Close()
 }

@@ -81,8 +81,12 @@ func (sn *Snapshot) factorOr1() float64 {
 
 // Snapshotter is implemented by learners that can export their model state
 // for merging: AWMSketch, and Concurrent and Sharded, which serve it.
+// Steps is the example count the next ModelSnapshot would report at least,
+// so a caller can tell the model has not moved without paying for a
+// snapshot.
 type Snapshotter interface {
 	ModelSnapshot() (Snapshot, error)
+	Steps() int64
 }
 
 // MixOptions fixes the sketch geometry a mix must agree on.

@@ -97,11 +97,22 @@ var (
 	binWtPool  = sync.Pool{New: func() interface{} { s := make([]float64, 0, 256); return &s }}
 )
 
+// errBinAuth refuses the binary listener on a server with an auth token.
+var errBinAuth = errors.New("server: the binary protocol does not authenticate, so a server with an auth token does not serve it")
+
 // ServeBin accepts binary-protocol connections on ln until the listener
 // closes. Run it in its own goroutine next to the HTTP listener; a closed
 // listener returns nil (the graceful-shutdown path), any other accept
 // error is returned. Close closes ln and drains its connections.
+//
+// A server with Options.AuthToken set closes ln without accepting and
+// returns an error: the handshake carries no credentials, so every
+// connection could write without the token.
 func (s *Server) ServeBin(ln net.Listener) error {
+	if s.opt.AuthToken != "" {
+		_ = ln.Close()
+		return errBinAuth
+	}
 	stop := context.AfterFunc(s.stop, func() { _ = ln.Close() })
 	defer stop()
 	opt := s.opt.Bin.fill()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -52,6 +53,47 @@ func dialBin(t *testing.T, addr string) *wire.Client {
 	}
 	t.Cleanup(func() { _ = cl.Close() })
 	return cl
+}
+
+// TestServeBinRefusedWithAuthToken: the binary handshake carries no
+// credentials, so a server with an auth token must not serve the binary
+// protocol at all — ServeBin returns an error without accepting, and an
+// unauthenticated client cannot land an update.
+func TestServeBinRefusedWithAuthToken(t *testing.T) {
+	opt := testOptions(t, BackendAWM)
+	opt.AuthToken = "bin-token"
+	srv, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeBin(ln) }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, errBinAuth) {
+			t.Fatalf("ServeBin: %v, want errBinAuth", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeBin is accepting connections on a server with an auth token")
+	}
+	if cl, err := wire.Dial(ln.Addr().String(), time.Second); err == nil {
+		_, _, err = cl.Update(datagen.RCV1Like(1).Take(8))
+		_ = cl.Close()
+		if err == nil {
+			t.Fatal("an unauthenticated binary update was applied")
+		}
+	}
+	var steps int64
+	srv.withBackend(func(b learner) { steps = b.Steps() })
+	if steps != 0 {
+		t.Fatalf("backend at %d steps, want 0", steps)
+	}
 }
 
 // TestBinDispatchCountsEveryOp is the binary analog of

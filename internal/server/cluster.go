@@ -54,6 +54,11 @@ func (bs backendSnapshotter) ModelSnapshot() (sn core.Snapshot, err error) {
 	return sn, err
 }
 
+func (bs backendSnapshotter) Steps() (steps int64) {
+	bs.s.withBackend(func(b learner) { steps = b.Steps() })
+	return steps
+}
+
 // startCluster builds and starts the cluster node. Called from New.
 func (s *Server) startCluster() error {
 	if s.opt.Cluster.Self == "" {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,8 +17,9 @@ import (
 )
 
 // clusterServers boots n servers configured from opt, wired as a full mesh
-// over httptest listeners, gossip driven manually.
-func clusterServers(t *testing.T, n int, opt Options) ([]*Server, []*httptest.Server) {
+// over httptest listeners, gossip driven manually. connState, when set,
+// observes every listener's connections.
+func clusterServers(t testing.TB, n int, opt Options, connState func(net.Conn, http.ConnState)) ([]*Server, []*httptest.Server) {
 	t.Helper()
 	// Reserve listeners first so every node knows all URLs up front.
 	https := make([]*httptest.Server, n)
@@ -41,6 +43,7 @@ func clusterServers(t *testing.T, n int, opt Options) ([]*Server, []*httptest.Se
 		}
 		srvs[i] = srv
 		https[i].Config.Handler = srv
+		https[i].Config.ConnState = connState
 		https[i].Start()
 	}
 	t.Cleanup(func() {
@@ -56,7 +59,7 @@ func clusterServers(t *testing.T, n int, opt Options) ([]*Server, []*httptest.Se
 // gossip over the actual endpoints until every node serves the identical
 // merged view.
 func TestClusterOverHTTPConverges(t *testing.T) {
-	srvs, https := clusterServers(t, 3, testOptions(t, BackendAWM))
+	srvs, https := clusterServers(t, 3, testOptions(t, BackendAWM), nil)
 	gen := datagen.RCV1Like(23)
 	data := gen.Take(1800)
 	for i, hs := range https {
@@ -118,7 +121,7 @@ func TestClusterPushRequiresAuth(t *testing.T) {
 	const token = "mesh-token"
 	opt := testOptions(t, BackendAWM)
 	opt.AuthToken = token
-	srvs, https := clusterServers(t, 2, opt)
+	srvs, https := clusterServers(t, 2, opt, nil)
 
 	// Raw unauthenticated push: 401.
 	resp, err := http.Post(https[0].URL+"/v1/cluster/push", "application/octet-stream",
@@ -234,7 +237,7 @@ func TestClusterMatchesUnionLearner(t *testing.T) {
 		t.Fatal("degenerate stream: the union learner has zero holdout error")
 	}
 
-	srvs, https := clusterServers(t, nodes, opt)
+	srvs, https := clusterServers(t, nodes, opt, nil)
 	// ingest streams node i the examples at i, i+n, … as NDJSON.
 	ingest := func(hss []*httptest.Server, examples []stream.Example) {
 		t.Helper()

@@ -28,7 +28,7 @@ func TestHealthzPlain(t *testing.T) {
 // TestHealthzClusterHealthy: a healthy mesh reports every peer alive and no
 // degraded bit.
 func TestHealthzClusterHealthy(t *testing.T) {
-	srvs, https := clusterServers(t, 2, testOptions(t, BackendAWM))
+	srvs, https := clusterServers(t, 2, testOptions(t, BackendAWM), nil)
 	srvs[0].ClusterNode().GossipOnce()
 	var resp HealthzResponse
 	if code := doJSON(t, "GET", https[0].URL+"/healthz", nil, &resp); code != http.StatusOK {

@@ -50,7 +50,6 @@ type learner interface {
 	Predict(x stream.Vector) float64
 	Estimate(i uint32) float64
 	TopK(k int) []stream.Weighted
-	Steps() int64
 	Workers() int
 	QueuedMessages() int
 	MemoryBytes() int
@@ -59,7 +58,7 @@ type learner interface {
 	Sync()
 	Close()
 	io.WriterTo
-	core.Snapshotter
+	core.Snapshotter // ModelSnapshot and Steps
 }
 
 // Options configures a Server.
@@ -83,7 +82,9 @@ type Options struct {
 	RefreshInterval time.Duration
 	// AuthToken, when set, gates every mutating endpoint (/v1/update,
 	// /v1/checkpoint, /v1/checkpoint/upload, /v1/cluster/push) behind a
-	// bearer-token check. Read-only endpoints stay open.
+	// bearer-token check. Read-only endpoints stay open. A server with a
+	// token refuses to serve the binary protocol (ServeBin), whose
+	// handshake carries no credentials.
 	AuthToken string
 	// Cluster configures peer-to-peer model replication (CLUSTER.md).
 	// Enabled when Peers is non-empty; queries are then served from the

@@ -18,7 +18,7 @@ import (
 	"wmsketch/internal/stream"
 )
 
-func testOptions(t *testing.T, backend string) Options {
+func testOptions(t testing.TB, backend string) Options {
 	t.Helper()
 	return Options{
 		Backend: backend,

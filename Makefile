@@ -26,14 +26,14 @@ race:
 
 # Micro-benchmarks of the hot paths (sketch update/estimate, heap ops,
 # fused learner updates, sharded throughput), of the gossip round's
-# heavy-list path (SortWeighted, frame encode/decode, heavy-diff replay),
-# each swept over sizes, of the three decoders: binary update frames
+# heavy-list path (SortWeighted, frame encode/decode, the heavy diff, its
+# replay and the index sort of a published list), each swept over sizes, of the three decoders: binary update frames
 # (DecodeUpdateRequest, ReadRequestFrame), gossip frames (ReadFrames) and
 # checkpoint restore at the ingest and mixed geometries (LoadCheckpoint),
 # and of whole gossip rounds of a three-node cluster over loopback HTTP
 # (GossipOnce: time, allocations and new connections per round).
 bench:
-	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff|ReadRequestFrame|LoadCheckpoint|GossipOnce' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster ./internal/wire ./internal/core ./internal/server
+	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff|DiffHeavy|HeavyIndexOrder|ReadRequestFrame|LoadCheckpoint|GossipOnce' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster ./internal/wire ./internal/core ./internal/server
 
 # Machine-readable throughput snapshot for the perf trajectory: writes
 # BENCH_throughput.json via cmd/wmbench (see PERFORMANCE.md).

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -319,14 +318,14 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // push sends frames the peer is missing over the transport.
 func (n *Node) push(ctx context.Context, p *peerState, frames []Frame) error {
-	var buf bytes.Buffer
-	nBytes, err := WriteFramesTraced(&buf, trace.SpanContextOf(ctx), frames)
+	body, err := encodeStream(trace.SpanContextOf(ctx), frames)
 	if err != nil {
 		return err
 	}
-	if err := n.cfg.Transport.Push(ctx, p.url, buf.Bytes()); err != nil {
+	if err := n.cfg.Transport.Push(ctx, p.url, body); err != nil {
 		return err
 	}
+	nBytes := int64(len(body))
 	n.met.bytesOut.Add(nBytes)
 	n.met.countFrames(frames, false)
 	p.mu.Lock()

@@ -1,263 +1,151 @@
 package cluster
 
 import (
-	"math"
+	"slices"
 	"sync"
 
 	"wmsketch/internal/stream"
 )
 
-// Heavy-list deltas. A delta frame carries an origin's heavy list as the
-// keys removed since the base plus the entries upserted. diffHeavy builds
-// that pair and applyHeavyDiff replays it. Both see each list through its
-// positions in index order (radix-sorted, pooled scratch) and walk the
-// lists side by side once, so a call builds no map and sorts nothing by
-// weight. For every input, duplicate keys and non-canonical order
-// included, they return what these map-based definitions return:
+// Heavy lists. A node keeps every origin's heavy list in index order:
+// ascending keys, each key once (indexOrder). Frames carry lists in weight
+// order, stream.SortWeighted's canonical order, which the golden streams
+// pin: a full frame's list, a delta's upserts in the new version's weight
+// order and its removed keys in the base's. Lists change order twice: when
+// a frame is built, once per (origin, base → version) through the frame
+// memo, and when a frame is applied.
 //
-//	diffHeavy:      prev := map of base (last entry per key wins)
-//	                for w in cur: upsert w unless prev holds w.Weight for it;
-//	                              delete w.Index from prev
-//	                removed: every base entry whose key is still in prev, in base order
-//	applyHeavyDiff: m := map of base; delete removed keys; set upserts (last wins);
-//	                return m's entries in canonical (SortWeighted) order
+// In index order, diffing two versions and patching a base with a delta
+// are each one walk over sorted lists. They implement these map-based
+// definitions (refDiffHeavy and refApplyHeavyDiff in the tests):
 //
-// Positions are packed under the index into one uint64 (index<<32 |
-// position), so lists are limited to 2^32 entries; frames cap them at
-// maxHeavyEntries.
+//	diff:  prev := map of base (last entry per key wins)
+//	       for w in cur: upsert w unless prev holds w.Weight for it;
+//	                     delete w.Index from prev
+//	       removed: every base entry whose key is still in prev, in base order
+//	apply: m := map of base; delete removed keys; set upserts (last wins);
+//	       return m's entries in canonical (SortWeighted) order
+//
+// Given two lists as a node keeps them, diffHeavy returns what the diff
+// definition returns for the same lists in weight order. Given a base as a
+// node keeps it, applyHeavyDiff returns the apply definition's result in
+// index order, for any removed keys and upserts, repeated or in any order.
+// A list that is not canonical (a key repeated, or any order), which only
+// a faulty or hostile peer sends, is put in index order when it is
+// adopted, keeping the last entry of each key: the entry the maps keep.
 
-// diffHeavy computes the difference from base to cur: keys present in
-// base but not in cur, and entries of cur that are new or changed.
+// indexOrder sorts ws in place by index and keeps only the last entry of
+// each key, the one a map filled from ws in order ends up holding. It
+// returns the shortened list.
+func indexOrder(ws []stream.Weighted) []stream.Weighted {
+	stream.SortByIndex(ws) // stable: a key's entries stay in list order
+	n := 0
+	for i, w := range ws {
+		if i+1 < len(ws) && ws[i+1].Index == w.Index {
+			continue
+		}
+		ws[n] = w
+		n++
+	}
+	return ws[:n]
+}
+
+// weightOrder returns a copy of ws in weight order.
+func weightOrder(ws []stream.Weighted) []stream.Weighted {
+	out := slices.Clone(ws)
+	stream.SortWeighted(out)
+	return out
+}
+
+// diffHeavy computes the heavy-list delta from base to cur, both in index
+// order, in the order a delta frame carries it: the keys of base entries
+// whose key cur lacks, in base's weight order, and the entries of cur that
+// are new or changed, in cur's weight order.
 func diffHeavy(base, cur []stream.Weighted) (removed []uint32, upserts []stream.Weighted) {
 	s := heavyPool.Get().(*heavyScratch)
 	defer heavyPool.Put(s)
-	bo := s.byIndex(&s.a, base)
-	co := s.byIndex(&s.b, cur)
-	kept := clearedFlags(&s.flagA, len(base))   // base entries whose key is in cur
-	changed := clearedFlags(&s.flagB, len(cur)) // cur entries to upsert
-	nRemoved, nUpserts := len(base), 0
-	for i, j := 0, 0; j < len(co); {
-		k := co[j] >> 32
-		for i < len(bo) && bo[i]>>32 < k {
+	gone, up := s.a[:0], s.b[:0]
+	i, j := 0, 0
+	for i < len(base) && j < len(cur) {
+		b, c := base[i], cur[j]
+		switch {
+		case b.Index < c.Index:
+			gone = append(gone, b)
 			i++
-		}
-		run := i
-		for ; i < len(bo) && bo[i]>>32 == k; i++ {
-			kept[position(bo[i])] = true
-			nRemoved--
-		}
-		// Only the key's first entry in cur can match the base; once it
-		// is seen the key is gone from prev and later ones always upsert.
-		first := position(co[j])
-		if i == run || base[position(bo[i-1])].Weight != cur[first].Weight {
-			changed[first] = true
-			nUpserts++
-		}
-		for j++; j < len(co) && co[j]>>32 == k; j++ {
-			changed[position(co[j])] = true
-			nUpserts++
+		case c.Index < b.Index:
+			up = append(up, c)
+			j++
+		default:
+			if b.Weight != c.Weight {
+				up = append(up, c)
+			}
+			i++
+			j++
 		}
 	}
-	if nRemoved > 0 {
-		removed = make([]uint32, 0, nRemoved)
-		for p, w := range base {
-			if !kept[p] {
-				removed = append(removed, w.Index)
-			}
+	gone = append(gone, base[i:]...)
+	up = append(up, cur[j:]...)
+	s.a, s.b = gone, up
+	if len(gone) > 0 {
+		stream.SortWeighted(gone)
+		removed = make([]uint32, len(gone))
+		for i, w := range gone {
+			removed[i] = w.Index
 		}
 	}
-	if nUpserts > 0 {
-		upserts = make([]stream.Weighted, 0, nUpserts)
-		for p, w := range cur {
-			if changed[p] {
-				upserts = append(upserts, w)
-			}
-		}
+	if len(up) > 0 {
+		upserts = weightOrder(up)
 	}
 	return removed, upserts
 }
 
-// applyHeavyDiff patches base with a heavy diff and returns the result in
-// canonical order. The surviving base entries and the upserts are each
-// already canonical when base and the diff came from canonical lists, and
-// are then merged in one pass; otherwise the result is sorted.
+// applyHeavyDiff patches base, in index order, with a delta's removed keys
+// and upserts, in any order and possibly repeated, and returns the result
+// in index order. The last upsert of a key wins, and an upsert wins over a
+// removal of its key. The delta's lists are not modified.
 func applyHeavyDiff(base []stream.Weighted, removed []uint32, upserts []stream.Weighted) []stream.Weighted {
 	s := heavyPool.Get().(*heavyScratch)
 	defer heavyPool.Put(s)
-	bo := s.byIndex(&s.a, base)
-	uo := s.byIndex(&s.b, upserts)
-	ro := s.byKey(&s.c, removed)
-	keepBase := clearedFlags(&s.flagA, len(base))
-	keepUp := clearedFlags(&s.flagB, len(upserts))
-	nBase, nUp := 0, 0
-	for i, r, u := 0, 0, 0; i < len(bo) || u < len(uo); {
-		var k uint64
-		switch {
-		case i == len(bo):
-			k = uo[u] >> 32
-		case u == len(uo):
-			k = bo[i] >> 32
-		default:
-			k = min(bo[i]>>32, uo[u]>>32)
-		}
-		lastBase, lastUp := -1, -1
-		for ; i < len(bo) && bo[i]>>32 == k; i++ {
-			lastBase = position(bo[i])
-		}
-		for ; u < len(uo) && uo[u]>>32 == k; u++ {
-			lastUp = position(uo[u])
-		}
-		if lastUp >= 0 {
-			keepUp[lastUp] = true
-			nUp++
-			continue
-		}
-		for r < len(ro) && ro[r]>>32 < k {
+	rm := append(s.keys[:0], removed...)
+	slices.Sort(rm)
+	up := indexOrder(append(s.a[:0], upserts...))
+	// Drop the removed keys from base, then merge in the upserts.
+	kept := s.b[:0]
+	r := 0
+	for _, w := range base {
+		for r < len(rm) && rm[r] < w.Index {
 			r++
 		}
-		if r == len(ro) || ro[r]>>32 != k {
-			keepBase[lastBase] = true
-			nBase++
+		if r == len(rm) || rm[r] != w.Index {
+			kept = append(kept, w)
 		}
 	}
-	kb := s.w1[:0]
-	for p, w := range base {
-		if keepBase[p] {
-			kb = append(kb, w)
-		}
-	}
-	ku := s.w2[:0]
-	for p, w := range upserts {
-		if keepUp[p] {
-			ku = append(ku, w)
-		}
-	}
-	s.w1, s.w2 = kb, ku
-	out := make([]stream.Weighted, 0, nBase+nUp)
-	if !canonical(kb) || !canonical(ku) {
-		out = append(append(out, kb...), ku...)
-		stream.SortWeighted(out)
-		return out
-	}
-	i, j := 0, 0
-	for i < len(kb) && j < len(ku) {
-		if before(ku[j], kb[i]) {
-			out = append(out, ku[j])
-			j++
-		} else {
-			out = append(out, kb[i])
+	out := s.c[:0]
+	i, u := 0, 0
+	for i < len(kept) && u < len(up) {
+		switch k, w := kept[i], up[u]; {
+		case k.Index < w.Index:
+			out = append(out, k)
 			i++
+		case w.Index < k.Index:
+			out = append(out, w)
+			u++
+		default:
+			out = append(out, w)
+			i++
+			u++
 		}
 	}
-	out = append(out, kb[i:]...)
-	return append(out, ku[j:]...)
-}
-
-// before reports whether a precedes b in canonical order: larger |weight|
-// first, then smaller index. On entries with distinct indices it is the
-// strict total order SortWeighted produces.
-func before(a, b stream.Weighted) bool {
-	ma, mb := math.Abs(a.Weight), math.Abs(b.Weight)
-	return ma > mb || (ma == mb && a.Index < b.Index)
-}
-
-// canonical reports whether ws is strictly in canonical order, which also
-// means its indices are distinct.
-func canonical(ws []stream.Weighted) bool {
-	for i := 1; i < len(ws); i++ {
-		if !before(ws[i-1], ws[i]) {
-			return false
-		}
-	}
-	return true
+	out = append(append(out, kept[i:]...), up[u:]...)
+	s.keys, s.a, s.b, s.c = rm, up, kept, out
+	return slices.Clone(out)
 }
 
 // heavyScratch is the reusable working memory of one diffHeavy or
 // applyHeavyDiff call.
 type heavyScratch struct {
-	a, b, c, tmp []uint64 // index<<32 | position, in index order
-	flagA, flagB []bool
-	w1, w2       []stream.Weighted
-	counts       [4][256]uint32
+	keys    []uint32
+	a, b, c []stream.Weighted
 }
 
 var heavyPool = sync.Pool{New: func() any { return new(heavyScratch) }}
-
-// byIndex returns the positions of ws in index order, equal indices in
-// ascending position, packed as index<<32 | position into *buf.
-func (s *heavyScratch) byIndex(buf *[]uint64, ws []stream.Weighted) []uint64 {
-	keys := (*buf)[:0]
-	for p, w := range ws {
-		keys = append(keys, uint64(w.Index)<<32|uint64(p))
-	}
-	keys = s.sortByIndex(keys)
-	*buf = keys
-	return keys
-}
-
-// byKey is byIndex for a list of bare keys.
-func (s *heavyScratch) byKey(buf *[]uint64, ks []uint32) []uint64 {
-	keys := (*buf)[:0]
-	for p, k := range ks {
-		keys = append(keys, uint64(k)<<32|uint64(p))
-	}
-	keys = s.sortByIndex(keys)
-	*buf = keys
-	return keys
-}
-
-// sortByIndex is a stable LSD radix sort of packed keys on their upper 32
-// bits, one byte per pass, skipping bytes every key shares. Keys filled in
-// position order therefore come out ordered by (index, position). The
-// result is in keys' backing array.
-func (s *heavyScratch) sortByIndex(keys []uint64) []uint64 {
-	if len(keys) < 2 {
-		return keys
-	}
-	if cap(s.tmp) < len(keys) {
-		s.tmp = make([]uint64, len(keys))
-	}
-	c := &s.counts
-	*c = [4][256]uint32{}
-	for _, k := range keys {
-		c[0][byte(k>>32)]++
-		c[1][byte(k>>40)]++
-		c[2][byte(k>>48)]++
-		c[3][byte(k>>56)]++
-	}
-	src, dst := keys, s.tmp[:len(keys)]
-	for p := range c {
-		shift := 32 + 8*p
-		at := &c[p]
-		if int(at[byte(keys[0]>>shift)]) == len(keys) {
-			continue
-		}
-		var sum uint32
-		for i, n := range at {
-			at[i], sum = sum, sum+n
-		}
-		for _, k := range src {
-			b := byte(k >> shift)
-			dst[at[b]] = k
-			at[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-	return keys
-}
-
-// position extracts the list position from a packed key.
-func position(k uint64) int { return int(uint32(k)) }
-
-// clearedFlags returns *buf resized to n and all false.
-func clearedFlags(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	f := (*buf)[:n]
-	clear(f)
-	return f
-}

@@ -143,48 +143,91 @@ func heavySizes(rng *rand.Rand) []int {
 	return sizes
 }
 
+// kept is ws as a node keeps it: an index-ordered copy, one entry per key.
+func kept(ws []stream.Weighted) []stream.Weighted { return indexOrder(slices.Clone(ws)) }
+
+// isCanonical reports whether ws is in weight order with unique keys, as
+// every node writes its lists into frames.
+func isCanonical(ws []stream.Weighted) bool {
+	return len(kept(ws)) == len(ws) && sameWeighted(ws, weightOrder(ws))
+}
+
+// checkDiff compares diffHeavy on the lists as a node keeps them with the
+// reference: bit for bit and in order on those lists in weight order, and
+// also on base and cur themselves when they are canonical. On any lists,
+// the diff must patch base to what the reference diff patches it to, up
+// to the sign of zero weights (== compares them equal, so neither diff
+// ships a sign flip of a zero, and of two entries with a repeated key in
+// cur, either may be the one compared).
+func checkDiff(t *testing.T, what string, base, cur []stream.Weighted) {
+	t.Helper()
+	gotR, gotU := diffHeavy(kept(base), kept(cur))
+	wantR, wantU := refDiffHeavy(weightOrder(kept(base)), weightOrder(kept(cur)))
+	if !slices.Equal(gotR, wantR) || !sameWeighted(gotU, wantU) {
+		t.Fatalf("%s: removed %d/%d, upserts %d/%d (got/want) differ on the kept lists",
+			what, len(gotR), len(wantR), len(gotU), len(wantU))
+	}
+	rawR, rawU := refDiffHeavy(base, cur)
+	if isCanonical(base) && isCanonical(cur) && (!slices.Equal(gotR, rawR) || !sameWeighted(gotU, rawU)) {
+		t.Fatalf("%s: on canonical lists the diff differs from the reference's", what)
+	}
+	if !slices.Equal(refApplyHeavyDiff(base, gotR, gotU), refApplyHeavyDiff(base, rawR, rawU)) {
+		t.Fatalf("%s: the diff patches base differently from the reference diff", what)
+	}
+}
+
+// checkApply compares applyHeavyDiff on base as a node keeps it with the
+// reference on base itself, bit for bit once both are in weight order. The
+// result must be in strict index order and the delta's lists unchanged.
+func checkApply(t *testing.T, what string, base []stream.Weighted, removed []uint32, upserts []stream.Weighted) {
+	t.Helper()
+	rm, up := slices.Clone(removed), slices.Clone(upserts)
+	got := applyHeavyDiff(kept(base), removed, upserts)
+	for i := 1; i < len(got); i++ {
+		if got[i-1].Index >= got[i].Index {
+			t.Fatalf("%s: result not in strict index order at %d", what, i)
+		}
+	}
+	if want := refApplyHeavyDiff(base, removed, upserts); !sameWeighted(weightOrder(got), want) {
+		t.Fatalf("%s: base %d, removed %d, upserts %d: result differs from the reference (%d vs %d entries)",
+			what, len(base), len(removed), len(upserts), len(got), len(want))
+	}
+	if !slices.Equal(rm, removed) || !sameWeighted(up, upserts) {
+		t.Fatalf("%s: apply modified the delta's lists", what)
+	}
+}
+
 // TestDiffHeavyMatchesReference: on canonical lists, as every node
-// produces them, and on arbitrary ones with repeated keys, the linear
-// diff returns exactly the map-based result, order included.
+// produces them, and on arbitrary ones with repeated keys in any order,
+// the diff of the index-ordered lists returns the map-based result.
 func TestDiffHeavyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, canonical := range []bool{true, false} {
 		for _, n := range heavySizes(rng) {
 			base, cur := heavyPair(rng, n, canonical)
-			wantR, wantU := refDiffHeavy(base, cur)
-			gotR, gotU := diffHeavy(base, cur)
-			if !slices.Equal(gotR, wantR) || !sameWeighted(gotU, wantU) {
-				t.Fatalf("canonical=%v n=%d: removed %d/%d, upserts %d/%d (got/want) differ",
-					canonical, n, len(gotR), len(wantR), len(gotU), len(wantU))
-			}
+			checkDiff(t, fmt.Sprintf("canonical=%v n=%d", canonical, n), base, cur)
 		}
 	}
 }
 
-// TestApplyHeavyDiffMatchesReference replays diffs onto their base — the
-// canonical case takes the merge path — and also replays arbitrary diffs:
-// repeated keys in base, removed and upserts, upserts out of order, keys
-// removed and upserted at once, and removals of absent keys.
+// TestApplyHeavyDiffMatchesReference replays diffs onto their base, and
+// also replays arbitrary diffs: repeated keys in base, removed and
+// upserts, upserts out of order, keys removed and upserted at once, and
+// removals of absent keys.
 func TestApplyHeavyDiffMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	check := func(what string, base []stream.Weighted, removed []uint32, upserts []stream.Weighted) {
-		t.Helper()
-		want := refApplyHeavyDiff(base, removed, upserts)
-		got := applyHeavyDiff(base, removed, upserts)
-		if !sameWeighted(got, want) {
-			t.Fatalf("%s: base %d, removed %d, upserts %d: result differs from the reference (%d vs %d entries)",
-				what, len(base), len(removed), len(upserts), len(got), len(want))
-		}
-	}
 	for _, canonical := range []bool{true, false} {
 		for _, n := range heavySizes(rng) {
 			base, cur := heavyPair(rng, n, canonical)
 			removed, upserts := refDiffHeavy(base, cur)
-			check(fmt.Sprintf("diff replay (canonical=%v)", canonical), base, removed, upserts)
+			checkApply(t, fmt.Sprintf("diff replay (canonical=%v)", canonical), base, removed, upserts)
 			// Replay gives cur back, up to the sign of zero weights, which
 			// the diff (comparing with ==) does not ship.
-			if got := applyHeavyDiff(base, removed, upserts); canonical && !slices.Equal(got, cur) {
-				t.Fatalf("n=%d: replaying the diff onto base does not give cur", n)
+			if canonical {
+				r, u := diffHeavy(kept(base), kept(cur))
+				if got := applyHeavyDiff(kept(base), r, u); !slices.Equal(got, kept(cur)) {
+					t.Fatalf("n=%d: replaying the diff onto base does not give cur", n)
+				}
 			}
 
 			// Arbitrary frames: removals drawn from base, cur and absent
@@ -209,7 +252,7 @@ func TestApplyHeavyDiffMatchesReference(t *testing.T) {
 			if len(up) > 0 {
 				up = append(up, stream.Weighted{Index: up[0].Index, Weight: -up[0].Weight - 1})
 			}
-			check(fmt.Sprintf("arbitrary (canonical=%v)", canonical), base, rm, up)
+			checkApply(t, fmt.Sprintf("arbitrary (canonical=%v)", canonical), base, rm, up)
 		}
 	}
 }
@@ -232,14 +275,11 @@ func TestHeavyDiffEdgeCases(t *testing.T) {
 			[]stream.Weighted{w(1, math.MaxFloat64), w(2, 2*math.SmallestNonzeroFloat64)}},
 		{"repeated key in base", []stream.Weighted{w(5, 1), w(5, 2), w(6, 1), w(6, 1)}, []stream.Weighted{w(5, 2)}},
 		{"repeated key in cur", []stream.Weighted{w(5, 1)}, []stream.Weighted{w(5, 1), w(5, 1), w(7, 1), w(7, 1)}},
+		{"repeated key in cur, last differs", []stream.Weighted{w(5, 1)}, []stream.Weighted{w(5, 1), w(5, 3)}},
 		{"keys in high bytes", []stream.Weighted{w(1<<31, 1), w(1<<24, 1)}, []stream.Weighted{w(1<<24, 2), w(1<<16, 1)}},
 	}
 	for _, c := range diffCases {
-		wantR, wantU := refDiffHeavy(c.base, c.cur)
-		gotR, gotU := diffHeavy(c.base, c.cur)
-		if !slices.Equal(gotR, wantR) || !sameWeighted(gotU, wantU) {
-			t.Errorf("diff %s: got (%v, %v), want (%v, %v)", c.name, gotR, gotU, wantR, wantU)
-		}
+		checkDiff(t, "diff "+c.name, c.base, c.cur)
 	}
 	applyCases := []struct {
 		name    string
@@ -258,41 +298,82 @@ func TestHeavyDiffEdgeCases(t *testing.T) {
 		{"ties on magnitude", []stream.Weighted{w(4, 1), w(2, -1)}, nil, []stream.Weighted{w(3, -1), w(1, 1)}},
 	}
 	for _, c := range applyCases {
-		want := refApplyHeavyDiff(c.base, c.removed, c.upserts)
-		got := applyHeavyDiff(c.base, c.removed, c.upserts)
-		if !sameWeighted(got, want) {
-			t.Errorf("apply %s: got %v, want %v", c.name, got, want)
-		}
+		checkApply(t, "apply "+c.name, c.base, c.removed, c.upserts)
+	}
+	// A full frame's list is kept with the last entry of each key.
+	if got := kept([]stream.Weighted{w(9, 1), w(2, 5), w(9, -4), w(2, 0.5), w(7, 0)}); !sameWeighted(got,
+		[]stream.Weighted{w(2, 0.5), w(7, 0), w(9, -4)}) {
+		t.Fatalf("indexOrder kept %v", got)
 	}
 }
 
-// BenchmarkApplyHeavyDiff replays a typical round's heavy diff (a tenth
-// of the entries changed, a few in and out) onto canonical lists of the
-// sizes gossip ships.
-func BenchmarkApplyHeavyDiff(b *testing.B) {
-	for _, n := range []int{64, 2048, 8192} {
-		rng := rand.New(rand.NewSource(4))
-		base := make([]stream.Weighted, n)
-		for i, k := range rng.Perm(4 * n)[:n] {
-			base[i] = stream.Weighted{Index: uint32(k), Weight: rng.NormFloat64()}
+// heavyBenchPair is a base and a next version of an n-entry heavy list, in
+// index order, shaped like a measured gossip version of a 2048-entry AWM
+// heap: 866 upserts, 145 of them new keys, and 145 removals.
+func heavyBenchPair(n int) (base, cur []stream.Weighted) {
+	rng := rand.New(rand.NewSource(4))
+	base = make([]stream.Weighted, n)
+	for i, k := range rng.Perm(4 * n)[:n] {
+		base[i] = stream.Weighted{Index: uint32(k), Weight: rng.NormFloat64()}
+	}
+	cur = slices.Clone(base)
+	for i := range cur {
+		if rng.Intn(1000) < 352 {
+			cur[i].Weight += rng.NormFloat64() / 10
 		}
-		stream.SortWeighted(base)
-		cur := slices.Clone(base)
-		for i := range cur {
-			if rng.Intn(10) == 0 {
-				cur[i].Weight += rng.NormFloat64() / 10
+	}
+	rng.Shuffle(n, func(i, j int) { cur[i], cur[j] = cur[j], cur[i] })
+	out := n * 145 / 2048
+	cur = cur[:n-out]
+	for i := range out {
+		cur = append(cur, stream.Weighted{Index: uint32(4*n + i), Weight: rng.NormFloat64()})
+	}
+	return indexOrder(base), indexOrder(cur)
+}
+
+var heavyBenchSizes = []int{64, 2048, 8192}
+
+// BenchmarkDiffHeavy builds one version's heavy delta, weight order
+// included, as buildFrame does once per frame.
+func BenchmarkDiffHeavy(b *testing.B) {
+	for _, n := range heavyBenchSizes {
+		base, cur := heavyBenchPair(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				diffHeavy(base, cur)
 			}
-		}
-		cur = cur[:n-n/50]
-		for i := range n / 50 {
-			cur = append(cur, stream.Weighted{Index: uint32(4*n + i), Weight: rng.NormFloat64()})
-		}
-		stream.SortWeighted(cur)
+		})
+	}
+}
+
+// BenchmarkApplyHeavyDiff patches the base with that delta, as a receiver
+// does for each delta frame it adopts.
+func BenchmarkApplyHeavyDiff(b *testing.B) {
+	for _, n := range heavyBenchSizes {
+		base, cur := heavyBenchPair(n)
 		removed, upserts := diffHeavy(base, cur)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				applyHeavyDiff(base, removed, upserts)
+			}
+		})
+	}
+}
+
+// BenchmarkHeavyIndexOrder sorts a learner's heavy list, in heap order,
+// into the index order PublishLocal keeps.
+func BenchmarkHeavyIndexOrder(b *testing.B) {
+	for _, n := range heavyBenchSizes {
+		_, cur := heavyBenchPair(n)
+		rand.New(rand.NewSource(5)).Shuffle(len(cur), func(i, j int) { cur[i], cur[j] = cur[j], cur[i] })
+		buf := make([]stream.Weighted, len(cur))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				copy(buf, cur)
+				indexOrder(buf)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,6 @@ import (
 	"wmsketch/internal/core"
 	"wmsketch/internal/obs"
 	"wmsketch/internal/sketch"
-	"wmsketch/internal/stream"
 	"wmsketch/internal/trace"
 )
 
@@ -169,8 +169,8 @@ type versioned struct {
 type originState struct {
 	id      string
 	version int64
-	snap    core.Snapshot
-	history []versioned // ascending version, ≤ HistoryDepth entries, includes current
+	snap    core.Snapshot // its heavy list, and history's, in index order (heavy.go)
+	history []versioned   // ascending version, ≤ HistoryDepth entries, includes current
 	// lastAdvance is when this node last adopted a NEW version of the
 	// origin (local observation time — frames carry no timestamps).
 	lastAdvance time.Time
@@ -215,6 +215,9 @@ func (o *originState) adopt(version int64, snap core.Snapshot, depth int, now ti
 type Node struct {
 	cfg Config
 
+	// pmu serializes PublishLocal. It is taken before mu and before the
+	// learner's own lock, never while holding either.
+	pmu     sync.Mutex
 	mu      sync.Mutex              // guards origins and view rebuild
 	origins map[string]*originState // guarded by mu
 	view    atomic.Pointer[core.Mixed]
@@ -347,8 +350,14 @@ func (n *Node) View() *core.Mixed {
 // and whether a new one was published. A learner that has not moved since
 // the last publish costs one Steps call, not a snapshot.
 func (n *Node) PublishLocal() (int64, bool, error) {
-	// Steps and ModelSnapshot run outside n.mu, so the learner's own lock
-	// (the server's backend lock) never nests inside it.
+	// One publish at a time, from the Steps check through adopt: a caller
+	// that arrives while another snapshots the learner waits, then finds
+	// the learner published and returns that version without a snapshot
+	// of its own. Steps and ModelSnapshot run outside n.mu, so the
+	// learner's own lock (the server's backend lock) never nests inside
+	// it; pmu is taken before either.
+	n.pmu.Lock()
+	defer n.pmu.Unlock()
 	if v, moved := n.localMoved(n.cfg.Local.Steps()); !moved {
 		return v, false, nil
 	}
@@ -357,6 +366,9 @@ func (n *Node) PublishLocal() (int64, bool, error) {
 		return 0, false, fmt.Errorf("cluster: local snapshot: %w", err)
 	}
 	sn.Origin = n.cfg.Self
+	// The snapshot's heavy list is ours: sort it into the index order the
+	// node keeps lists in.
+	sn.Heavy = indexOrder(sn.Heavy)
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -366,11 +378,6 @@ func (n *Node) PublishLocal() (int64, bool, error) {
 	if sn.Steps <= self.version {
 		return self.version, false, nil
 	}
-	// Canonical heavy order so identical states produce identical frames.
-	// The copy keeps the learner's slice (a sharded view's live top list)
-	// untouched.
-	sn.Heavy = append([]stream.Weighted(nil), sn.Heavy...)
-	stream.SortWeighted(sn.Heavy)
 	self.adopt(sn.Steps, sn, n.cfg.HistoryDepth, n.cfg.Clock.Now())
 	n.viewDirty.Store(true)
 	return self.version, true, nil
@@ -461,23 +468,21 @@ func (n *Node) frameForLocked(o *originState, acked int64) Frame {
 	return *o.built
 }
 
-// buildFrame picks delta vs full for one origin.
+// buildFrame picks delta vs full for one origin, and puts the heavy lists
+// in the weight order frames carry them in.
 func buildFrame(o *originState, acked int64) Frame {
 	if acked > 0 {
 		if base, ok := o.baseFor(acked); ok {
 			changes, err := sketch.Diff(base.CS, o.snap.CS)
-			if err == nil {
+			// A delta entry costs ~1.5× a raw bucket (varint gap + 8-byte
+			// value vs 8 bytes in the dense dump); past ~2/3 of the buckets
+			// changed, the full snapshot is the smaller frame.
+			if err == nil && 3*len(changes) <= 2*o.snap.CS.Size() {
 				removed, upserts := diffHeavy(base.Heavy, o.snap.Heavy)
-				// A delta entry costs ~1.5× a raw bucket (varint gap +
-				// 8-byte value vs 8 bytes in the dense dump); past ~2/3 of
-				// the buckets changed, the full snapshot is the smaller
-				// frame.
-				if 3*len(changes) <= 2*o.snap.CS.Size() {
-					return Frame{
-						Kind: kindDelta, Origin: o.id, Version: o.version, Base: acked,
-						Scale:   o.snap.Scale,
-						Changes: changes, HeavyRemoved: removed, HeavyUpserts: upserts,
-					}
+				return Frame{
+					Kind: kindDelta, Origin: o.id, Version: o.version, Base: acked,
+					Scale:   o.snap.Scale,
+					Changes: changes, HeavyRemoved: removed, HeavyUpserts: upserts,
 				}
 			}
 		}
@@ -612,11 +617,14 @@ func (n *Node) snapshotFromFullLocked(f *Frame) (core.Snapshot, error) {
 		return core.Snapshot{}, fmt.Errorf("seed %d, cluster runs %d (different hash functions cannot mix)",
 			f.CS.Seed(), n.cfg.Mix.Seed)
 	}
-	return core.Snapshot{Origin: f.Origin, CS: f.CS, Scale: f.Scale, Heavy: f.Heavy, Steps: f.Version}, nil
+	// The frame is not ours to reorder (a caller may share it), so the node
+	// keeps an index-ordered copy of its list.
+	heavy := indexOrder(slices.Clone(f.Heavy))
+	return core.Snapshot{Origin: f.Origin, CS: f.CS, Scale: f.Scale, Heavy: heavy, Steps: f.Version}, nil
 }
 
 // applyDelta reconstructs version f.Version from the base snapshot: clone,
-// set changed buckets, patch the heavy list.
+// set changed buckets, merge the heavy delta into the index-ordered list.
 func applyDelta(base core.Snapshot, f *Frame) (core.Snapshot, error) {
 	cs := base.CS.Clone()
 	if err := cs.ApplyDiff(f.Changes); err != nil {

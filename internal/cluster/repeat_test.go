@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,6 +55,71 @@ func TestIdlePublishTakesNoSnapshot(t *testing.T) {
 	}
 	if l.snapshots != 2 {
 		t.Fatalf("training and publishing again took %d snapshots in all, want 2", l.snapshots)
+	}
+}
+
+// blockingSnapshotter counts the snapshots taken of the learner it wraps
+// and holds each one until release is closed, announcing it on entered.
+type blockingSnapshotter struct {
+	*core.AWMSketch
+	snapshots atomic.Int32
+	entered   chan struct{}
+	release   chan struct{}
+}
+
+func (b *blockingSnapshotter) ModelSnapshot() (core.Snapshot, error) {
+	b.snapshots.Add(1)
+	b.entered <- struct{}{}
+	<-b.release
+	return b.AWMSketch.ModelSnapshot()
+}
+
+// TestConcurrentPublishTakesOneSnapshot: two publishes of a learner that
+// has moved, the second arriving while the first snapshots it, take one
+// snapshot between them. The second waits for the first and returns the
+// version it published; without that, each would snapshot and one copy
+// would be thrown away.
+func TestConcurrentPublishTakesOneSnapshot(t *testing.T) {
+	cfg := clusterConfig()
+	l := &blockingSnapshotter{AWMSketch: core.NewAWMSketch(cfg), entered: make(chan struct{}, 2), release: make(chan struct{})}
+	n, err := NewNode(Config{Self: "node-a", Mix: mixOpt(cfg), Local: l, Interval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range datagen.RCV1Like(7).Take(300) {
+		l.Update(ex.X, ex.Y)
+	}
+	type result struct {
+		version   int64
+		published bool
+		err       error
+	}
+	results := make(chan result, 2)
+	publish := func() {
+		v, published, err := n.PublishLocal()
+		results <- result{v, published, err}
+	}
+	go publish()
+	<-l.entered // the first publish is inside ModelSnapshot
+	go publish()
+	select {
+	case <-l.entered:
+		t.Error("the second publish snapshotted the learner while the first was still snapshotting it")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(l.release)
+	var published int
+	for range 2 {
+		r := <-results
+		if r.err != nil || r.version != 300 {
+			t.Fatalf("publish: version %d, err %v; want 300", r.version, r.err)
+		}
+		if r.published {
+			published++
+		}
+	}
+	if got := l.snapshots.Load(); got != 1 || published != 1 {
+		t.Fatalf("two concurrent publishes took %d snapshots and published %d versions, want 1 and 1", got, published)
 	}
 }
 

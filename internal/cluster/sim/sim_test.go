@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -193,4 +195,35 @@ func TestAcceptanceScenario(t *testing.T) {
 func withLog(sc Scenario, t *testing.T) Scenario {
 	sc.Logf = t.Logf
 	return sc
+}
+
+// BenchmarkSimRun runs the acceptance scenario at several fleet sizes, so
+// the cost of a round can be fitted against the number of nodes. Besides
+// time and allocations per run it reports, per simulated round, the wall
+// time (ns/round), the bytes allocated (B/round) and the gossip bytes the
+// transport delivered (bytes/round). A 200-node run takes about a minute;
+// run it on its own, with -benchtime 1x.
+func BenchmarkSimRun(b *testing.B) {
+	for _, nodes := range []int{25, 50, 100, 200} {
+		b.Run(strconv.Itoa(nodes), func(b *testing.B) {
+			sc := Default100()
+			sc.Nodes = nodes
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var wire int64
+			for i := 0; i < b.N; i++ {
+				rep, err := Run(sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wire += rep.JournalPullBytes + rep.JournalPushBytes
+			}
+			runtime.ReadMemStats(&after)
+			rounds := float64(b.N * sc.Rounds)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rounds, "ns/round")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/rounds, "B/round")
+			b.ReportMetric(float64(wire)/rounds, "bytes/round")
+		})
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"wmsketch/internal/core"
 	"wmsketch/internal/frame"
@@ -130,9 +131,10 @@ type Frame struct {
 	WireBytes int64
 }
 
-// FullFrame builds a full-snapshot frame for sn.
+// FullFrame builds a full-snapshot frame for sn, with a copy of its heavy
+// list in the weight order frames carry.
 func FullFrame(sn core.Snapshot) Frame {
-	return Frame{Kind: kindFull, Origin: sn.Origin, Version: sn.Steps, Scale: scaleOr1(sn.Scale), CS: sn.CS, Heavy: sn.Heavy}
+	return Frame{Kind: kindFull, Origin: sn.Origin, Version: sn.Steps, Scale: scaleOr1(sn.Scale), CS: sn.CS, Heavy: weightOrder(sn.Heavy)}
 }
 
 func scaleOr1(s float64) float64 {
@@ -153,46 +155,104 @@ func WriteFrames(w io.Writer, frames []Frame) (int64, error) {
 // WriteFramesTraced is WriteFrames with the sender's span identity stamped
 // into the stream header, linking this stream to the gossip round that
 // produced it. An invalid (zero) sc writes an untraced header of the same
-// size. The header and each frame go out in one Write apiece.
+// size. The header and each frame go out in one Write apiece, from one
+// pooled buffer sized for the largest frame.
 func WriteFramesTraced(w io.Writer, sc trace.SpanContext, frames []Frame) (int64, error) {
-	buf := make([]byte, streamHeaderSize-4, 4096)
-	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	binary.LittleEndian.PutUint32(buf[4:], wireVersion)
-	if sc.Valid() {
-		copy(buf[8:24], sc.TraceID[:])
-		copy(buf[24:32], sc.SpanID[:])
+	largest := streamHeaderSize
+	for i := range frames {
+		largest = max(largest, frameBound(&frames[i]))
 	}
-	m, err := w.Write(binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)))
+	bp := writeBufPool.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledBuffer {
+			writeBufPool.Put(bp)
+		}
+	}()
+	buf := appendHeader(slices.Grow((*bp)[:0], largest), sc)
+	*bp = buf
+	m, err := w.Write(buf)
 	n := int64(m)
 	if err != nil {
 		return n, err
 	}
-	// Each payload is encoded after room for the kind byte and the longest
-	// length prefix, which are then filled in right before it.
-	const room = 1 + binary.MaxVarintLen64
 	for i := range frames {
-		f := &frames[i]
-		// Room for the payload and its CRC trailer.
-		if buf, err = appendFramePayload(slices.Grow(buf[:room], payloadBound(f)+4), f); err != nil {
-			return n, fmt.Errorf("cluster: frame %d (%q): %w", i, f.Origin, err)
+		if buf, err = appendFrame(buf[:0], i, &frames[i]); err != nil {
+			return n, err
 		}
-		payload := buf[room:]
-		if len(payload) > maxFrameBytes {
-			return n, fmt.Errorf("cluster: frame %d (%q): payload %d exceeds %d bytes",
-				i, f.Origin, len(payload), maxFrameBytes)
-		}
-		prefix := binary.AppendUvarint([]byte{f.Kind}, uint64(len(payload)))
-		start := room - len(prefix)
-		copy(buf[start:], prefix)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-		m, err = w.Write(buf[start:])
+		m, err = w.Write(buf)
 		n += int64(m)
 		if err != nil {
 			return n, err
 		}
-		f.WireBytes = frameWireSize(len(payload))
 	}
 	return n, nil
+}
+
+// writeBufPool holds WriteFramesTraced's encode buffers.
+var writeBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuffer caps the buffers the codec's pools keep between streams,
+// so one large full frame does not pin its size in a pool.
+const maxPooledBuffer = 1 << 20
+
+// encodeStream returns the stream WriteFramesTraced writes, encoded into
+// one buffer sized from the frames' payload bounds.
+func encodeStream(sc trace.SpanContext, frames []Frame) ([]byte, error) {
+	size := streamHeaderSize
+	for i := range frames {
+		size += frameBound(&frames[i])
+	}
+	buf := appendHeader(make([]byte, 0, size), sc)
+	var err error
+	for i := range frames {
+		if buf, err = appendFrame(buf, i, &frames[i]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// appendHeader appends the stream header carrying sc to dst.
+func appendHeader(dst []byte, sc trace.SpanContext) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, wireVersion)
+	var ids [24]byte
+	if sc.Valid() {
+		copy(ids[:16], sc.TraceID[:])
+		copy(ids[16:], sc.SpanID[:])
+	}
+	dst = append(dst, ids[:]...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// frameRoom is the room left ahead of a payload for the kind byte and the
+// longest length prefix.
+const frameRoom = 1 + binary.MaxVarintLen64
+
+// frameBound bounds f's encoding from above: room for the kind and length
+// prefix, the payload, and its CRC trailer.
+func frameBound(f *Frame) int { return frameRoom + payloadBound(f) + 4 }
+
+// appendFrame appends frame i of a stream, f, to dst: the kind byte, the
+// payload length, the payload and its CRC. It sets f.WireBytes.
+func appendFrame(dst []byte, i int, f *Frame) ([]byte, error) {
+	start := len(dst)
+	// The payload is encoded after room for the kind and the longest length
+	// prefix; the prefix then goes right before it and the payload moves
+	// up to meet it.
+	buf, err := appendFramePayload(slices.Grow(dst, frameBound(f))[:start+frameRoom], f)
+	if err != nil {
+		return dst, fmt.Errorf("cluster: frame %d (%q): %w", i, f.Origin, err)
+	}
+	n := len(buf) - start - frameRoom
+	if n > maxFrameBytes {
+		return dst, fmt.Errorf("cluster: frame %d (%q): payload %d exceeds %d bytes", i, f.Origin, n, maxFrameBytes)
+	}
+	head := binary.AppendUvarint(append(buf[:start], f.Kind), uint64(n))
+	buf = append(head, buf[start+frameRoom:]...)
+	f.WireBytes = frameWireSize(n)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(head):])), nil
 }
 
 // payloadBound bounds f's payload from above, so the encoder sizes its
@@ -235,9 +295,7 @@ func appendFramePayload(dst []byte, f *Frame) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(f.Version))
 		dst = appendFloat(dst, scaleOr1(f.Scale))
 		// The sketch's own serialization carries shape, seed, and buckets.
-		buf := bytes.NewBuffer(appendWeighted(dst, f.Heavy))
-		_, err = f.CS.WriteTo(buf)
-		return buf.Bytes(), err
+		return f.CS.AppendBinary(appendWeighted(dst, f.Heavy))
 	case kindDelta:
 		if dst, err = appendOrigin(dst, f.Origin); err != nil {
 			return dst, err
@@ -281,7 +339,10 @@ func ReadFrames(r io.Reader) ([]Frame, error) {
 // for an untraced stream; it needs no validation beyond Valid() because an
 // all-zero annotation is exactly the invalid SpanContext.
 func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
-	br := bufio.NewReader(r)
+	sr := readerPool.Get().(*streamReader)
+	sr.br.Reset(r)
+	defer sr.release()
+	br := sr.br
 	var hdr [streamHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, trace.SpanContext{}, fmt.Errorf("cluster: truncated stream header: %w", err)
@@ -299,9 +360,6 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 	copy(sc.TraceID[:], hdr[8:24])
 	copy(sc.SpanID[:], hdr[24:32])
 	var frames []Frame
-	// Decoded frames copy what they keep out of the payload, so one buffer
-	// serves every frame of the stream.
-	var buf []byte
 	for {
 		kind, err := br.ReadByte()
 		if err == io.EOF {
@@ -318,16 +376,34 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: payload length: %w", len(frames), err)
 		}
 		// The frame CRC covers the payload alone.
-		if buf, err = frame.ReadPayload(br, buf, n, 0); err != nil {
+		if sr.buf, err = frame.ReadPayload(br, sr.buf, n, 0); err != nil {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
 		}
-		f, err := decodeFrame(kind, frame.NewCursor(buf))
+		f, err := decodeFrame(kind, frame.NewCursor(sr.buf))
 		if err != nil {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
 		}
 		f.WireBytes = frameWireSize(n)
 		frames = append(frames, f)
 	}
+}
+
+// streamReader is ReadFramesTraced's reusable working memory: the buffered
+// reader and the payload buffer. Decoded frames copy what they keep out
+// of the payload, so one buffer serves every frame of every stream.
+type streamReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+var readerPool = sync.Pool{New: func() any { return &streamReader{br: bufio.NewReader(nil)} }}
+
+func (sr *streamReader) release() {
+	sr.br.Reset(nil)
+	if cap(sr.buf) > maxPooledBuffer {
+		sr.buf = nil
+	}
+	readerPool.Put(sr)
 }
 
 // decodeFrame decodes one CRC-verified payload of a known kind, which it

@@ -2,12 +2,21 @@ package cluster
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"wmsketch/internal/core"
+	"wmsketch/internal/datagen"
 	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
+	"wmsketch/internal/trace"
 )
 
 // codecFrames builds a full frame on wmserve's default geometry (4096×1)
@@ -83,6 +92,123 @@ func TestCodecAllocationsIndependentOfEntries(t *testing.T) {
 				c.name, big, small)
 		}
 	}
+}
+
+// applyTransport delivers each pushed stream to a node the way the
+// server's push handler does: decode it, then apply it.
+type applyTransport struct{ to *Node }
+
+func (applyTransport) Pull(context.Context, string, PullRequest) (io.ReadCloser, error) {
+	return nil, errors.New("applyTransport: pushes only")
+}
+
+func (t applyTransport) Push(ctx context.Context, _ string, body []byte) error {
+	frames, sc, err := ReadFramesTraced(bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	if res := t.to.ApplyFramesCtx(trace.ContextWithRemote(ctx, sc), frames); res.Applied != 1 {
+		return fmt.Errorf("push applied %+v, want one frame", res)
+	}
+	return nil
+}
+
+// TestVersionAllocations: one version's trip between two nodes at 4096×1,
+// each holding a full 2048-entry AWM heap — publish, delta build, encode,
+// decode, apply — allocates what the new version keeps, plus a stated
+// slack. What it keeps: on the publisher, a sketch clone and one heavy
+// list; on the receiver, a clone and a heavy list; and the lists of the
+// frame kept for reuse. The slack is the decoded copy of the frame's
+// lists, the encoded stream at its payloadBound size, and 24 KiB for
+// small objects and for rounding allocations up to the allocator's size
+// classes. Copying the heap to read it,
+// copying the heavy list twice, or growing the change list or a codec
+// buffer by doubling each takes more than the slack leaves.
+func TestVersionAllocations(t *testing.T) {
+	cfg := core.Config{Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: 7}
+	gen := datagen.RCV1Like(8)
+	learner := func(examples int) *core.AWMSketch {
+		l := core.NewAWMSketch(cfg)
+		for _, ex := range gen.Take(examples) {
+			l.Update(ex.X, ex.Y)
+		}
+		return l
+	}
+	recv, err := NewNode(Config{Self: "node-a", Mix: mixOpt(cfg), Local: learner(20000), Interval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := learner(20000)
+	send, err := NewNode(Config{Self: "node-b", Mix: mixOpt(cfg), Local: l, Interval: -1, Transport: applyTransport{recv}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := &peerState{url: "node-a"}
+	trip := func() []Frame {
+		if _, published, err := send.PublishLocal(); err != nil || !published {
+			t.Fatalf("publish: %v %v", published, err)
+		}
+		frames := send.BuildFrames(recv.Digest(), false)
+		if err := send.push(context.Background(), peer, frames); err != nil {
+			t.Fatal(err)
+		}
+		return frames
+	}
+	if fs := trip(); len(fs) != 1 || fs[0].Kind != kindFull || len(fs[0].Heavy) != cfg.HeapSize {
+		t.Fatalf("first trip: %d frames, want one full frame with a full heap", len(fs))
+	}
+	// A warm-up version fills the scratch pools, and no GC runs from then
+	// on to empty them; each of the next three versions is measured.
+	chunks := [][]stream.Example{gen.Take(512), gen.Take(512), gen.Take(512), gen.Take(512)}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var report string
+	excess := math.MinInt
+	for i, chunk := range chunks {
+		for _, ex := range chunk {
+			l.Update(ex.X, ex.Y)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fs := trip()
+		runtime.ReadMemStats(&after)
+		if len(fs) != 1 || fs[0].Kind != kindDelta {
+			t.Fatalf("trip built %d frames, want one delta frame", len(fs))
+		}
+		if i == 0 {
+			continue
+		}
+		f := &fs[0]
+		const entry = 16 // a BucketChange and a stream.Weighted
+		lists := entry*len(f.Changes) + 4*len(f.HeavyRemoved) + entry*len(f.HeavyUpserts)
+		keeps := 2*(8*4096+entry*cfg.HeapSize) + lists
+		slack := lists + payloadBound(f) + 24<<10
+		allocated := int(after.TotalAlloc - before.TotalAlloc)
+		if allocated-keeps-slack > excess {
+			excess = allocated - keeps - slack
+			report = fmt.Sprintf("a version's trip (%d changes, %d removals, %d upserts) allocates %d bytes in %d allocations; it keeps %d, slack %d",
+				len(f.Changes), len(f.HeavyRemoved), len(f.HeavyUpserts), allocated, after.Mallocs-before.Mallocs, keeps, slack)
+		}
+	}
+	t.Log(report)
+	if raceEnabled() {
+		t.Skip("the race detector drops pooled scratch at random, so allocations are not gated under it")
+	}
+	if excess > 0 {
+		t.Errorf("%s: %d bytes over", report, excess)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
 
 // BenchmarkWriteFrames and BenchmarkReadFrames encode and decode one

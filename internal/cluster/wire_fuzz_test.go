@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"slices"
+	"fmt"
 	"testing"
 
 	"wmsketch/internal/core"
@@ -87,8 +87,8 @@ func newMemberF(f *testing.F, id string) *testMember {
 // no panic, no unbounded allocation — and anything it does accept must
 // survive a re-encode/re-decode round trip (decoded state is well-formed,
 // not just non-crashing). The heavy lists it accepts, which may repeat
-// keys and come in any order, must also diff and replay exactly as the
-// map-based reference definitions do.
+// keys and come in any order, must also diff and replay as the map-based
+// reference definitions do (checkDiff, checkApply).
 func FuzzReadFrames(f *testing.F) {
 	fuzzCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -99,14 +99,9 @@ func FuzzReadFrames(f *testing.F) {
 		for _, fr := range frames {
 			for _, list := range [][]stream.Weighted{fr.Heavy, fr.HeavyUpserts} {
 				base, cur := list[:len(list)/2], list[len(list)/2:]
-				gotR, gotU := diffHeavy(base, cur)
-				wantR, wantU := refDiffHeavy(base, cur)
-				if !slices.Equal(gotR, wantR) || !sameWeighted(gotU, wantU) {
-					t.Fatalf("diffHeavy differs from the reference on decoded lists of %d and %d entries", len(base), len(cur))
-				}
-				if !sameWeighted(applyHeavyDiff(base, fr.HeavyRemoved, cur), refApplyHeavyDiff(base, fr.HeavyRemoved, cur)) {
-					t.Fatalf("applyHeavyDiff differs from the reference on decoded lists of %d and %d entries", len(base), len(cur))
-				}
+				what := fmt.Sprintf("decoded lists of %d and %d entries", len(base), len(cur))
+				checkDiff(t, what, base, cur)
+				checkApply(t, what, base, fr.HeavyRemoved, cur)
 			}
 		}
 		var buf bytes.Buffer

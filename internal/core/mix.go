@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
-	"wmsketch/internal/topk"
 )
 
 // Parameter mixing — the paper's structural argument for distributed
@@ -81,9 +81,10 @@ func (sn *Snapshot) factorOr1() float64 {
 
 // Snapshotter is implemented by learners that can export their model state
 // for merging: AWMSketch, and Concurrent and Sharded, which serve it.
-// Steps is the example count the next ModelSnapshot would report at least,
-// so a caller can tell the model has not moved without paying for a
-// snapshot.
+// ModelSnapshot's Heavy list is a fresh slice the caller owns and may
+// reorder; its sketch may be shared and stays read-only. Steps is the
+// example count the next ModelSnapshot would report at least, so a caller
+// can tell the model has not moved without paying for a snapshot.
 type Snapshotter interface {
 	ModelSnapshot() (Snapshot, error)
 	Steps() int64
@@ -262,9 +263,14 @@ func (m *Mixed) Sketch() *sketch.CountSketch { return m.cs }
 
 // ModelSnapshot implements Snapshotter: a raw deep copy with the active
 // set written back, plus the current decay scale, so that version-to-version
-// deltas stay sparse.
+// deltas stay sparse. The heavy list holds the active set's unscaled
+// weights in heap order, read from the heap in place.
 func (a *AWMSketch) ModelSnapshot() (Snapshot, error) {
-	return Snapshot{CS: a.rawSketch(), Scale: a.scale, Heavy: rawHeapWeights(a.active.Entries()), Steps: a.t}, nil
+	heavy := make([]stream.Weighted, 0, a.active.Len())
+	for e := range a.active.All() {
+		heavy = append(heavy, stream.Weighted{Index: e.Key, Weight: e.Weight})
+	}
+	return Snapshot{CS: a.rawSketch(), Scale: a.scale, Heavy: heavy, Steps: a.t}, nil
 }
 
 // rawSketch returns a deep copy of the AWM-Sketch's projection with every
@@ -273,27 +279,17 @@ func (a *AWMSketch) ModelSnapshot() (Snapshot, error) {
 // folded, so it answers √s·scale·median queries for *all* features.
 func (a *AWMSketch) rawSketch() *sketch.CountSketch {
 	c := a.cs.Clone()
-	for _, e := range a.active.Entries() {
+	for e := range a.active.All() {
 		delta := e.Weight - a.sqrtS*c.Estimate(e.Key)
 		c.Update(e.Key, delta/a.sqrtS)
 	}
 	return c
 }
 
-// rawHeapWeights converts heap entries to unscaled Weighted pairs (the
-// decay scale travels separately on Snapshot.Scale).
-func rawHeapWeights(entries []topk.Entry) []stream.Weighted {
-	out := make([]stream.Weighted, len(entries))
-	for i, e := range entries {
-		out[i] = stream.Weighted{Index: e.Key, Weight: e.Weight}
-	}
-	return out
-}
-
 // ModelSnapshot refreshes the merged view (reflecting every example routed
 // before the call) and returns it as a snapshot: the node-level model the
 // cluster layer replicates. The returned sketch is the live immutable view
-// and must not be mutated.
+// and must not be mutated; the heavy list is a copy of the view's.
 func (s *Sharded) ModelSnapshot() (Snapshot, error) {
 	// Capture the routed-update counter BEFORE the sync: the refreshed view
 	// reflects at least these examples, so the snapshot's step count can
@@ -308,7 +304,7 @@ func (s *Sharded) ModelSnapshot() (Snapshot, error) {
 	// The merged view is already at true scale. Its buckets shift a little
 	// on every re-merge, so sharded-backed cluster nodes ship full frames
 	// more often than single-model ones; see CLUSTER.md.
-	return Snapshot{CS: v.cs, Scale: 1, Heavy: v.top, Steps: steps}, nil
+	return Snapshot{CS: v.cs, Scale: 1, Heavy: slices.Clone(v.top), Steps: steps}, nil
 }
 
 var (

@@ -39,8 +39,18 @@ func Diff(base, cur *CountSketch) ([]BucketChange, error) {
 	if err := compatible(base.depth, cur.depth, base.width, cur.width, base.seed, cur.seed); err != nil {
 		return nil, err
 	}
-	var changes []BucketChange
+	// Count first so the list is allocated once, at its final size.
 	c, b := cur.buckets, base.buckets[:len(cur.buckets)]
+	n := 0
+	for i := range c {
+		if c[i] != b[i] {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	changes := make([]BucketChange, 0, n)
 	for i := range c {
 		if c[i] != b[i] {
 			changes = append(changes, BucketChange{Index: uint32(i), Value: c[i]})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"wmsketch/internal/frame"
 )
@@ -61,6 +62,16 @@ func (cs *CountSketch) WriteTo(w io.Writer) (int64, error) {
 	return writeSketch(w, magicCountSketch, cs.seed, cs.depth, cs.width, 0, cs.buckets)
 }
 
+// AppendBinary appends the sketch's serialization, the bytes WriteTo
+// writes, to b. It implements encoding.BinaryAppender.
+func (cs *CountSketch) AppendBinary(b []byte) ([]byte, error) {
+	b = appendHeader(slices.Grow(b, cs.EncodedSize()), magicCountSketch, cs.seed, cs.depth, cs.width, 0)
+	for _, v := range cs.buckets {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b, nil
+}
+
 // ReadCountSketch deserializes a sketch written by WriteTo, reading exactly
 // its bytes from r.
 func ReadCountSketch(r io.Reader) (*CountSketch, error) {
@@ -108,13 +119,7 @@ func ReadCountMin(r io.Reader) (*CountMin, error) {
 // binary.Write would take one per value, with identical bytes).
 func writeSketch(w io.Writer, magic uint32, seed int64, depth, width int, flags uint32, runs ...[]float64) (int64, error) {
 	le := binary.LittleEndian
-	b := make([]byte, headerSize, 8*serializeChunk)
-	le.PutUint32(b[0:], magic)
-	le.PutUint32(b[4:], serializeVersion)
-	le.PutUint64(b[8:], uint64(seed))
-	le.PutUint32(b[16:], uint32(depth))
-	le.PutUint32(b[20:], uint32(width))
-	le.PutUint32(b[24:], flags)
+	b := appendHeader(make([]byte, 0, 8*serializeChunk), magic, seed, depth, width, flags)
 	var n int64
 	for _, run := range runs {
 		for len(run) > 0 {
@@ -135,6 +140,17 @@ func writeSketch(w io.Writer, magic uint32, seed int64, depth, width int, flags 
 	}
 	m, err := w.Write(b)
 	return n + int64(m), err
+}
+
+// appendHeader appends the serialization header to b.
+func appendHeader(b []byte, magic uint32, seed int64, depth, width int, flags uint32) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, magic)
+	b = le.AppendUint32(b, serializeVersion)
+	b = le.AppendUint64(b, uint64(seed))
+	b = le.AppendUint32(b, uint32(depth))
+	b = le.AppendUint32(b, uint32(width))
+	return le.AppendUint32(b, flags)
 }
 
 func readHeader(r io.Reader, wantMagic uint32) (seed int64, depth, width int, flags uint32, err error) {

@@ -42,6 +42,31 @@ func TestCountSketchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendBinaryMatchesWriteTo: the append form writes WriteTo's bytes,
+// after whatever the buffer already holds, in one allocation at most.
+func TestAppendBinaryMatchesWriteTo(t *testing.T) {
+	// 3×2^13 buckets span several of WriteTo's chunks.
+	cs := NewCountSketch(3, 1<<13, 5)
+	rng := rand.New(rand.NewSource(2))
+	for range 2000 {
+		cs.Update(rng.Uint32(), rng.NormFloat64())
+	}
+	var want bytes.Buffer
+	if _, err := cs.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cs.AppendBinary([]byte("prefix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append([]byte("prefix"), want.Bytes()...)) || len(want.Bytes()) != cs.EncodedSize() {
+		t.Fatalf("AppendBinary wrote %d bytes, WriteTo %d, EncodedSize %d", len(got)-6, want.Len(), cs.EncodedSize())
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _, _ = cs.AppendBinary(nil) }); allocs > 1 {
+		t.Fatalf("AppendBinary allocated %.0f times, want 1", allocs)
+	}
+}
+
 func TestCountMinRoundTrip(t *testing.T) {
 	for _, conservative := range []bool{false, true} {
 		var cm *CountMin

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -131,6 +132,26 @@ func TestSortWeightedStable(t *testing.T) {
 	want := []Weighted{{7, 2}, {7, -2}, {7, 2}, {3, -1}, {3, 1}, {9, 0}, {9, math.Copysign(0, -1)}}
 	if !sameEntries(ws, want) {
 		t.Fatalf("got %v, want %v", ws, want)
+	}
+}
+
+// TestSortByIndexMatchesStableSort: SortByIndex orders by index and keeps
+// repeated indices in input order, as a stable comparison sort does.
+func TestSortByIndexMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 2, 3, 64, 257, 2048, 5000} {
+		ws := randomWeighted(rng, n)
+		// Repeat some indices, out of order.
+		for range len(ws) / 4 {
+			ws[rng.Intn(len(ws))].Index = ws[rng.Intn(len(ws))].Index
+		}
+		want := slices.Clone(ws)
+		slices.SortStableFunc(want, func(a, b Weighted) int { return cmp.Compare(a.Index, b.Index) })
+		got := slices.Clone(ws)
+		SortByIndex(got)
+		if !sameEntries(got, want) {
+			t.Fatalf("n=%d: index order differs from the stable reference", len(ws))
+		}
 	}
 }
 

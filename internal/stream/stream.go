@@ -117,12 +117,19 @@ type Weighted struct {
 // ±0 tie and subnormals sort below every normal). It does no comparisons
 // and runs in linear time; a pass whose byte is the same in every entry is
 // skipped. NaN magnitudes sort above +Inf.
-func SortWeighted(ws []Weighted) {
+func SortWeighted(ws []Weighted) { radixSort(ws, radixPasses) }
+
+// SortByIndex orders ws by ascending index, keeping entries with equal
+// indices in their order: SortWeighted's four index passes alone.
+func SortByIndex(ws []Weighted) { radixSort(ws, indexPasses) }
+
+// radixSort runs the first passes of SortWeighted's LSD radix sort.
+func radixSort(ws []Weighted, passes int) {
 	if len(ws) < 2 {
 		return
 	}
 	if uint64(len(ws)) > math.MaxUint32 {
-		panic("stream: SortWeighted of more than 2^32 entries")
+		panic("stream: sort of more than 2^32 entries")
 	}
 	s := radixPool.Get().(*radixScratch)
 	defer radixPool.Put(s)
@@ -131,29 +138,33 @@ func SortWeighted(ws []Weighted) {
 	}
 	c := &s.counts
 	*c = [radixPasses][256]uint32{}
+	byWeight := passes > indexPasses
 	for _, w := range ws {
-		i, k := w.Index, magnitudeKey(w.Weight)
+		i := w.Index
 		c[0][byte(i)]++
 		c[1][byte(i>>8)]++
 		c[2][byte(i>>16)]++
 		c[3][byte(i>>24)]++
-		c[4][byte(k)]++
-		c[5][byte(k>>8)]++
-		c[6][byte(k>>16)]++
-		c[7][byte(k>>24)]++
-		c[8][byte(k>>32)]++
-		c[9][byte(k>>40)]++
-		c[10][byte(k>>48)]++
-		c[11][byte(k>>56)]++
+		if byWeight {
+			k := magnitudeKey(w.Weight)
+			c[4][byte(k)]++
+			c[5][byte(k>>8)]++
+			c[6][byte(k>>16)]++
+			c[7][byte(k>>24)]++
+			c[8][byte(k>>32)]++
+			c[9][byte(k>>40)]++
+			c[10][byte(k>>48)]++
+			c[11][byte(k>>56)]++
+		}
 	}
 	src, dst := ws, s.buf[:len(ws)]
-	for p := 0; p < radixPasses; p++ {
+	for p := 0; p < passes; p++ {
 		first := ws[0]
 		var d byte
-		if p < 4 {
+		if p < indexPasses {
 			d = byte(first.Index >> (8 * p))
 		} else {
-			d = byte(magnitudeKey(first.Weight) >> (8 * (p - 4)))
+			d = byte(magnitudeKey(first.Weight) >> (8 * (p - indexPasses)))
 		}
 		at := &c[p]
 		if int(at[d]) == len(ws) {
@@ -163,7 +174,7 @@ func SortWeighted(ws []Weighted) {
 		for i, n := range at {
 			at[i], sum = sum, sum+n
 		}
-		if p < 4 {
+		if p < indexPasses {
 			shift := 8 * p
 			for _, w := range src {
 				b := byte(w.Index >> shift)
@@ -171,7 +182,7 @@ func SortWeighted(ws []Weighted) {
 				at[b]++
 			}
 		} else {
-			shift := 8 * (p - 4)
+			shift := 8 * (p - indexPasses)
 			for _, w := range src {
 				b := byte(magnitudeKey(w.Weight) >> shift)
 				dst[at[b]] = w
@@ -186,7 +197,10 @@ func SortWeighted(ws []Weighted) {
 }
 
 // radixPasses is one pass per key byte: four of index, eight of magnitude.
-const radixPasses = 12
+const (
+	radixPasses = 12
+	indexPasses = 4
+)
 
 // radixScratch is SortWeighted's reusable working memory: the ping-pong
 // buffer and one byte histogram per pass.

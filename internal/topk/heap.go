@@ -18,6 +18,7 @@ package topk
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 )
 
@@ -274,6 +275,18 @@ func (h *Heap) Entries() []Entry {
 	out := make([]Entry, len(h.entries))
 	copy(out, h.entries)
 	return out
+}
+
+// All iterates over the stored entries in Entries' order without copying
+// them. The heap must not be modified during the iteration.
+func (h *Heap) All() iter.Seq[Entry] {
+	return func(yield func(Entry) bool) {
+		for _, e := range h.entries {
+			if !yield(e) {
+				return
+			}
+		}
+	}
 }
 
 // Keys returns a copy of the stored keys in unspecified order.

@@ -30,10 +30,12 @@ race:
 # replay and the index sort of a published list), each swept over sizes, of the three decoders: binary update frames
 # (DecodeUpdateRequest, ReadRequestFrame), gossip frames (ReadFrames) and
 # checkpoint restore at the ingest and mixed geometries (LoadCheckpoint),
-# and of whole gossip rounds of a three-node cluster over loopback HTTP
-# (GossipOnce: time, allocations and new connections per round).
+# of a server's boot with a restore at the ingest geometry (BootRestore:
+# server.New, Restore and Close, with allocations), and of whole gossip
+# rounds of a three-node cluster over loopback HTTP (GossipOnce: time,
+# allocations and new connections per round).
 bench:
-	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff|DiffHeavy|HeavyIndexOrder|ReadRequestFrame|LoadCheckpoint|GossipOnce' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster ./internal/wire ./internal/core ./internal/server
+	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff|DiffHeavy|HeavyIndexOrder|ReadRequestFrame|LoadCheckpoint|BootRestore|GossipOnce' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster ./internal/wire ./internal/core ./internal/server
 
 # Machine-readable throughput snapshot for the perf trajectory: writes
 # BENCH_throughput.json via cmd/wmbench (see PERFORMANCE.md).
@@ -80,8 +82,9 @@ bench-sim:
 	$(GO) test -run TestAcceptanceScenario -v ./internal/cluster/sim
 
 # Short fuzz pass over the surfaces hostile bytes can reach: the gossip
-# wire decoder, sketch and learner checkpoint restore, both directions of
-# the binary hot protocol's frame decoder, and the libsvm line parser. All
+# wire decoder, sketch and learner checkpoint restore (plain, and on a
+# server's geometry), both directions of the binary hot protocol's frame
+# decoder, and the libsvm line parser. All
 # must reject cleanly (no panic, no unbounded allocation); decoded inputs
 # must round-trip bit-exactly and parsed lines hold a ±1 label and finite
 # values. CI runs this from the seeded corpora.
@@ -89,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrames -fuzztime 20s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzReadCountSketch -fuzztime 20s ./internal/sketch
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLoadOnGeometry -fuzztime 20s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzReadRequestFrame -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzReadResponseFrame -fuzztime 20s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzParseLibSVMLine -fuzztime 20s ./internal/stream

@@ -286,7 +286,7 @@ func (n *Node) pull(ctx context.Context, p *peerState, digest map[string]int64) 
 	// Decode straight off the wire — a full sync of a large model must not
 	// be buffered whole just to count its bytes.
 	cr := &countingReader{r: io.LimitReader(rc, maxPullBytes)}
-	frames, sc, err := ReadFramesTraced(cr)
+	frames, sc, err := n.ReadFramesTraced(cr)
 	if err != nil {
 		return ApplyResult{}, err
 	}

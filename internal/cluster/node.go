@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -214,6 +215,9 @@ func (o *originState) adopt(version int64, snap core.Snapshot, depth int, now ti
 // concurrent use.
 type Node struct {
 	cfg Config
+	// geo is the sketch geometry of cfg.Mix: full frames the node reads
+	// must have it, and their sketches share its hash family.
+	geo *sketch.Geometry
 
 	// pmu serializes PublishLocal. It is taken before mu and before the
 	// learner's own lock, never while holding either.
@@ -313,6 +317,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:     cfg,
+		geo:     cfg.Mix.Sketch(),
 		origins: make(map[string]*originState),
 		stop:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -330,6 +335,15 @@ func NewNode(cfg Config) (*Node, error) {
 
 // Self returns the node's id.
 func (n *Node) Self() string { return n.cfg.Self }
+
+// ReadFramesTraced is the package-level ReadFramesTraced on the node's
+// geometry: a full frame whose sketch header disagrees with Config.Mix in
+// depth, width or seed fails the stream before any bucket is allocated,
+// and every decoded sketch shares the node's hash family. The node reads
+// pull answers through it; a server reads pushed streams through it.
+func (n *Node) ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
+	return readFrames(r, n.geo)
+}
 
 // View returns the current merged model over every known origin (self
 // included), weighted by example count and faded by origin-GC age. The

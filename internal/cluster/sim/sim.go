@@ -223,11 +223,6 @@ func simGeometry() core.Config {
 	return core.Config{Width: 128, Depth: 1, HeapSize: 16, Lambda: 1e-6, Seed: 7}
 }
 
-func simMixOptions() core.MixOptions {
-	g := simGeometry()
-	return core.MixOptions{Depth: g.Depth, Width: g.Width, Seed: g.Seed, HeapSize: g.HeapSize}
-}
-
 // simNode is one fleet member: a real learner behind a real cluster node.
 type simNode struct {
 	id    string
@@ -242,7 +237,10 @@ type simNode struct {
 // Everything runs on one goroutine, so a run is a pure function of the
 // scenario.
 type world struct {
-	sc    Scenario
+	sc Scenario
+	// geo is simGeometry bound to one hash family, built once per run and
+	// shared by every node's learner, views and decoded frames.
+	geo   *core.Geometry
 	clock *cluster.VirtualClock
 	rng   *rand.Rand
 	nodes []*simNode
@@ -371,7 +369,9 @@ func (t memTransport) Push(ctx context.Context, peerURL string, frames []byte) e
 		return err
 	}
 	stream, corrupted := t.w.maybeCorrupt(frames)
-	decoded, sc, err := cluster.ReadFramesTraced(bytes.NewReader(stream))
+	// The receiving node decodes the stream as the server's push handler
+	// does, on its own geometry.
+	decoded, sc, err := dst.node.ReadFramesTraced(bytes.NewReader(stream))
 	if err != nil {
 		return fmt.Errorf("sim: push to %s: %w", peerURL, err)
 	}
@@ -428,24 +428,24 @@ func Run(sc Scenario) (Report, error) {
 	}
 	w := &world{
 		sc:     sc,
+		geo:    core.NewGeometry(simGeometry()),
 		clock:  cluster.NewVirtualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)),
 		rng:    rand.New(rand.NewSource(sc.Seed)),
 		byID:   make(map[string]*simNode, sc.Nodes),
 		minted: make(map[trace.TraceID]bool),
 	}
-	geom := simGeometry()
 	for i := 0; i < sc.Nodes; i++ {
 		s := &simNode{
 			id:    nodeID(i),
 			index: i,
 			alive: true,
 			gen:   datagen.RCV1Like(sc.Seed + int64(i)),
-			learn: core.NewAWMSketch(geom),
+			learn: w.geo.NewAWMSketch(),
 		}
 		node, err := cluster.NewNode(cluster.Config{
 			Self:          s.id,
 			Peers:         w.topology(i),
-			Mix:           simMixOptions(),
+			Mix:           w.geo.Mix(),
 			Local:         s.learn,
 			Interval:      -1, // rounds are driven manually
 			HistoryDepth:  2,  // bounds fleet-wide memory: N² origins each hold ≤2 versions
@@ -568,7 +568,7 @@ func (w *world) evaluate() (Report, error) {
 		snaps = append(snaps, sn)
 		finalVersion[s.id] = sn.Steps
 	}
-	want, err := core.MixSnapshots(snaps, simMixOptions())
+	want, err := core.MixSnapshots(snaps, w.geo.Mix())
 	if err != nil {
 		return rep, err
 	}

@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -258,20 +259,37 @@ func appendFrame(dst []byte, i int, f *Frame) ([]byte, error) {
 // payloadBound bounds f's payload from above, so the encoder sizes its
 // buffer once per frame rather than growing it with the entries: at most
 // an origin, five uvarints (version, base and counts), the scale, the
-// entries, and the sketch.
+// entries, each index or gap at its own varint length, and the sketch.
 func payloadBound(f *Frame) int {
-	const (
-		origin = binary.MaxVarintLen64 + maxOriginLen // length prefix and bytes
-		entry  = binary.MaxVarintLen32 + 8            // an index or gap and a float
-	)
+	const origin = binary.MaxVarintLen64 + maxOriginLen // length prefix and bytes
 	n := origin + 5*binary.MaxVarintLen64 + 8 +
-		entry*(len(f.Heavy)+len(f.Changes)+len(f.HeavyRemoved)+len(f.HeavyUpserts)) +
+		weightedSize(f.Heavy) + weightedSize(f.HeavyUpserts) +
 		(origin+binary.MaxVarintLen64)*len(f.Digest)
+	prev := uint32(0)
+	for _, ch := range f.Changes {
+		n += uvarintLen(ch.Index-prev) + 8
+		prev = ch.Index
+	}
+	for _, k := range f.HeavyRemoved {
+		n += uvarintLen(k)
+	}
 	if f.CS != nil {
 		n += f.CS.EncodedSize()
 	}
 	return n
 }
+
+// weightedSize is the encoded size of a (key, weight) list's entries.
+func weightedSize(ws []stream.Weighted) int {
+	n := 8 * len(ws)
+	for _, w := range ws {
+		n += uvarintLen(w.Index)
+	}
+	return n
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
 
 // appendFramePayload appends f's kind-specific fields to dst.
 func appendFramePayload(dst []byte, f *Frame) ([]byte, error) {
@@ -339,6 +357,13 @@ func ReadFrames(r io.Reader) ([]Frame, error) {
 // for an untraced stream; it needs no validation beyond Valid() because an
 // all-zero annotation is exactly the invalid SpanContext.
 func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
+	return readFrames(r, nil)
+}
+
+// readFrames decodes a stream. Given geo, a full frame's sketch must have
+// that geometry, checked from its header before any bucket is allocated,
+// and shares its hash family; without, each sketch builds its own.
+func readFrames(r io.Reader, geo *sketch.Geometry) ([]Frame, trace.SpanContext, error) {
 	sr := readerPool.Get().(*streamReader)
 	sr.br.Reset(r)
 	defer sr.release()
@@ -379,7 +404,7 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 		if sr.buf, err = frame.ReadPayload(br, sr.buf, n, 0); err != nil {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
 		}
-		f, err := decodeFrame(kind, frame.NewCursor(sr.buf))
+		f, err := decodeFrame(kind, frame.NewCursor(sr.buf), geo)
 		if err != nil {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
 		}
@@ -407,17 +432,18 @@ func (sr *streamReader) release() {
 }
 
 // decodeFrame decodes one CRC-verified payload of a known kind, which it
-// must consume exactly.
-func decodeFrame(kind byte, c *frame.Cursor) (Frame, error) {
+// must consume exactly, reading a full frame's sketch on geo when it is
+// not nil.
+func decodeFrame(kind byte, c *frame.Cursor, geo *sketch.Geometry) (Frame, error) {
 	f := Frame{Kind: kind}
-	err := decodeFields(c, &f)
+	err := decodeFields(c, &f, geo)
 	if err == nil {
 		err = c.Done()
 	}
 	return f, err
 }
 
-func decodeFields(c *frame.Cursor, f *Frame) error {
+func decodeFields(c *frame.Cursor, f *Frame, geo *sketch.Geometry) error {
 	if f.Kind == kindDigest {
 		n, err := c.Count(maxDigestEntries)
 		if err != nil {
@@ -467,7 +493,12 @@ func decodeFields(c *frame.Cursor, f *Frame) error {
 		}
 		// The sketch travels in its own checkpoint serialization.
 		rest := bytes.NewReader(c.Rest())
-		if f.CS, err = sketch.ReadCountSketch(rest); err != nil {
+		if geo != nil {
+			f.CS, err = geo.Read(rest)
+		} else {
+			f.CS, err = sketch.ReadCountSketch(rest)
+		}
+		if err != nil {
 			return err
 		}
 		c.Skip(c.Len() - rest.Len())

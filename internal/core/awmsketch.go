@@ -36,10 +36,21 @@ type AWMSketch struct {
 
 // NewAWMSketch returns an AWM-Sketch with the given configuration.
 func NewAWMSketch(cfg Config) *AWMSketch {
-	cfg.fill()
+	return NewGeometry(cfg).NewAWMSketch()
+}
+
+// NewAWMSketch returns an AWM-Sketch of g's configuration whose sketch
+// shares g's hash family.
+func (g *Geometry) NewAWMSketch() *AWMSketch {
+	return newAWMSketch(g.cfg, g.sk.New())
+}
+
+// newAWMSketch returns an AWM-Sketch of the filled configuration cfg over
+// cs, a sketch of cfg's geometry, with an empty active set.
+func newAWMSketch(cfg Config, cs *sketch.CountSketch) *AWMSketch {
 	return &AWMSketch{
 		cfg:       cfg,
-		cs:        sketch.NewCountSketch(cfg.Depth, cfg.Width, cfg.Seed),
+		cs:        cs,
 		loss:      cfg.Loss,
 		schedule:  cfg.Schedule,
 		sqrtS:     math.Sqrt(float64(cfg.Depth)),

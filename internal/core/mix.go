@@ -96,6 +96,18 @@ type MixOptions struct {
 	Seed         int64
 	// HeapSize caps the merged top-weight list.
 	HeapSize int
+	// sk is the geometry Geometry.Mix binds the options to, whose hash
+	// family every mixed sketch shares; a literal leaves it nil.
+	sk *sketch.Geometry
+}
+
+// Sketch returns the Count-Sketch geometry o fixes: the one Geometry.Mix
+// bound o to, or for a literal a new one with a hash family of its own.
+func (o MixOptions) Sketch() *sketch.Geometry {
+	if o.sk != nil && o.sk.Matches(o.Depth, o.Width, o.Seed) {
+		return o.sk
+	}
+	return sketch.NewGeometry(o.Depth, o.Width, o.Seed)
 }
 
 // Mixed is an immutable model produced by parameter mixing. All methods
@@ -115,7 +127,7 @@ type Mixed struct {
 // is 0. It is the well-defined answer before any snapshot exists.
 func EmptyMixed(opt MixOptions) *Mixed {
 	return &Mixed{
-		cs:    sketch.NewCountSketch(opt.Depth, opt.Width, opt.Seed),
+		cs:    opt.Sketch().New(),
 		sqrtS: math.Sqrt(float64(opt.Depth)),
 	}
 }
@@ -205,7 +217,7 @@ func MixSnapshots(snaps []Snapshot, opt MixOptions) (*Mixed, error) {
 		}
 	}
 
-	merged := sketch.NewCountSketch(opt.Depth, opt.Width, opt.Seed)
+	merged := opt.Sketch().New()
 	for _, sn := range live {
 		// The contribution coefficient folds the snapshot's decay scale
 		// into the mixing weight (model = Scale·CS); the normalizer stays

@@ -69,12 +69,12 @@ func LoadWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*WMS
 }
 
 func loadWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*WMSketch, error) {
-	st, err := readSketchState(r, magicWM, loss, schedule)
+	st, err := readSketchState(r, magicWM, nil, loss, schedule)
 	if err != nil {
 		return nil, err
 	}
-	w := NewWMSketch(st.cfg)
-	w.cs, w.scale, w.t = st.cs, st.scale, st.t
+	w := newWMSketch(st.cfg, st.cs)
+	w.scale, w.t = st.scale, st.t
 	if err := st.fillHeap(w.heap); err != nil {
 		return nil, err
 	}
@@ -89,7 +89,22 @@ func (a *AWMSketch) WriteTo(out io.Writer) (int64, error) {
 // LoadAWMSketch restores an AWM-Sketch written by WriteTo. r must end
 // where the checkpoint does.
 func LoadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
-	a, err := loadAWMSketch(r, loss, schedule)
+	return loadAWMCheckpoint(r, nil, loss, schedule)
+}
+
+// LoadAWMSketch restores an AWM-Sketch written by WriteTo on g: a
+// checkpoint whose header differs from g's configuration in width, depth,
+// seed, heap size or λ is refused before anything is allocated from it.
+// The model trains with g's loss and schedule, and its sketch shares g's
+// hash family. r must end where the checkpoint does.
+func (g *Geometry) LoadAWMSketch(r io.Reader) (*AWMSketch, error) {
+	return loadAWMCheckpoint(r, g, g.cfg.Loss, g.cfg.Schedule)
+}
+
+// loadAWMCheckpoint reads a whole AWM-Sketch checkpoint, which r must end
+// with.
+func loadAWMCheckpoint(r io.Reader, want *Geometry, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
+	a, err := loadAWMSketch(r, want, loss, schedule)
 	if err == nil {
 		err = atEnd(r)
 	}
@@ -99,13 +114,15 @@ func LoadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AW
 	return a, nil
 }
 
-func loadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
-	st, err := readSketchState(r, magicAWM, loss, schedule)
+// loadAWMSketch reads one AWM-Sketch, of want's geometry when want is not
+// nil, and wraps the sketch it read.
+func loadAWMSketch(r io.Reader, want *Geometry, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
+	st, err := readSketchState(r, magicAWM, want, loss, schedule)
 	if err != nil {
 		return nil, err
 	}
-	a := NewAWMSketch(st.cfg)
-	a.cs, a.scale, a.t = st.cs, st.scale, st.t
+	a := newAWMSketch(st.cfg, st.cs)
+	a.scale, a.t = st.scale, st.t
 	if err := st.fillHeap(a.active); err != nil {
 		return nil, err
 	}
@@ -172,8 +189,24 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 // defaults); opt configures the sync cadence, but the worker count comes
 // from the checkpoint — per-shard state cannot be re-partitioned. The
 // restored learner is live (workers running) with its query snapshot
-// already rebuilt.
+// already rebuilt. Its shards and views share the hash family of the first
+// shard, whose header every later shard must repeat.
 func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt ShardedOptions) (*Sharded, error) {
+	return loadSharded(r, nil, loss, schedule, opt)
+}
+
+// LoadSharded restores a parallel learner checkpointed by Sharded.WriteTo
+// on g, as the package-level LoadSharded does, except that every shard's
+// header must equal g's configuration in width, depth, seed, heap size and
+// λ, checked before anything is allocated from it; the shards train with
+// g's loss and schedule, and they and every view share g's hash family.
+func (g *Geometry) LoadSharded(r io.Reader, opt ShardedOptions) (*Sharded, error) {
+	return loadSharded(r, g, g.cfg.Loss, g.cfg.Schedule, opt)
+}
+
+// loadSharded reads a sharded checkpoint, of want's geometry when want is
+// not nil and otherwise of the first shard's.
+func loadSharded(r io.Reader, want *Geometry, loss linear.Loss, schedule linear.Schedule, opt ShardedOptions) (*Sharded, error) {
 	var hdr [shardedHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: truncated sharded header: %w", err)
@@ -199,16 +232,14 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 		return nil, fmt.Errorf("core: negative update counter %d", pending)
 	}
 	models := make([]*AWMSketch, workers)
-	var cfg Config
 	for i := range models {
-		m, err := loadAWMSketch(r, loss, schedule)
+		m, err := loadAWMSketch(r, want, loss, schedule)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
 		}
-		if i == 0 {
-			cfg = m.cfg
-		} else if c := m.cfg; c.Width != cfg.Width || c.Depth != cfg.Depth || c.Seed != cfg.Seed {
-			return nil, fmt.Errorf("core: shard %d shape/seed disagrees with shard 0", i)
+		if want == nil {
+			// Later shards are read on the first one's geometry.
+			want = &Geometry{cfg: m.cfg, sk: m.cs.Geometry()}
 		}
 		models[i] = m
 	}
@@ -217,10 +248,13 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 	}
 	opt.Workers = int(workers)
 	opt.fill()
-	s := newShardedFromModels(cfg, opt, models)
-	s.pending.Store(pending)
-	s.Sync()
-	return s, nil
+	// The workers have not started, so the first view is mixed from the
+	// models directly.
+	snaps := make([]Snapshot, workers)
+	for i, m := range models {
+		snaps[i], _ = m.ModelSnapshot()
+	}
+	return want.startSharded(opt, models, pending, want.mixShards(snaps)), nil
 }
 
 // maxShardedWorkers bounds the worker count accepted from a checkpoint so a
@@ -273,8 +307,10 @@ type sketchState struct {
 // and Count-Sketch. Every header field that sizes an allocation or feeds
 // arithmetic is validated before use, so a corrupt checkpoint yields a
 // clean error rather than an OOM, a Config.fill panic, or NaN-poisoned
-// estimates.
-func readSketchState(r io.Reader, wantMagic uint32, loss linear.Loss, schedule linear.Schedule) (*sketchState, error) {
+// estimates. Given want, a header that disagrees with it is refused before
+// the heap section or the buckets are read, the state takes want's
+// configuration, and its sketch shares want's hash family.
+func readSketchState(r io.Reader, wantMagic uint32, want *Geometry, loss linear.Loss, schedule linear.Schedule) (*sketchState, error) {
 	var hdr [stateHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: truncated header: %w", err)
@@ -308,24 +344,37 @@ func readSketchState(r io.Reader, wantMagic uint32, loss linear.Loss, schedule l
 	if st.t < 0 {
 		return nil, fmt.Errorf("core: negative step counter %d", st.t)
 	}
+	seed := int64(le.Uint64(hdr[28:]))
+	if want != nil {
+		if err := want.check(width, depth, heapSize, lambda, seed); err != nil {
+			return nil, err
+		}
+		st.cfg = want.cfg
+	} else {
+		st.cfg = Config{
+			Width: int(width), Depth: int(depth), HeapSize: int(heapSize),
+			Lambda: lambda, Seed: seed, Loss: loss, Schedule: schedule,
+		}
+		if err := st.cfg.validate(); err != nil {
+			return nil, err
+		}
+		st.cfg.fill()
+	}
 	var err error
 	if st.heap, err = frame.ReadN(r, nil, heapEntrySize*int(heapLen)); err != nil {
 		return nil, fmt.Errorf("core: heap: %w", err)
 	}
-	if st.cs, err = sketch.ReadCountSketch(r); err != nil {
+	if want != nil {
+		st.cs, err = want.sk.Read(r)
+	} else {
+		st.cs, err = sketch.ReadCountSketch(r)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if st.cs.Width() != int(width) || st.cs.Depth() != int(depth) {
-		return nil, fmt.Errorf("core: sketch shape %dx%d disagrees with header %dx%d",
-			st.cs.Depth(), st.cs.Width(), depth, width)
-	}
-	st.cfg = Config{
-		Width: int(width), Depth: int(depth), HeapSize: int(heapSize),
-		Lambda: lambda, Seed: int64(le.Uint64(hdr[28:])),
-		Loss: loss, Schedule: schedule,
-	}
-	if err := st.cfg.validate(); err != nil {
-		return nil, err
+	if st.cs.Width() != int(width) || st.cs.Depth() != int(depth) || st.cs.Seed() != seed {
+		return nil, fmt.Errorf("core: sketch %dx%d seed %d disagrees with header %dx%d seed %d",
+			st.cs.Depth(), st.cs.Width(), st.cs.Seed(), depth, width, seed)
 	}
 	return st, nil
 }

@@ -29,7 +29,7 @@ import (
 // concurrently with Update. Config.Loss and Config.Schedule must be
 // stateless (all implementations in internal/linear are).
 type Sharded struct {
-	cfg      Config
+	geo      *Geometry
 	opt      ShardedOptions
 	workers  []*shardWorker
 	memBytes int
@@ -38,7 +38,11 @@ type Sharded struct {
 	pending atomic.Int64  // updates routed since construction
 	closed  atomic.Bool
 
-	syncMu    sync.Mutex // single-flight snapshot/merge
+	syncMu sync.Mutex // single-flight snapshot/merge
+	// viewSteps is the routed-update count the installed view reflects
+	// at least: pending as loaded before the view's snapshots were asked
+	// for.
+	viewSteps int64 // guarded by syncMu
 	viewMu    sync.RWMutex
 	view      *Mixed
 	wg        sync.WaitGroup
@@ -101,27 +105,34 @@ type shardWorker struct {
 // goroutines already running. Callers must Close it to stop the workers and
 // fold the final state into the query snapshot.
 func NewSharded(cfg Config, opt ShardedOptions) *Sharded {
-	cfg.fill()
+	return NewGeometry(cfg).NewSharded(opt)
+}
+
+// NewSharded returns a parallel learner of g's configuration whose shards
+// and views share g's hash family.
+func (g *Geometry) NewSharded(opt ShardedOptions) *Sharded {
 	opt.fill()
 	models := make([]*AWMSketch, opt.Workers)
 	for i := range models {
-		models[i] = NewAWMSketch(cfg)
+		models[i] = g.NewAWMSketch()
 	}
-	return newShardedFromModels(cfg, opt, models)
+	// The empty model is the view of fresh shards, well defined before the
+	// first sync.
+	return g.startSharded(opt, models, 0, EmptyMixed(g.Mix()))
 }
 
-// newShardedFromModels assembles a sharded learner around existing models
-// — freshly constructed by NewSharded, or deserialized by LoadSharded — and
-// starts its workers. cfg must be filled and opt final.
-func newShardedFromModels(cfg Config, opt ShardedOptions, models []*AWMSketch) *Sharded {
-	s := &Sharded{cfg: cfg, opt: opt, workers: make([]*shardWorker, len(models))}
+// startSharded assembles a sharded learner around models, built on g —
+// freshly by NewSharded, or deserialized by LoadSharded — and starts its
+// workers. It serves view, which must be the mix of the models, until the
+// first Sync; pending is the routed-update count they hold. opt must be
+// final.
+func (g *Geometry) startSharded(opt ShardedOptions, models []*AWMSketch, pending int64, view *Mixed) *Sharded {
+	s := &Sharded{geo: g, opt: opt, workers: make([]*shardWorker, len(models)), viewSteps: pending, view: view}
+	s.pending.Store(pending)
 	for i, m := range models {
 		s.workers[i] = &shardWorker{in: make(chan shardMsg, shardQueueSize), model: m}
 		s.memBytes += m.MemoryBytes()
 	}
-	// Start with an empty (zero-sketch) snapshot so queries before the
-	// first sync are well defined.
-	s.view = EmptyMixed(s.mixOptions())
 	s.wg.Add(len(s.workers))
 	for _, w := range s.workers {
 		go s.runWorker(w)
@@ -201,6 +212,9 @@ func (s *Sharded) Sync() {
 	if s.closed.Load() {
 		return // final snapshot was installed by Close
 	}
+	// Every update counted here was routed before the snapshot requests
+	// below, so the view reflects it.
+	steps := s.pending.Load()
 	replies := make([]chan Snapshot, len(s.workers))
 	for i, w := range s.workers {
 		ch := make(chan Snapshot, 1)
@@ -211,12 +225,17 @@ func (s *Sharded) Sync() {
 	for i, ch := range replies {
 		snaps[i] = <-ch
 	}
-	s.install(s.buildView(snaps))
+	s.installLocked(s.geo.mixShards(snaps), steps)
 }
 
 // Close stops the workers, waits for queued examples to drain, and installs
 // the final merged snapshot. Queries remain valid after Close; Update
 // panics. Close is idempotent and must not race with Update.
+//
+// When no update was routed since the installed view was built, the shards
+// hold what they held then, and the final merge would rebuild that view
+// bit for bit; Close keeps it instead, so retiring a fresh or idle learner
+// costs no merge.
 func (s *Sharded) Close() {
 	s.closeOnce.Do(func() {
 		s.syncMu.Lock()
@@ -226,17 +245,24 @@ func (s *Sharded) Close() {
 			close(w.in)
 		}
 		s.wg.Wait()
+		steps := s.pending.Load()
+		if steps == s.viewSteps {
+			return
+		}
 		// Workers have exited; wg.Wait is the happens-before barrier that
 		// makes their private state safe to read directly.
 		snaps := make([]Snapshot, len(s.workers))
 		for i, w := range s.workers {
 			snaps[i] = w.snapshot()
 		}
-		s.install(s.buildView(snaps))
+		s.installLocked(s.geo.mixShards(snaps), steps)
 	})
 }
 
-func (s *Sharded) install(v *Mixed) {
+// installLocked serves v, a view reflecting at least steps routed updates.
+// Caller holds syncMu.
+func (s *Sharded) installLocked(v *Mixed, steps int64) {
+	s.viewSteps = steps
 	s.viewMu.Lock()
 	s.view = v
 	s.viewMu.Unlock()
@@ -249,21 +275,17 @@ func (s *Sharded) currentView() *Mixed {
 	return v
 }
 
-func (s *Sharded) mixOptions() MixOptions {
-	return MixOptions{Depth: s.cfg.Depth, Width: s.cfg.Width, Seed: s.cfg.Seed, HeapSize: s.cfg.HeapSize}
-}
-
-// buildView merges the workers' snapshots, in worker order, through
+// mixShards merges the workers' snapshots, in worker order, through
 // core.MixSnapshots — the same example-count-weighted parameter mixing the
 // cluster layer applies to the snapshots nodes send — which also gives
 // every heavy-key candidate a mixed "exact" weight that Estimate and TopK
 // prefer over the (collision-noisier) merged-sketch query.
-func (s *Sharded) buildView(snaps []Snapshot) *Mixed {
+func (g *Geometry) mixShards(snaps []Snapshot) *Mixed {
 	for i := range snaps {
 		// Zero-padded so the canonical Origin order equals worker order.
 		snaps[i].Origin = fmt.Sprintf("%06d", i)
 	}
-	v, err := MixSnapshots(snaps, s.mixOptions())
+	v, err := MixSnapshots(snaps, g.Mix())
 	if err != nil {
 		// Same shape and seed by construction; mixing cannot fail.
 		panic("core: shard merge: " + err.Error())

@@ -33,9 +33,15 @@ type WMSketch struct {
 // NewWMSketch returns a WM-Sketch with the given configuration.
 func NewWMSketch(cfg Config) *WMSketch {
 	cfg.fill()
+	return newWMSketch(cfg, sketch.NewCountSketch(cfg.Depth, cfg.Width, cfg.Seed))
+}
+
+// newWMSketch returns a WM-Sketch of the filled configuration cfg over cs,
+// a sketch of cfg's geometry, with an empty heap.
+func newWMSketch(cfg Config, cs *sketch.CountSketch) *WMSketch {
 	return &WMSketch{
 		cfg:      cfg,
-		cs:       sketch.NewCountSketch(cfg.Depth, cfg.Width, cfg.Seed),
+		cs:       cs,
 		loss:     cfg.Loss,
 		schedule: cfg.Schedule,
 		sqrtS:    math.Sqrt(float64(cfg.Depth)),

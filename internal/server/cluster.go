@@ -65,12 +65,9 @@ func (s *Server) startCluster() error {
 		return fmt.Errorf("server: cluster mode requires a node id (-node-id)")
 	}
 	n, err := cluster.NewNode(cluster.Config{
-		Self:  s.opt.Cluster.Self,
-		Peers: s.opt.Cluster.Peers,
-		Mix: core.MixOptions{
-			Depth: s.opt.Config.Depth, Width: s.opt.Config.Width,
-			Seed: s.opt.Config.Seed, HeapSize: s.opt.Config.HeapSize,
-		},
+		Self:          s.opt.Cluster.Self,
+		Peers:         s.opt.Cluster.Peers,
+		Mix:           s.geo.Mix(),
 		Local:         backendSnapshotter{s},
 		Interval:      s.opt.Cluster.Interval,
 		HistoryDepth:  s.opt.Cluster.HistoryDepth,
@@ -154,7 +151,7 @@ func (s *Server) handleClusterPush(w http.ResponseWriter, r *http.Request) {
 	if !s.authorized(w, r) {
 		return
 	}
-	frames, sc, err := cluster.ReadFramesTraced(r.Body)
+	frames, sc, err := s.cluster.ReadFramesTraced(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad frame stream: %v", err)
 		return

@@ -1,0 +1,279 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"wmsketch/internal/core"
+	"wmsketch/internal/datagen"
+	"wmsketch/internal/stream"
+)
+
+// writeCheckpoint trains the backend kind's bare learner of configuration
+// cfg (2 workers when sharded) on examples and returns its checkpoint, as a
+// server of that configuration would save it.
+func writeCheckpoint(t testing.TB, backend string, cfg core.Config, examples []stream.Example) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var err error
+	if backend == BackendSharded {
+		sh := core.NewSharded(cfg, core.ShardedOptions{Workers: 2, SyncEvery: -1})
+		for i := 0; i < len(examples); i += 512 {
+			sh.UpdateBatch(examples[i:min(i+512, len(examples))])
+		}
+		_, err = sh.WriteTo(&buf)
+		sh.Close()
+	} else {
+		a := core.NewAWMSketch(cfg)
+		for _, ex := range examples {
+			a.Update(ex.X, ex.Y)
+		}
+		_, err = a.WriteTo(&buf)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreRefusesMismatchedCheckpoint: a checkpoint whose width, depth,
+// seed, heap size or λ differs from Options.Config is refused by every
+// restore entrance — 400 from the upload, the restore action's 500, an
+// error from Server.Restore — and each time the backend keeps serving
+// what it served before: the same geometry and steps in /v1/stats, and the
+// same margin on a probe. A checkpoint of the server's own configuration
+// then restores through all three, so the mismatch is what is refused.
+func TestRestoreRefusesMismatchedCheckpoint(t *testing.T) {
+	for _, backend := range backends() {
+		t.Run(backend, func(t *testing.T) {
+			srv, hs := newTestServer(t, backend)
+			gen := datagen.RCV1Like(31)
+			if code := doJSON(t, "POST", hs.URL+"/v1/update",
+				UpdateRequest{Examples: toWire(gen.Take(300))}, nil); code != 200 {
+				t.Fatalf("update: HTTP %d", code)
+			}
+			doJSON(t, "POST", hs.URL+"/v1/sync", struct{}{}, nil)
+			probe := PredictRequest{X: vecWire(gen.Take(1)[0].X)}
+			state := func() (StatsResponse, float64) {
+				t.Helper()
+				var st StatsResponse
+				var pr PredictResponse
+				if code := doJSON(t, "GET", hs.URL+"/v1/stats", nil, &st); code != 200 {
+					t.Fatalf("stats: HTTP %d", code)
+				}
+				if code := doJSON(t, "POST", hs.URL+"/v1/predict", probe, &pr); code != 200 {
+					t.Fatalf("predict: HTTP %d", code)
+				}
+				st.UptimeSeconds, st.Restores, st.Predicts = 0, 0, 0
+				return st, pr.Margin
+			}
+			wantStats, wantMargin := state()
+			unchanged := func(after string) {
+				t.Helper()
+				if st, m := state(); st != wantStats || m != wantMargin {
+					t.Fatalf("after %s: stats %+v margin %v, want %+v margin %v", after, st, m, wantStats, wantMargin)
+				}
+			}
+			// upload posts blob, and leaves it at path for the restore action
+			// and Server.Restore.
+			path := filepath.Join(t.TempDir(), "ckpt")
+			upload := func(blob []byte) (int, string) {
+				t.Helper()
+				up, err := http.Post(hs.URL+"/v1/checkpoint/upload", "application/octet-stream", bytes.NewReader(blob))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer up.Body.Close()
+				msg, _ := io.ReadAll(up.Body)
+				if err := os.WriteFile(path, blob, 0o600); err != nil {
+					t.Fatal(err)
+				}
+				return up.StatusCode, string(msg)
+			}
+			restoreAction := func() int {
+				t.Helper()
+				return doJSON(t, "POST", hs.URL+"/v1/checkpoint", CheckpointRequest{Action: "restore", Path: path}, nil)
+			}
+
+			base := testOptions(t, backend).Config
+			for _, c := range []struct {
+				name   string
+				modify func(*core.Config)
+			}{
+				{"width", func(c *core.Config) { c.Width = 256 }},
+				{"depth", func(c *core.Config) { c.Depth = 2 }},
+				{"seed", func(c *core.Config) { c.Seed = 99 }},
+				{"heap size", func(c *core.Config) { c.HeapSize = 32 }},
+				{"lambda", func(c *core.Config) { c.Lambda = 1e-4 }},
+			} {
+				cfg := base
+				c.modify(&cfg)
+				blob := writeCheckpoint(t, backend, cfg, datagen.RCV1Like(32).Take(500))
+				if code, msg := upload(blob); code != http.StatusBadRequest {
+					t.Fatalf("%s: upload answered HTTP %d (%s), want 400", c.name, code, msg)
+				}
+				unchanged(c.name + " upload")
+
+				if code := restoreAction(); code != http.StatusInternalServerError {
+					t.Fatalf("%s: restore action answered HTTP %d, want 500", c.name, code)
+				}
+				unchanged(c.name + " restore action")
+
+				if err := srv.Restore(path); err == nil {
+					t.Fatalf("%s: Server.Restore accepted the checkpoint", c.name)
+				}
+				unchanged(c.name + " Server.Restore")
+			}
+
+			// The server's own configuration restores through each entrance.
+			own := writeCheckpoint(t, backend, base, datagen.RCV1Like(33).Take(500))
+			if code, msg := upload(own); code != http.StatusOK {
+				t.Fatalf("own-geometry upload: HTTP %d (%s)", code, msg)
+			}
+			if code := restoreAction(); code != http.StatusOK {
+				t.Fatalf("own-geometry restore action: HTTP %d", code)
+			}
+			if err := srv.Restore(path); err != nil {
+				t.Fatalf("own-geometry Server.Restore: %v", err)
+			}
+			if st, _ := state(); st.Steps != 500 {
+				t.Fatalf("own-geometry restore serves %d steps, want 500", st.Steps)
+			}
+		})
+	}
+}
+
+// TestServerSharesOneHashFamily: every sketch a server builds is on its
+// one geometry. The backend's served model — the sharded view or the AWM
+// model — and the cluster node's view share the server's hash family,
+// after New and after a checkpoint restore.
+func TestServerSharesOneHashFamily(t *testing.T) {
+	for _, backend := range backends() {
+		t.Run(backend, func(t *testing.T) {
+			opt := testOptions(t, backend)
+			opt.Cluster = ClusterOptions{Self: "node-a", Peers: []string{"http://node-b.invalid"}, Interval: -1}
+			srv, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = srv.Close() })
+			check := func(when string) {
+				t.Helper()
+				var sn core.Snapshot
+				srv.withBackend(func(b learner) { sn, err = b.ModelSnapshot() })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sn.CS.Hashes() != srv.geo.Hashes() {
+					t.Fatalf("%s: the backend's model has a hash family of its own", when)
+				}
+				if _, _, err := srv.ClusterNode().PublishLocal(); err != nil {
+					t.Fatal(err)
+				}
+				if srv.ClusterNode().View().Sketch().Hashes() != srv.geo.Hashes() {
+					t.Fatalf("%s: the cluster view has a hash family of its own", when)
+				}
+			}
+			srv.withBackend(func(b learner) { b.UpdateBatch(datagen.RCV1Like(3).Take(64)) })
+			check("after New")
+			blob := writeCheckpoint(t, backend, opt.Config, datagen.RCV1Like(4).Take(300))
+			if err := srv.restoreFromReader(context.Background(), bytes.NewReader(blob)); err != nil {
+				t.Fatal(err)
+			}
+			check("after a restore")
+		})
+	}
+}
+
+// ingestCheckpoint is a 2-worker sharded checkpoint at the geometry of
+// perfbench's ingest workload (3×2^17, heap 2048), warm-started as it is.
+func ingestCheckpoint(tb testing.TB) (Options, string) {
+	opt := Options{
+		Backend:         BackendSharded,
+		Config:          core.Config{Width: 1 << 17, Depth: 3, HeapSize: 2048, Lambda: 1e-6, Seed: 42},
+		Sharded:         core.ShardedOptions{Workers: 2},
+		RefreshInterval: -1,
+	}
+	blob := writeCheckpoint(tb, BackendSharded, opt.Config, datagen.URLLike(42).Take(32768))
+	path := filepath.Join(tb.TempDir(), "ingest.ckpt")
+	if err := os.WriteFile(path, blob, 0o600); err != nil {
+		tb.Fatal(err)
+	}
+	return opt, path
+}
+
+// TestRestoreAllocations: Server.Restore of a 2-worker 3×2^17 checkpoint
+// allocates what the restored backend keeps — its shards' buckets and
+// heaps and its first view's buckets — plus the buckets of the two shard
+// snapshots the load-time merge reads and a stated slack; retiring the
+// fresh backend New built costs no merge. The slack, 1 MiB, covers the
+// heavy lists, the maps that mix them and the view's mixed heavy weights
+// (up to 4096 keys), the read buffers, and small objects. Zeroing a sketch
+// per shard to discard it, an empty view that the first merge replaces, or
+// a final merge of the retired backend each take 3 MiB, past the slack.
+func TestRestoreAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a 3×2^17 checkpoint")
+	}
+	opt, path := ingestCheckpoint(t)
+	srv, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := srv.Restore(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	c := opt.Config
+	const workers = 2
+	sketchBytes := 8 * c.Depth * c.Width
+	// A heap keeps its 32-byte entries and an index of four 8-byte slots
+	// per entry (the capacity, 2048, is a power of two).
+	heapBytes := 32*c.HeapSize + 4*8*c.HeapSize
+	keeps := workers*(sketchBytes+heapBytes) + sketchBytes
+	transient := workers * sketchBytes
+	const slack = 1 << 20
+	allocated := int(after.TotalAlloc - before.TotalAlloc)
+	report := fmt.Sprintf("Server.Restore allocated %d bytes in %d allocations; it keeps %d, the merge's snapshots %d, slack %d",
+		allocated, after.Mallocs-before.Mallocs, keeps, transient, slack)
+	t.Log(report)
+	if allocated > keeps+transient+slack {
+		t.Errorf("%s: %d bytes over", report, allocated-keeps-transient-slack)
+	}
+}
+
+// BenchmarkBootRestore boots a server the way wmserve -restore does at
+// perfbench's ingest geometry: server.New, then Restore of a 2-worker
+// 3×2^17 checkpoint. Closing the server between boots is not timed.
+func BenchmarkBootRestore(b *testing.B) {
+	opt, path := ingestCheckpoint(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		srv, err := New(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Restore(path); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := srv.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -111,6 +111,10 @@ type Server struct {
 	opt   Options
 	mux   *http.ServeMux
 	start time.Time
+	// geo is Options.Config bound to the one hash family that every
+	// sketch the server builds shares: the backend's, its views', a
+	// restored checkpoint's and the cluster node's.
+	geo *core.Geometry
 
 	// mu guards backend replacement (checkpoint restore swaps the learner);
 	// request handlers hold it for read.
@@ -149,19 +153,20 @@ func New(opt Options) (*Server, error) {
 	if opt.Backend == "" {
 		opt.Backend = BackendSharded
 	}
-	var b learner
-	switch opt.Backend {
-	case BackendSharded:
-		b = core.NewSharded(opt.Config, opt.Sharded)
-	case BackendAWM:
-		b = core.NewConcurrent(core.NewAWMSketch(opt.Config))
-	default:
+	if opt.Backend != BackendSharded && opt.Backend != BackendAWM {
 		return nil, fmt.Errorf("server: unknown backend %q", opt.Backend)
+	}
+	geo := core.NewGeometry(opt.Config)
+	var b learner
+	if opt.Backend == BackendSharded {
+		b = geo.NewSharded(opt.Sharded)
+	} else {
+		b = core.NewConcurrent(geo.NewAWMSketch())
 	}
 	if opt.RefreshInterval == 0 {
 		opt.RefreshInterval = 200 * time.Millisecond
 	}
-	s := &Server{opt: opt, backend: b, start: time.Now()}
+	s := &Server{opt: opt, geo: geo, backend: b, start: time.Now()}
 	s.logger = opt.Logger
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -828,7 +833,10 @@ func (s *Server) restoreCheckpoint(ctx context.Context, path string) error {
 }
 
 // restoreFromReader builds a fresh backend from serialized state and swaps
-// it in — shared by file restore and POST /v1/checkpoint/upload.
+// it in — shared by file restore and POST /v1/checkpoint/upload. The
+// checkpoint is read on the server's geometry: a header whose width,
+// depth, seed, heap size or λ differs from Options.Config is refused
+// before anything is allocated from it, and the backend stays as it was.
 func (s *Server) restoreFromReader(ctx context.Context, f io.Reader) error {
 	_, sp := s.tracer.StartSpan(ctx, "checkpoint.restore")
 	defer sp.Finish()
@@ -836,13 +844,13 @@ func (s *Server) restoreFromReader(ctx context.Context, f io.Reader) error {
 	var fresh learner
 	switch s.opt.Backend {
 	case BackendSharded:
-		sh, err := core.LoadSharded(f, s.opt.Config.Loss, s.opt.Config.Schedule, s.opt.Sharded)
+		sh, err := s.geo.LoadSharded(f, s.opt.Sharded)
 		if err != nil {
 			return err
 		}
 		fresh = sh
 	case BackendAWM:
-		a, err := core.LoadAWMSketch(f, s.opt.Config.Loss, s.opt.Config.Schedule)
+		a, err := s.geo.LoadAWMSketch(f)
 		if err != nil {
 			return err
 		}

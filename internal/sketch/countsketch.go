@@ -49,6 +49,23 @@ const maxStackDepth = 8
 // NewCountSketch returns a Count-Sketch with the given depth (number of
 // independent rows) and width (buckets per row), seeded deterministically.
 func NewCountSketch(depth, width int, seed int64) *CountSketch {
+	return NewGeometry(depth, width, seed).New()
+}
+
+// Geometry is a Count-Sketch shape (depth, width and hash seed) with the
+// hash family of that depth and seed, built once. Every sketch New makes
+// and Read restores shares the family, as Clone's copies do, instead of
+// building its own: a family costs about 50 µs and 19 KB a row, more than
+// the buckets of a small sketch. A Geometry is immutable.
+type Geometry struct {
+	depth, width int
+	seed         int64
+	hashes       *hashing.Family
+}
+
+// NewGeometry returns the geometry of depth rows of width buckets under
+// seed, and builds its hash family.
+func NewGeometry(depth, width int, seed int64) *Geometry {
 	if depth <= 0 {
 		panic(fmt.Sprintf("sketch: depth must be positive, got %d", depth))
 	}
@@ -58,20 +75,33 @@ func NewCountSketch(depth, width int, seed int64) *CountSketch {
 	if depth > math.MaxInt32/width {
 		panic(fmt.Sprintf("sketch: %d×%d buckets overflow a Loc's int32 index", depth, width))
 	}
-	return newCountSketch(depth, width, seed, make([]float64, depth*width))
+	return &Geometry{depth: depth, width: width, seed: seed, hashes: hashing.NewFamily(depth, seed)}
 }
 
-// newCountSketch builds a sketch over buckets, its depth rows of width
-// laid end to end.
-func newCountSketch(depth, width int, seed int64, buckets []float64) *CountSketch {
-	return &CountSketch{
-		depth:   depth,
-		width:   width,
-		seed:    seed,
-		buckets: buckets,
-		hashes:  hashing.NewFamily(depth, seed),
-	}
+// Geometry returns the sketch's geometry, sharing its hash family.
+func (cs *CountSketch) Geometry() *Geometry {
+	return &Geometry{depth: cs.depth, width: cs.width, seed: cs.seed, hashes: cs.hashes}
 }
+
+// New returns a zeroed sketch of the geometry.
+func (g *Geometry) New() *CountSketch {
+	return g.wrap(make([]float64, g.depth*g.width))
+}
+
+// wrap builds a sketch of the geometry over buckets, its depth rows of
+// width laid end to end.
+func (g *Geometry) wrap(buckets []float64) *CountSketch {
+	return &CountSketch{depth: g.depth, width: g.width, seed: g.seed, buckets: buckets, hashes: g.hashes}
+}
+
+// Matches reports whether a sketch of depth rows of width buckets under
+// seed has this geometry.
+func (g *Geometry) Matches(depth, width int, seed int64) bool {
+	return depth == g.depth && width == g.width && seed == g.seed
+}
+
+// Hashes returns the geometry's hash family, which its sketches share.
+func (g *Geometry) Hashes() *hashing.Family { return g.hashes }
 
 // Depth returns the number of rows.
 func (cs *CountSketch) Depth() int { return cs.depth }

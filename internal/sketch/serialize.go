@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"wmsketch/internal/frame"
+	"wmsketch/internal/hashing"
 )
 
 // Serialization format (little-endian):
@@ -32,7 +32,8 @@ import (
 // arithmetic — and a restore consumes exactly the sketch's own bytes, so a
 // sketch can be read from the middle of a larger checkpoint or frame. The
 // hash functions, whose cost grows with the depth, are built only after
-// every bucket has arrived.
+// every bucket has arrived; Geometry.Read builds none, and refuses a
+// header of another geometry before it allocates the buckets.
 
 const (
 	magicCountSketch = 0x574d4353 // "WMCS"
@@ -65,7 +66,12 @@ func (cs *CountSketch) WriteTo(w io.Writer) (int64, error) {
 // AppendBinary appends the sketch's serialization, the bytes WriteTo
 // writes, to b. It implements encoding.BinaryAppender.
 func (cs *CountSketch) AppendBinary(b []byte) ([]byte, error) {
-	b = appendHeader(slices.Grow(b, cs.EncodedSize()), magicCountSketch, cs.seed, cs.depth, cs.width, 0)
+	if n := cs.EncodedSize(); cap(b)-len(b) < n {
+		// One allocation in every build: slices.Grow takes two under the
+		// race detector, which keeps its make from folding into the append.
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
+	b = appendHeader(b, magicCountSketch, cs.seed, cs.depth, cs.width, 0)
 	for _, v := range cs.buckets {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
@@ -73,17 +79,38 @@ func (cs *CountSketch) AppendBinary(b []byte) ([]byte, error) {
 }
 
 // ReadCountSketch deserializes a sketch written by WriteTo, reading exactly
-// its bytes from r.
+// its bytes from r. The sketch gets a hash family of its own, built once
+// its buckets have arrived.
 func ReadCountSketch(r io.Reader) (*CountSketch, error) {
+	return readCountSketch(r, nil)
+}
+
+// Read deserializes a sketch of this geometry written by WriteTo, reading
+// exactly its bytes from r. A header of another depth, width or seed is
+// refused before any bucket is allocated, and the sketch shares g's hash
+// family.
+func (g *Geometry) Read(r io.Reader) (*CountSketch, error) {
+	return readCountSketch(r, g)
+}
+
+// readCountSketch reads one sketch, of geometry want when it is not nil.
+func readCountSketch(r io.Reader, want *Geometry) (*CountSketch, error) {
 	seed, depth, width, _, err := readHeader(r, magicCountSketch)
 	if err != nil {
 		return nil, err
+	}
+	if want != nil && !want.Matches(depth, width, seed) {
+		return nil, fmt.Errorf("sketch: geometry %d×%d seed %d, want %d×%d seed %d",
+			depth, width, seed, want.depth, want.width, want.seed)
 	}
 	buckets := make([]float64, depth*width)
 	if err := frame.ReadF64s(r, buckets); err != nil {
 		return nil, fmt.Errorf("sketch: count-sketch buckets: %w", err)
 	}
-	return newCountSketch(depth, width, seed, buckets), nil
+	if want == nil {
+		want = &Geometry{depth: depth, width: width, seed: seed, hashes: hashing.NewFamily(depth, seed)}
+	}
+	return want.wrap(buckets), nil
 }
 
 // WriteTo serializes the sketch. It implements io.WriterTo.

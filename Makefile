@@ -82,12 +82,13 @@ bench-sim:
 	$(GO) test -run TestAcceptanceScenario -v ./internal/cluster/sim
 
 # Short fuzz pass over the surfaces hostile bytes can reach: the gossip
-# wire decoder, sketch and learner checkpoint restore (plain, and on a
-# server's geometry), both directions of the binary hot protocol's frame
-# decoder, and the libsvm line parser. All
-# must reject cleanly (no panic, no unbounded allocation); decoded inputs
-# must round-trip bit-exactly and parsed lines hold a ±1 label and finite
-# values. CI runs this from the seeded corpora.
+# wire decoder, Count-Sketch restore, AWM-Sketch and sharded checkpoint
+# restore (LoadAWMSketch and LoadSharded, plain and on a server's
+# geometry), both directions of the binary hot protocol's frame decoder,
+# and the libsvm line parser. All must reject cleanly (no panic, no
+# unbounded allocation); decoded inputs must round-trip bit-exactly and
+# parsed lines hold a ±1 label and finite values. CI runs this from the
+# seeded corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrames -fuzztime 20s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzReadCountSketch -fuzztime 20s ./internal/sketch

@@ -92,13 +92,12 @@ const (
 	// maxFrameBytes bounds one frame's declared payload length.
 	maxFrameBytes = 1 << 28
 	// Per-kind count bounds, each matched to what the data can legitimately
-	// hold: a digest has one entry per cluster member, a heavy list is
-	// capped by the serialization layer's heap bound (2^24, mirroring
-	// core's maxSerializedHeap), and a change list by the sketch bucket
-	// bound (2^27, mirroring sketch's maxSerializedBuckets).
+	// hold: a digest has one entry per cluster member, a heavy list at most
+	// a model's heap size (2^16, mirroring core's maxHeapSize), and a
+	// change list at most a sketch's buckets.
 	maxDigestEntries = 1 << 16
-	maxHeavyEntries  = 1 << 24
-	maxChangeEntries = 1 << 27
+	maxHeavyEntries  = 1 << 16
+	maxChangeEntries = sketch.MaxBuckets
 )
 
 // Frame is one decoded wire frame.

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"math"
 	"strings"
 	"testing"
+
+	"wmsketch/internal/core"
+	"wmsketch/internal/sketch"
+	"wmsketch/internal/stream"
 )
 
 // handStream frames one hand-built payload as a CRC-valid, untraced
@@ -76,5 +81,48 @@ func TestReadFramesRejectsWrappingDeltaGap(t *testing.T) {
 	}
 	if got := frames[0].Changes[1].Index; got != math.MaxUint32 {
 		t.Fatalf("last change index %d, want %d", got, uint32(math.MaxUint32))
+	}
+}
+
+// TestReadFramesRefusesSketchFlags: a full frame's sketch travels in its
+// checkpoint serialization, whose flags no writer sets. A CRC-valid full
+// frame whose sketch header sets one fails the stream, read with the
+// geometry of its header or on a node's, instead of being adopted and
+// relayed with the flag cleared.
+func TestReadFramesRefusesSketchFlags(t *testing.T) {
+	cfg := core.Config{Width: 64, Depth: 1, HeapSize: 16, Seed: 7}
+	cs := sketch.NewCountSketch(cfg.Depth, cfg.Width, cfg.Seed)
+	cs.Update(3, 0.5)
+	full := Frame{Kind: kindFull, Origin: "node-a", Version: 10, Scale: 1,
+		Heavy: []stream.Weighted{{Index: 3, Weight: 0.5}}, CS: cs}
+	payload, err := appendFramePayload(nil, &full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := append([]byte(nil), payload...)
+	flagged[len(flagged)-cs.EncodedSize()+24] |= 1
+	n, err := NewNode(Config{Self: "node-b", Mix: mixOpt(cfg), Local: core.NewAWMSketch(cfg), Interval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{"ReadFrames", func(r io.Reader) error {
+			_, err := ReadFrames(r)
+			return err
+		}},
+		{"Node.ReadFramesTraced", func(r io.Reader) error {
+			_, _, err := n.ReadFramesTraced(r)
+			return err
+		}},
+	} {
+		if err := r.read(bytes.NewReader(handStream(kindFull, payload))); err != nil {
+			t.Fatalf("%s: the unflagged frame was refused: %v", r.name, err)
+		}
+		if err := r.read(bytes.NewReader(handStream(kindFull, flagged))); err == nil {
+			t.Errorf("%s: accepted a full frame whose sketch header sets a flag", r.name)
+		}
 	}
 }

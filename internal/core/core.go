@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"wmsketch/internal/linear"
+	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
 )
 
@@ -59,16 +60,30 @@ func (c *Config) fill() {
 	}
 }
 
+// Bounds on a configuration. A plain checkpoint loader takes its
+// configuration from the header, and these bound what a header of a few
+// bytes makes it allocate before refusing what follows: a heap index of
+// 64 B a slot, and a hash family of ~14 KB a row. Both lie far above the
+// paper's configurations (an active set of at most 2048, depth at most
+// 31), and validate applies them to every learner, so that a process can
+// always restore what it wrote.
+const (
+	maxHeapSize = 1 << 16
+	maxDepth    = 64
+)
+
 // validate reports a configuration the learners cannot run with; fill
 // panics on it, and checkpoint restore returns it.
 func (c *Config) validate() error {
 	switch {
 	case c.Width <= 0:
 		return fmt.Errorf("core: width must be positive, got %d", c.Width)
-	case c.Depth <= 0:
-		return fmt.Errorf("core: depth must be positive, got %d", c.Depth)
-	case c.HeapSize <= 0:
-		return fmt.Errorf("core: heap size must be positive, got %d", c.HeapSize)
+	case c.Depth <= 0 || c.Depth > maxDepth:
+		return fmt.Errorf("core: depth must be in [1, %d], got %d", maxDepth, c.Depth)
+	case c.Width > sketch.MaxBuckets/c.Depth:
+		return fmt.Errorf("core: %d×%d buckets exceed the checkpoint limit of %d", c.Depth, c.Width, sketch.MaxBuckets)
+	case c.HeapSize <= 0 || c.HeapSize > maxHeapSize:
+		return fmt.Errorf("core: heap size must be in [1, %d], got %d", maxHeapSize, c.HeapSize)
 	case c.Lambda < 0:
 		return fmt.Errorf("core: negative lambda")
 	}

@@ -16,15 +16,16 @@ import (
 // geometry. Every learner, view and restored sketch built through a
 // Geometry shares its family; NewAWMSketch, NewSharded, the package-level
 // loaders and a MixOptions literal each build their own. A Geometry is
-// immutable and safe for concurrent use.
+// immutable and safe for concurrent use; only a plain loader's own empty
+// one is filled in, once, from the first header it reads.
 type Geometry struct {
 	cfg Config // filled
 	sk  *sketch.Geometry
 }
 
 // NewGeometry binds cfg to the hash family of its depth and seed, built
-// here once. It panics on a configuration the learners cannot run with,
-// as NewAWMSketch does.
+// once, by the first sketch made or read on it. It panics on a
+// configuration the learners cannot run with, as NewAWMSketch does.
 func NewGeometry(cfg Config) *Geometry {
 	cfg.fill()
 	return &Geometry{cfg: cfg, sk: sketch.NewGeometry(cfg.Depth, cfg.Width, cfg.Seed)}

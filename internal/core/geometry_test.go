@@ -146,9 +146,10 @@ func TestCloseKeepsAnUpToDateView(t *testing.T) {
 // must return an error or a model without panicking. It accepts exactly
 // what the plain loader accepts with a header equal to the geometry, and a
 // model it accepts serializes back to exactly the bytes it was given.
-// The plain loader trusts the sizes a header declares, so it runs only on
-// inputs whose first model declares the geometry's (headerOn): the ones it
-// could accept with the geometry's header.
+// The plain loader allocates the buckets a header declares before they
+// arrive, so it runs only on inputs whose first model declares the
+// geometry's sizes (headerOn): the ones it could accept with the
+// geometry's header.
 //
 // `make fuzz-smoke` runs this next to FuzzLoadCheckpoint; longer runs:
 // go test -fuzz FuzzLoadOnGeometry ./internal/core.

@@ -17,9 +17,8 @@ import (
 )
 
 // goldenCheckpoints builds the checkpoints pinned under testdata: a
-// Count-Sketch, a Count-Min, a WM-Sketch, an AWM-Sketch and a 2-worker
-// sharded learner, each at small geometry and fed from a fixed datagen
-// seed. The files were written once, before the checkpoint decoders moved
+// Count-Sketch, an AWM-Sketch and a 2-worker sharded learner, each at
+// small geometry and fed from a fixed datagen seed. The files were written once, before the checkpoint decoders moved
 // onto internal/frame, and the tests never rewrite them: they pin the
 // checkpoint bytes the way testdata/golden_*.bin pins the gossip streams.
 func goldenCheckpoints(tb testing.TB) map[string][]byte {
@@ -34,18 +33,14 @@ func goldenCheckpoints(tb testing.TB) map[string][]byte {
 	}
 
 	cs := sketch.NewCountSketch(3, 64, 5)
-	cm := sketch.NewConservativeCountMin(2, 64, 5)
 	for _, ex := range data {
 		for _, f := range ex.X {
 			cs.Update(f.Index, float64(ex.Y)*f.Value)
-			cm.Update(f.Index, math.Abs(f.Value))
 		}
 	}
 
-	cfg := Config{Width: 128, Depth: 3, HeapSize: 16, Lambda: 1e-4, Seed: 9}
-	wm, awm := NewWMSketch(cfg), NewAWMSketch(cfg)
+	awm := NewAWMSketch(Config{Width: 128, Depth: 3, HeapSize: 16, Lambda: 1e-4, Seed: 9})
 	for _, ex := range data {
-		wm.Update(ex.X, ex.Y)
 		awm.Update(ex.X, ex.Y)
 	}
 
@@ -58,8 +53,6 @@ func goldenCheckpoints(tb testing.TB) map[string][]byte {
 
 	return map[string][]byte{
 		"countsketch": write(cs),
-		"countmin":    write(cm),
-		"wm":          write(wm),
 		"awm":         write(awm),
 		"sharded":     write(sh),
 	}
@@ -75,10 +68,6 @@ func reloadCheckpoint(tb testing.TB, name string, blob []byte) []byte {
 	switch name {
 	case "countsketch":
 		m, err = sketch.ReadCountSketch(r)
-	case "countmin":
-		m, err = sketch.ReadCountMin(r)
-	case "wm":
-		m, err = LoadWMSketch(r, nil, nil)
 	case "awm":
 		m, err = LoadAWMSketch(r, nil, nil)
 	case "sharded":

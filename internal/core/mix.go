@@ -249,13 +249,22 @@ func (m *Mixed) Estimate(i uint32) float64 {
 	return m.sqrtS * m.cs.Estimate(i)
 }
 
-// Predict evaluates the margin wᵀx under the mixed model.
+// Predict evaluates the margin wᵀx under the mixed model: mixed heavy
+// weights where present, as Estimate reads them, and the compressed inner
+// product over the merged sketch for the rest (Algorithm 2's τ). The heavy
+// weights are in the sketch too, where they collide with each other and
+// with every tail feature sharing a bucket, so read there they can make
+// the view predict worse than any model it mixes.
 func (m *Mixed) Predict(x stream.Vector) float64 {
 	dot := 0.0
 	for _, f := range x {
-		dot += f.Value * m.cs.SumSigned(f.Index)
+		if w, ok := m.exact[f.Index]; ok {
+			dot += w * f.Value
+		} else {
+			dot += f.Value * m.cs.SumSigned(f.Index) / m.sqrtS
+		}
 	}
-	return dot / m.sqrtS
+	return dot
 }
 
 // TopK returns the k heaviest features of the mixed model.

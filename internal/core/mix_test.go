@@ -238,3 +238,68 @@ func TestMixRejectsIncompatibleGeometry(t *testing.T) {
 		t.Fatal("seed mismatch not rejected")
 	}
 }
+
+// TestMixedViewPredictsNoWorseThanItsNodes: three AWM-Sketches at
+// wmserve's default geometry (4096×1, heap 2048) train on round-robin
+// thirds of an RCV1-like stream, as the gossip benchmark's nodes do, and
+// the view mixed from their snapshots must classify the next 8192
+// examples within epsilon of the worst node's own error, after 1 and
+// after 8 passes, on each of 11 seeds. Read from the merged sketch, where
+// every active weight collides with the others, the heavy weights make
+// the view up to 0.134 worse than its worst node at 8 passes (seed 310:
+// 0.4031 against 0.2690).
+func TestMixedViewPredictsNoWorseThanItsNodes(t *testing.T) {
+	const (
+		nodes   = 3
+		skip    = nodes * 4096
+		perNode = 16384
+		heldout = 8192
+		epsilon = 0.01
+	)
+	g := NewGeometry(Config{Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: 42})
+	errorRate := func(predict func(stream.Vector) float64, test []stream.Example) float64 {
+		wrong := 0
+		for _, ex := range test {
+			if predict(ex.X)*float64(ex.Y) <= 0 {
+				wrong++
+			}
+		}
+		return float64(wrong) / float64(len(test))
+	}
+	for _, seed := range []int64{7, 301, 302, 303, 304, 305, 306, 307, 308, 309, 310} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			gen := datagen.RCV1Like(seed)
+			gen.Take(skip)
+			train, test := gen.Take(nodes*perNode), gen.Take(heldout)
+			models := make([]*AWMSketch, nodes)
+			for i := range models {
+				models[i] = g.NewAWMSketch()
+			}
+			for pass := 1; pass <= 8; pass++ {
+				for i, ex := range train {
+					models[i%nodes].Update(ex.X, ex.Y)
+				}
+				if pass != 1 && pass != 8 {
+					continue
+				}
+				snaps := make([]Snapshot, nodes)
+				worst := 0.0
+				for i, m := range models {
+					snaps[i] = snapshotOf(t, m, fmt.Sprint(i))
+					worst = max(worst, errorRate(m.Predict, test))
+				}
+				view, err := MixSnapshots(snaps, g.Mix())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := errorRate(view.Predict, test)
+				t.Logf("%d passes: view %.4f, worst node %.4f", pass, got, worst)
+				if got > worst+epsilon {
+					t.Errorf("%d passes: the view's error %.4f exceeds the worst node's %.4f by more than %g",
+						pass, got, worst, epsilon)
+				}
+			}
+		})
+	}
+}

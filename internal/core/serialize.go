@@ -9,16 +9,16 @@ import (
 
 	"wmsketch/internal/frame"
 	"wmsketch/internal/linear"
-	"wmsketch/internal/sketch"
 	"wmsketch/internal/topk"
 )
 
-// Serialization lets a trained classifier be checkpointed and resumed — a
+// Serialization lets a trained AWM-Sketch be checkpointed and resumed — a
 // practical necessity for long-running streams. The format captures the
 // sketch buckets, the heap contents, the global scale, and the step
 // counter. Loss and Schedule are behaviour, not state; the loader takes
 // them from the caller (nil selects the defaults used throughout the
-// paper) so custom losses round-trip without a registry.
+// paper) so custom losses round-trip without a registry. A sharded
+// checkpoint is a header followed by one such model per worker.
 //
 // Layout (little-endian), after a 4-byte magic + 4-byte version:
 //
@@ -33,7 +33,6 @@ import (
 // middle of a sharded checkpoint, and the public loaders require the input
 // to end where the checkpoint does.
 const (
-	magicWM      = 0x574d5357 // "WMSW"
 	magicAWM     = 0x574d5341 // "WMSA"
 	magicSharded = 0x574d5353 // "WMSS"
 
@@ -49,47 +48,35 @@ const (
 // 0. Variant 1 held basic WM-Sketch shards, which Sharded no longer trains.
 var errShardVariant = errors.New("core: sharded checkpoint does not hold AWM shards (variant 0)")
 
-// WriteTo serializes the WM-Sketch state. It implements io.WriterTo.
-func (w *WMSketch) WriteTo(out io.Writer) (int64, error) {
-	return writeSketchState(out, magicWM, &w.cfg, w.scale, w.t, w.heap, w.cs)
-}
-
-// LoadWMSketch restores a WM-Sketch written by WriteTo. loss and schedule
-// replace the serialized behaviour; nil selects the defaults. r must end
-// where the checkpoint does.
-func LoadWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*WMSketch, error) {
-	w, err := loadWMSketch(r, loss, schedule)
-	if err == nil {
-		err = atEnd(r)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func loadWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*WMSketch, error) {
-	st, err := readSketchState(r, magicWM, nil, loss, schedule)
-	if err != nil {
-		return nil, err
-	}
-	w := newWMSketch(st.cfg, st.cs)
-	w.scale, w.t = st.scale, st.t
-	if err := st.fillHeap(w.heap); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
 // WriteTo serializes the AWM-Sketch state. It implements io.WriterTo.
 func (a *AWMSketch) WriteTo(out io.Writer) (int64, error) {
-	return writeSketchState(out, magicAWM, &a.cfg, a.scale, a.t, a.active, a.cs)
+	entries := a.active.Entries()
+	b := make([]byte, 0, stateHeaderSize+heapEntrySize*len(entries))
+	for _, v := range []uint32{magicAWM, serializeVersion, uint32(a.cfg.Width), uint32(a.cfg.Depth), uint32(a.cfg.HeapSize)} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	for _, v := range []uint64{math.Float64bits(a.cfg.Lambda), uint64(a.cfg.Seed), math.Float64bits(a.scale), uint64(a.t)} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
+	for _, e := range entries {
+		b = binary.LittleEndian.AppendUint32(b, e.Key)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Weight))
+	}
+	n, err := out.Write(b)
+	if err != nil {
+		return int64(n), err
+	}
+	m, err := a.cs.WriteTo(out)
+	return int64(n) + m, err
 }
 
-// LoadAWMSketch restores an AWM-Sketch written by WriteTo. r must end
-// where the checkpoint does.
+// LoadAWMSketch restores an AWM-Sketch written by WriteTo, of the
+// geometry and λ its header declares. loss and schedule replace the
+// serialized behaviour; nil selects the defaults. r must end where the
+// checkpoint does.
 func LoadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
-	return loadAWMCheckpoint(r, nil, loss, schedule)
+	return loadAWMCheckpoint(r, declared(loss, schedule))
 }
 
 // LoadAWMSketch restores an AWM-Sketch written by WriteTo on g: a
@@ -98,13 +85,20 @@ func LoadAWMSketch(r io.Reader, loss linear.Loss, schedule linear.Schedule) (*AW
 // The model trains with g's loss and schedule, and its sketch shares g's
 // hash family. r must end where the checkpoint does.
 func (g *Geometry) LoadAWMSketch(r io.Reader) (*AWMSketch, error) {
-	return loadAWMCheckpoint(r, g, g.cfg.Loss, g.cfg.Schedule)
+	return loadAWMCheckpoint(r, g)
+}
+
+// declared is the geometry a plain loader reads on: an empty one, which
+// the first model header read declares (loadAWMSketch), training with loss
+// and schedule.
+func declared(loss linear.Loss, schedule linear.Schedule) *Geometry {
+	return &Geometry{cfg: Config{Loss: loss, Schedule: schedule}}
 }
 
 // loadAWMCheckpoint reads a whole AWM-Sketch checkpoint, which r must end
 // with.
-func loadAWMCheckpoint(r io.Reader, want *Geometry, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
-	a, err := loadAWMSketch(r, want, loss, schedule)
+func loadAWMCheckpoint(r io.Reader, want *Geometry) (*AWMSketch, error) {
+	a, err := loadAWMSketch(r, want)
 	if err == nil {
 		err = atEnd(r)
 	}
@@ -114,16 +108,63 @@ func loadAWMCheckpoint(r io.Reader, want *Geometry, loss linear.Loss, schedule l
 	return a, nil
 }
 
-// loadAWMSketch reads one AWM-Sketch, of want's geometry when want is not
-// nil, and wraps the sketch it read.
-func loadAWMSketch(r io.Reader, want *Geometry, loss linear.Loss, schedule linear.Schedule) (*AWMSketch, error) {
-	st, err := readSketchState(r, magicAWM, want, loss, schedule)
+// loadAWMSketch reads one AWM-Sketch on want. Every header field that
+// sizes an allocation or feeds arithmetic is validated before use, so a
+// corrupt checkpoint yields a clean error rather than an OOM, a
+// Config.fill panic, or NaN-poisoned estimates. An empty want (declared)
+// takes this header's configuration, if Config.validate accepts it, and
+// builds its hash family once the buckets have arrived; a header that
+// disagrees with want is refused before the heap section or the buckets
+// are read. The model takes want's configuration, and its sketch shares
+// want's hash family.
+func loadAWMSketch(r io.Reader, want *Geometry) (*AWMSketch, error) {
+	var hdr [stateHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("core: truncated header: %w", err)
+	}
+	le := binary.LittleEndian
+	if magic := le.Uint32(hdr[0:]); magic != magicAWM {
+		return nil, fmt.Errorf("core: bad magic %#x", magic)
+	}
+	if version := le.Uint32(hdr[4:]); version != serializeVersion {
+		return nil, fmt.Errorf("core: unsupported version %d", version)
+	}
+	width, depth, heapSize := le.Uint32(hdr[8:]), le.Uint32(hdr[12:]), le.Uint32(hdr[16:])
+	lambda, seed := math.Float64frombits(le.Uint64(hdr[20:])), int64(le.Uint64(hdr[28:]))
+	scale, t := math.Float64frombits(le.Uint64(hdr[36:])), int64(le.Uint64(hdr[44:]))
+	heapLen := le.Uint32(hdr[52:])
+	switch {
+	case heapLen > heapSize:
+		return nil, fmt.Errorf("core: heap length %d exceeds capacity %d", heapLen, heapSize)
+	case !frame.Finite(lambda) || lambda < 0:
+		return nil, fmt.Errorf("core: corrupt lambda %g", lambda)
+	case !frame.Finite(scale) || scale <= 0:
+		return nil, fmt.Errorf("core: corrupt scale %g", scale)
+	case t < 0:
+		return nil, fmt.Errorf("core: negative step counter %d", t)
+	}
+	if want.sk == nil {
+		cfg := Config{Width: int(width), Depth: int(depth), HeapSize: int(heapSize),
+			Lambda: lambda, Seed: seed, Loss: want.cfg.Loss, Schedule: want.cfg.Schedule}
+		if err := cfg.validate(); err != nil {
+			return nil, err
+		}
+		*want = *NewGeometry(cfg)
+	}
+	if err := want.check(width, depth, heapSize, lambda, seed); err != nil {
+		return nil, err
+	}
+	heap, err := frame.ReadN(r, nil, heapEntrySize*int(heapLen))
+	if err != nil {
+		return nil, fmt.Errorf("core: heap: %w", err)
+	}
+	cs, err := want.sk.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	a := newAWMSketch(st.cfg, st.cs)
-	a.scale, a.t = st.scale, st.t
-	if err := st.fillHeap(a.active); err != nil {
+	a := newAWMSketch(want.cfg, cs)
+	a.scale, a.t = scale, t
+	if err := fillHeap(a.active, heap); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -192,7 +233,7 @@ func (s *Sharded) WriteTo(out io.Writer) (int64, error) {
 // already rebuilt. Its shards and views share the hash family of the first
 // shard, whose header every later shard must repeat.
 func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt ShardedOptions) (*Sharded, error) {
-	return loadSharded(r, nil, loss, schedule, opt)
+	return loadSharded(r, declared(loss, schedule), opt)
 }
 
 // LoadSharded restores a parallel learner checkpointed by Sharded.WriteTo
@@ -201,12 +242,12 @@ func LoadSharded(r io.Reader, loss linear.Loss, schedule linear.Schedule, opt Sh
 // λ, checked before anything is allocated from it; the shards train with
 // g's loss and schedule, and they and every view share g's hash family.
 func (g *Geometry) LoadSharded(r io.Reader, opt ShardedOptions) (*Sharded, error) {
-	return loadSharded(r, g, g.cfg.Loss, g.cfg.Schedule, opt)
+	return loadSharded(r, g, opt)
 }
 
-// loadSharded reads a sharded checkpoint, of want's geometry when want is
-// not nil and otherwise of the first shard's.
-func loadSharded(r io.Reader, want *Geometry, loss linear.Loss, schedule linear.Schedule, opt ShardedOptions) (*Sharded, error) {
+// loadSharded reads a sharded checkpoint on want, which an empty want
+// takes from the first shard's header.
+func loadSharded(r io.Reader, want *Geometry, opt ShardedOptions) (*Sharded, error) {
 	var hdr [shardedHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: truncated sharded header: %w", err)
@@ -233,13 +274,9 @@ func loadSharded(r io.Reader, want *Geometry, loss linear.Loss, schedule linear.
 	}
 	models := make([]*AWMSketch, workers)
 	for i := range models {
-		m, err := loadAWMSketch(r, want, loss, schedule)
+		m, err := loadAWMSketch(r, want)
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
-		}
-		if want == nil {
-			// Later shards are read on the first one's geometry.
-			want = &Geometry{cfg: m.cfg, sk: m.cs.Geometry()}
 		}
 		models[i] = m
 	}
@@ -261,136 +298,20 @@ func loadSharded(r io.Reader, want *Geometry, loss linear.Loss, schedule linear.
 // corrupt header cannot demand millions of goroutines and sketches.
 const maxShardedWorkers = 4096
 
-// maxSerializedHeap bounds the heap capacity accepted from a checkpoint:
-// without it a corrupt 4-byte heapSize/heapLen pair could demand a ~100 GiB
-// entries allocation (plus a 4× index table in topk.New) before a single
-// heap byte is read. 2^24 slots is far above any configuration the paper
-// uses, far below an OOM.
-const maxSerializedHeap = 1 << 24
-
-func writeSketchState(out io.Writer, magic uint32, cfg *Config, scale float64,
-	t int64, heap *topk.Heap, cs *sketch.CountSketch) (int64, error) {
-	entries := heap.Entries()
-	b := make([]byte, 0, stateHeaderSize+heapEntrySize*len(entries))
-	for _, v := range []uint32{magic, serializeVersion, uint32(cfg.Width), uint32(cfg.Depth), uint32(cfg.HeapSize)} {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	for _, v := range []uint64{math.Float64bits(cfg.Lambda), uint64(cfg.Seed), math.Float64bits(scale), uint64(t)} {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
-	for _, e := range entries {
-		b = binary.LittleEndian.AppendUint32(b, e.Key)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Weight))
-	}
-	n, err := out.Write(b)
-	if err != nil {
-		return int64(n), err
-	}
-	m, err := cs.WriteTo(out)
-	return int64(n) + m, err
-}
-
 const serializeVersion = 1
 
-// sketchState is what a WM- and an AWM-Sketch checkpoint hold beyond the
-// behaviour the caller supplies.
-type sketchState struct {
-	cfg   Config
-	scale float64
-	t     int64
-	heap  []byte // heapLen entries of heapEntrySize bytes
-	cs    *sketch.CountSketch
-}
-
-// readSketchState reads and validates one model's header, heap section
-// and Count-Sketch. Every header field that sizes an allocation or feeds
-// arithmetic is validated before use, so a corrupt checkpoint yields a
-// clean error rather than an OOM, a Config.fill panic, or NaN-poisoned
-// estimates. Given want, a header that disagrees with it is refused before
-// the heap section or the buckets are read, the state takes want's
-// configuration, and its sketch shares want's hash family.
-func readSketchState(r io.Reader, wantMagic uint32, want *Geometry, loss linear.Loss, schedule linear.Schedule) (*sketchState, error) {
-	var hdr [stateHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("core: truncated header: %w", err)
-	}
-	le := binary.LittleEndian
-	if magic := le.Uint32(hdr[0:]); magic != wantMagic {
-		return nil, fmt.Errorf("core: bad magic %#x", magic)
-	}
-	if version := le.Uint32(hdr[4:]); version != serializeVersion {
-		return nil, fmt.Errorf("core: unsupported version %d", version)
-	}
-	width, depth, heapSize := le.Uint32(hdr[8:]), le.Uint32(hdr[12:]), le.Uint32(hdr[16:])
-	lambda := math.Float64frombits(le.Uint64(hdr[20:]))
-	st := &sketchState{
-		scale: math.Float64frombits(le.Uint64(hdr[36:])),
-		t:     int64(le.Uint64(hdr[44:])),
-	}
-	heapLen := le.Uint32(hdr[52:])
-	if heapSize == 0 || heapSize > maxSerializedHeap {
-		return nil, fmt.Errorf("core: implausible heap capacity %d", heapSize)
-	}
-	if heapLen > heapSize {
-		return nil, fmt.Errorf("core: heap length %d exceeds capacity %d", heapLen, heapSize)
-	}
-	if !frame.Finite(lambda) || lambda < 0 {
-		return nil, fmt.Errorf("core: corrupt lambda %g", lambda)
-	}
-	if !frame.Finite(st.scale) || st.scale <= 0 {
-		return nil, fmt.Errorf("core: corrupt scale %g", st.scale)
-	}
-	if st.t < 0 {
-		return nil, fmt.Errorf("core: negative step counter %d", st.t)
-	}
-	seed := int64(le.Uint64(hdr[28:]))
-	if want != nil {
-		if err := want.check(width, depth, heapSize, lambda, seed); err != nil {
-			return nil, err
-		}
-		st.cfg = want.cfg
-	} else {
-		st.cfg = Config{
-			Width: int(width), Depth: int(depth), HeapSize: int(heapSize),
-			Lambda: lambda, Seed: seed, Loss: loss, Schedule: schedule,
-		}
-		if err := st.cfg.validate(); err != nil {
-			return nil, err
-		}
-		st.cfg.fill()
-	}
-	var err error
-	if st.heap, err = frame.ReadN(r, nil, heapEntrySize*int(heapLen)); err != nil {
-		return nil, fmt.Errorf("core: heap: %w", err)
-	}
-	if want != nil {
-		st.cs, err = want.sk.Read(r)
-	} else {
-		st.cs, err = sketch.ReadCountSketch(r)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if st.cs.Width() != int(width) || st.cs.Depth() != int(depth) || st.cs.Seed() != seed {
-		return nil, fmt.Errorf("core: sketch %dx%d seed %d disagrees with header %dx%d seed %d",
-			st.cs.Depth(), st.cs.Width(), st.cs.Seed(), depth, width, seed)
-	}
-	return st, nil
-}
-
-// fillHeap inserts the checkpoint's heap entries into h, a fresh heap of
+// fillHeap inserts a checkpoint's heap section into h, a fresh heap of
 // the checkpoint's capacity. WriteTo writes a heap in its array order, in
 // which no entry outweighs its parent (i−1)/2 in magnitude, so inserting
 // in file order moves nothing and a restore serializes back to the same
 // bytes. A non-finite weight, a repeated key, or an entry out of heap
 // order marks a corrupt checkpoint.
-func (st *sketchState) fillHeap(h *topk.Heap) error {
+func fillHeap(h *topk.Heap, heap []byte) error {
 	weight := func(i int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(st.heap[i*heapEntrySize+4:]))
+		return math.Float64frombits(binary.LittleEndian.Uint64(heap[i*heapEntrySize+4:]))
 	}
-	for i := 0; i < len(st.heap)/heapEntrySize; i++ {
-		key, w := binary.LittleEndian.Uint32(st.heap[i*heapEntrySize:]), weight(i)
+	for i := 0; i < len(heap)/heapEntrySize; i++ {
+		key, w := binary.LittleEndian.Uint32(heap[i*heapEntrySize:]), weight(i)
 		switch {
 		case !frame.Finite(w):
 			return fmt.Errorf("core: heap entry %d has non-finite weight", i)

@@ -9,52 +9,19 @@ import (
 	"wmsketch/internal/stream"
 )
 
-func trainBoth(t *testing.T, n int) (*WMSketch, *AWMSketch) {
+func trainAWM(t *testing.T, n int) *AWMSketch {
 	t.Helper()
 	gen := newPlanted(1000, 5, defaultPlantedWeights(), 11)
-	w := NewWMSketch(Config{Width: 128, Depth: 2, HeapSize: 32, Lambda: 1e-4, Seed: 3})
 	a := NewAWMSketch(Config{Width: 256, Depth: 1, HeapSize: 32, Lambda: 1e-4, Seed: 3})
 	for i := 0; i < n; i++ {
 		ex := gen.next()
-		w.Update(ex.X, ex.Y)
 		a.Update(ex.X, ex.Y)
 	}
-	return w, a
-}
-
-func TestWMSketchRoundTrip(t *testing.T) {
-	w, _ := trainBoth(t, 3000)
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadWMSketch(&buf, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Steps() != w.Steps() || got.Scale() != w.Scale() {
-		t.Fatalf("state mismatch: steps %d/%d scale %g/%g",
-			got.Steps(), w.Steps(), got.Scale(), w.Scale())
-	}
-	for i := uint32(0); i < 1000; i++ {
-		if got.Estimate(i) != w.Estimate(i) {
-			t.Fatalf("estimate mismatch for feature %d", i)
-		}
-	}
-	// TopK must agree.
-	a, b := w.TopK(10), got.TopK(10)
-	if len(a) != len(b) {
-		t.Fatalf("TopK sizes %d/%d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("TopK[%d] %+v vs %+v", i, a[i], b[i])
-		}
-	}
+	return a
 }
 
 func TestAWMSketchRoundTripAndResume(t *testing.T) {
-	_, a := trainBoth(t, 3000)
+	a := trainAWM(t, 3000)
 	var buf bytes.Buffer
 	if _, err := a.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -110,10 +77,11 @@ func TestSerializeErrors(t *testing.T) {
 	if _, err := LoadAWMSketch(strings.NewReader("nope"), nil, nil); err == nil {
 		t.Error("garbage input must error")
 	}
-	// WM blob into AWM loader: magic mismatch.
-	w, _ := trainBoth(t, 100)
+	// Sharded blob into AWM loader: magic mismatch.
+	sh := NewSharded(Config{Width: 64, Depth: 1, HeapSize: 8, Seed: 3}, ShardedOptions{Workers: 1, SyncEvery: -1})
+	defer sh.Close()
 	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
+	if _, err := sh.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadAWMSketch(&buf, nil, nil); err == nil {
@@ -121,11 +89,11 @@ func TestSerializeErrors(t *testing.T) {
 	}
 	// Truncated stream.
 	buf.Reset()
-	if _, err := w.WriteTo(&buf); err != nil {
+	if _, err := trainAWM(t, 100).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	short := buf.Bytes()[:buf.Len()/2]
-	if _, err := LoadWMSketch(bytes.NewReader(short), nil, nil); err == nil {
+	if _, err := LoadAWMSketch(bytes.NewReader(short), nil, nil); err == nil {
 		t.Error("truncated stream must error")
 	}
 }

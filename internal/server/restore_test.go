@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -45,12 +46,13 @@ func writeCheckpoint(t testing.TB, backend string, cfg core.Config, examples []s
 }
 
 // TestRestoreRefusesMismatchedCheckpoint: a checkpoint whose width, depth,
-// seed, heap size or λ differs from Options.Config is refused by every
-// restore entrance — 400 from the upload, the restore action's 500, an
-// error from Server.Restore — and each time the backend keeps serving
-// what it served before: the same geometry and steps in /v1/stats, and the
-// same margin on a probe. A checkpoint of the server's own configuration
-// then restores through all three, so the mismatch is what is refused.
+// seed, heap size or λ differs from Options.Config, or whose first sketch
+// header sets a flag, which no writer does, is refused by every restore
+// entrance — 400 from the upload, the restore action's 500, an error from
+// Server.Restore — and each time the backend keeps serving what it served
+// before: the same geometry and steps in /v1/stats, and the same margin on
+// a probe. A checkpoint of the server's own configuration then restores
+// through all three, so the mismatch is what is refused.
 func TestRestoreRefusesMismatchedCheckpoint(t *testing.T) {
 	for _, backend := range backends() {
 		t.Run(backend, func(t *testing.T) {
@@ -104,6 +106,11 @@ func TestRestoreRefusesMismatchedCheckpoint(t *testing.T) {
 			}
 
 			base := testOptions(t, backend).Config
+			type refusal struct {
+				name string
+				blob []byte
+			}
+			var refused []refusal
 			for _, c := range []struct {
 				name   string
 				modify func(*core.Config)
@@ -116,7 +123,20 @@ func TestRestoreRefusesMismatchedCheckpoint(t *testing.T) {
 			} {
 				cfg := base
 				c.modify(&cfg)
-				blob := writeCheckpoint(t, backend, cfg, datagen.RCV1Like(32).Take(500))
+				refused = append(refused, refusal{c.name, writeCheckpoint(t, backend, cfg, datagen.RCV1Like(32).Take(500))})
+			}
+			// The first model follows the sharded header (24 bytes); its
+			// sketch header follows its own header (56 bytes) and heap
+			// entries (12 bytes each), and holds the flags at offset 24.
+			flagged := writeCheckpoint(t, backend, base, datagen.RCV1Like(32).Take(500))
+			model := 0
+			if backend == BackendSharded {
+				model = 24
+			}
+			flagged[model+56+12*int(binary.LittleEndian.Uint32(flagged[model+52:]))+24] |= 1
+			refused = append(refused, refusal{"sketch flags", flagged})
+			for _, c := range refused {
+				blob := c.blob
 				if code, msg := upload(blob); code != http.StatusBadRequest {
 					t.Fatalf("%s: upload answered HTTP %d (%s), want 400", c.name, code, msg)
 				}

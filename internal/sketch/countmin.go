@@ -29,17 +29,15 @@ func NewCountMin(depth, width int, seed int64) *CountMin {
 	if width <= 0 {
 		panic(fmt.Sprintf("sketch: width must be positive, got %d", width))
 	}
-	return newCountMin(depth, width, seed, make([]float64, depth*width))
-}
-
-// newCountMin builds a sketch over buckets, its depth rows of width laid
-// end to end.
-func newCountMin(depth, width int, seed int64, buckets []float64) *CountMin {
+	rows, buckets := make([][]float64, depth), make([]float64, depth*width)
+	for j := range rows {
+		rows[j], buckets = buckets[:width], buckets[width:]
+	}
 	return &CountMin{
 		depth:  depth,
 		width:  width,
 		seed:   seed,
-		rows:   splitRows(buckets, depth, width),
+		rows:   rows,
 		hashes: hashing.NewFamily(depth, seed),
 	}
 }
@@ -111,12 +109,3 @@ func (cm *CountMin) Reset() {
 
 // MemoryBytes returns the cost-model size: 4 bytes per counter.
 func (cm *CountMin) MemoryBytes() int { return 4 * cm.depth * cm.width }
-
-// splitRows slices buckets into depth consecutive rows of width.
-func splitRows(buckets []float64, depth, width int) [][]float64 {
-	rows := make([][]float64, depth)
-	for j := range rows {
-		rows[j], buckets = buckets[:width], buckets[width:]
-	}
-	return rows
-}

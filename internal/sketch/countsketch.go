@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"wmsketch/internal/hashing"
 )
@@ -53,18 +54,22 @@ func NewCountSketch(depth, width int, seed int64) *CountSketch {
 }
 
 // Geometry is a Count-Sketch shape (depth, width and hash seed) with the
-// hash family of that depth and seed, built once. Every sketch New makes
-// and Read restores shares the family, as Clone's copies do, instead of
-// building its own: a family costs about 50 µs and 19 KB a row, more than
-// the buckets of a small sketch. A Geometry is immutable.
+// hash family of that depth and seed, built once, on first use. Every
+// sketch New makes and Read restores shares the family, as Clone's copies
+// do, instead of building its own: a family costs about 50 µs and 19 KB a
+// row, more than the buckets of a small sketch. Building it on first use
+// lets a loader take its geometry from a header, and refuse what follows,
+// without paying for a family the input never justifies. A Geometry is
+// safe for concurrent use.
 type Geometry struct {
 	depth, width int
 	seed         int64
+	once         sync.Once
 	hashes       *hashing.Family
 }
 
 // NewGeometry returns the geometry of depth rows of width buckets under
-// seed, and builds its hash family.
+// seed. Its hash family is built by the first New, Read or Hashes.
 func NewGeometry(depth, width int, seed int64) *Geometry {
 	if depth <= 0 {
 		panic(fmt.Sprintf("sketch: depth must be positive, got %d", depth))
@@ -75,7 +80,7 @@ func NewGeometry(depth, width int, seed int64) *Geometry {
 	if depth > math.MaxInt32/width {
 		panic(fmt.Sprintf("sketch: %d×%d buckets overflow a Loc's int32 index", depth, width))
 	}
-	return &Geometry{depth: depth, width: width, seed: seed, hashes: hashing.NewFamily(depth, seed)}
+	return &Geometry{depth: depth, width: width, seed: seed}
 }
 
 // Geometry returns the sketch's geometry, sharing its hash family.
@@ -91,7 +96,7 @@ func (g *Geometry) New() *CountSketch {
 // wrap builds a sketch of the geometry over buckets, its depth rows of
 // width laid end to end.
 func (g *Geometry) wrap(buckets []float64) *CountSketch {
-	return &CountSketch{depth: g.depth, width: g.width, seed: g.seed, buckets: buckets, hashes: g.hashes}
+	return &CountSketch{depth: g.depth, width: g.width, seed: g.seed, buckets: buckets, hashes: g.Hashes()}
 }
 
 // Matches reports whether a sketch of depth rows of width buckets under
@@ -100,8 +105,16 @@ func (g *Geometry) Matches(depth, width int, seed int64) bool {
 	return depth == g.depth && width == g.width && seed == g.seed
 }
 
-// Hashes returns the geometry's hash family, which its sketches share.
-func (g *Geometry) Hashes() *hashing.Family { return g.hashes }
+// Hashes returns the geometry's hash family, which its sketches share,
+// building it on the first call.
+func (g *Geometry) Hashes() *hashing.Family {
+	g.once.Do(func() {
+		if g.hashes == nil {
+			g.hashes = hashing.NewFamily(g.depth, g.seed)
+		}
+	})
+	return g.hashes
+}
 
 // Depth returns the number of rows.
 func (cs *CountSketch) Depth() int { return cs.depth }

@@ -1,9 +1,11 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -287,4 +289,39 @@ func BenchmarkCountSketchEstimate(b *testing.B) {
 		sink += cs.Estimate(uint32(i % 10000))
 	}
 	_ = sink
+}
+
+// TestGeometryBuildsOneFamilyConcurrently: a geometry builds its hash
+// family on first use, once, however many goroutines reach it first, and
+// every sketch made or read on it shares that family.
+func TestGeometryBuildsOneFamilyConcurrently(t *testing.T) {
+	g := NewGeometry(3, 64, 5)
+	blob, err := NewCountSketch(3, 64, 5).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketches := make([]*CountSketch, 8)
+	var wg sync.WaitGroup
+	for i := range sketches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				sketches[i] = g.New()
+				return
+			}
+			cs, err := g.Read(bytes.NewReader(blob))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sketches[i] = cs
+		}()
+	}
+	wg.Wait()
+	for i, cs := range sketches {
+		if cs != nil && cs.Hashes() != g.Hashes() {
+			t.Errorf("sketch %d has a hash family of its own", i)
+		}
+	}
 }

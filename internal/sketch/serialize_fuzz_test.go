@@ -9,9 +9,10 @@ import (
 // FuzzReadCountSketch drives checkpoint restore with corrupted, truncated,
 // and adversarial checkpoints. The contract under fuzz: restore either
 // returns an error or returns a usable sketch — never a panic, never an
-// unbounded allocation (maxSerializedBuckets gates the header), and never
-// a sketch carrying non-finite buckets. An accepted restore must also
-// round-trip bit-exactly through a second serialize/restore cycle.
+// unbounded allocation (MaxBuckets gates the header), and never a sketch
+// carrying non-finite buckets. An accepted restore must also serialize
+// back to exactly the bytes it consumed: restore adopts nothing it cannot
+// write again, so a header field it dropped would fail here.
 //
 // `make fuzz-smoke` runs this alongside the cluster wire-format fuzzer;
 // longer runs: go test -fuzz FuzzReadCountSketch ./internal/sketch.
@@ -51,9 +52,17 @@ func FuzzReadCountSketch(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadCountSketch(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		got, err := ReadCountSketch(r)
 		if err != nil {
 			return // rejected: fine, as long as we did not panic
+		}
+		var out bytes.Buffer
+		if _, err := got.WriteTo(&out); err != nil {
+			t.Fatalf("re-serialize of accepted restore failed: %v", err)
+		}
+		if read := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), read) {
+			t.Fatalf("accepted sketch of %d bytes re-serializes to %d different bytes", len(read), out.Len())
 		}
 		// Accepted checkpoints must be fully usable: finite estimates and
 		// update arithmetic that stays finite.
@@ -63,28 +72,5 @@ func FuzzReadCountSketch(f *testing.F) {
 			}
 		}
 		got.Update(3, 1.5)
-
-		// Round-trip: serialize the accepted sketch and restore again; the
-		// result must match bucket for bucket, bit for bit.
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("re-serialize of accepted restore failed: %v", err)
-		}
-		again, err := ReadCountSketch(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-restore of accepted restore failed: %v", err)
-		}
-		if again.Depth() != got.Depth() || again.Width() != got.Width() || again.Seed() != got.Seed() {
-			t.Fatalf("round-trip changed geometry: %dx%d/%d -> %dx%d/%d",
-				got.Depth(), got.Width(), got.Seed(), again.Depth(), again.Width(), again.Seed())
-		}
-		for j := 0; j < got.Depth(); j++ {
-			a, b := got.Row(j), again.Row(j)
-			for i := range a {
-				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-					t.Fatalf("round-trip changed row %d bucket %d: %g -> %g", j, i, a[i], b[i])
-				}
-			}
-		}
 	})
 }

@@ -27,7 +27,9 @@ race:
 # Micro-benchmarks of the hot paths (sketch update/estimate, heap ops,
 # fused learner updates, sharded throughput), of the gossip round's
 # heavy-list path (SortWeighted, frame encode/decode, the heavy diff, its
-# replay and the index sort of a published list), each swept over sizes, of the three decoders: binary update frames
+# replay and the index sort of a published list), each swept over sizes, of
+# one origin's history of reverse deltas (OriginHistory: adopting a version,
+# building frames one and two versions back, and the bytes it retains), of the three decoders: binary update frames
 # (DecodeUpdateRequest, ReadRequestFrame), gossip frames (ReadFrames) and
 # checkpoint restore at the ingest and mixed geometries (LoadCheckpoint),
 # of a server's boot with a restore at the ingest geometry (BootRestore:
@@ -35,7 +37,7 @@ race:
 # rounds of a three-node cluster over loopback HTTP (GossipOnce: time,
 # allocations and new connections per round).
 bench:
-	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff|DiffHeavy|HeavyIndexOrder|ReadRequestFrame|LoadCheckpoint|BootRestore|GossipOnce' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster ./internal/wire ./internal/core ./internal/server
+	$(GO) test -run '^$$' -bench 'Update|Heap|CountSketch|Sharded|SortWeighted|Frames|HeavyDiff|DiffHeavy|HeavyIndexOrder|OriginHistory|ReadRequestFrame|LoadCheckpoint|BootRestore|GossipOnce' -benchtime 2s . ./internal/sketch ./internal/topk ./internal/stream ./internal/cluster ./internal/wire ./internal/core ./internal/server
 
 # Machine-readable throughput snapshot for the perf trajectory: writes
 # BENCH_throughput.json via cmd/wmbench (see PERFORMANCE.md).

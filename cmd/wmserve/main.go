@@ -100,6 +100,10 @@ func main() {
 		CheckpointPath: *ckpt,
 		AuthToken:      *authToken,
 	}
+	if err := opt.Config.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "wmserve:", err)
+		os.Exit(2)
+	}
 	if *peers != "" {
 		self := *nodeID
 		if self == "" {

@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +104,34 @@ func TestCheckFlagsRefusesUnsafeCombinations(t *testing.T) {
 		err := checkFlags(c.addr, c.binAddr, c.authToken, c.peers, c.nodeID)
 		if (err != nil) != c.refused {
 			t.Errorf("checkFlags(%+v) = %v, want refused %v", c, err, c.refused)
+		}
+	}
+}
+
+// TestRefusesInvalidConfig: a configuration core refuses ends wmserve
+// with exit status 2 and one line on stderr, before it binds a listener,
+// not with a panic.
+func TestRefusesInvalidConfig(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH to build wmserve with")
+	}
+	bin := filepath.Join(t.TempDir(), "wmserve")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{{"-heap", "70000"}, {"-heap", "0"}, {"-depth", "65"}} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("wmserve %v: %v, want exit status 2", args, err)
+		}
+		msg := stderr.String()
+		if strings.Contains(msg, "panic:") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("wmserve %v wrote %q to stderr, want one line and no panic", args, msg)
 		}
 	}
 }

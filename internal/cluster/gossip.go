@@ -364,6 +364,12 @@ type OriginStatus struct {
 	GCFactor float64 `json:"gc_factor"`
 	// Gone marks a tombstoned origin (version retained, snapshot freed).
 	Gone bool `json:"gone,omitempty"`
+	// History is how many versions of the origin the node holds as delta
+	// bases, the current one included: at most Config.HistoryDepth.
+	History int `json:"history"`
+	// StateBytes is the model state those versions take: the current one
+	// in full, the older ones as reverse deltas.
+	StateBytes int64 `json:"state_bytes"`
 }
 
 // Status is the /v1/cluster/status document.
@@ -427,6 +433,7 @@ func (n *Node) Status() Status {
 		st.Origins = append(st.Origins, OriginStatus{
 			ID: o.id, Version: o.version, Steps: o.snap.Steps, Heavy: len(o.snap.Heavy),
 			GCFactor: n.originFactorLocked(o, now), Gone: o.gone,
+			History: o.versions(), StateBytes: o.stateBytes(),
 		})
 		if id == n.cfg.Self {
 			st.Version = o.version

@@ -178,11 +178,15 @@ func checkDiff(t *testing.T, what string, base, cur []stream.Weighted) {
 
 // checkApply compares applyHeavyDiff on base as a node keeps it with the
 // reference on base itself, bit for bit once both are in weight order. The
-// result must be in strict index order and the delta's lists unchanged.
+// result must be in strict index order and the delta's lists unchanged,
+// and the reverse delta it returns must give base back bit for bit.
 func checkApply(t *testing.T, what string, base []stream.Weighted, removed []uint32, upserts []stream.Weighted) {
 	t.Helper()
 	rm, up := slices.Clone(removed), slices.Clone(upserts)
-	got := applyHeavyDiff(kept(base), removed, upserts)
+	got, changed, added := applyHeavyDiff(kept(base), removed, upserts)
+	if back := refApplyHeavyDiff(got, added, changed); !sameWeighted(back, weightOrder(kept(base))) {
+		t.Fatalf("%s: the reverse delta (%d changed, %d added) does not give base back", what, len(changed), len(added))
+	}
 	for i := 1; i < len(got); i++ {
 		if got[i-1].Index >= got[i].Index {
 			t.Fatalf("%s: result not in strict index order at %d", what, i)
@@ -225,7 +229,7 @@ func TestApplyHeavyDiffMatchesReference(t *testing.T) {
 			// the diff (comparing with ==) does not ship.
 			if canonical {
 				r, u := diffHeavy(kept(base), kept(cur))
-				if got := applyHeavyDiff(kept(base), r, u); !slices.Equal(got, kept(cur)) {
+				if got, _, _ := applyHeavyDiff(kept(base), r, u); !slices.Equal(got, kept(cur)) {
 					t.Fatalf("n=%d: replaying the diff onto base does not give cur", n)
 				}
 			}
@@ -253,6 +257,78 @@ func TestApplyHeavyDiffMatchesReference(t *testing.T) {
 				up = append(up, stream.Weighted{Index: up[0].Index, Weight: -up[0].Weight - 1})
 			}
 			checkApply(t, fmt.Sprintf("arbitrary (canonical=%v)", canonical), base, rm, up)
+		}
+	}
+}
+
+// diffHeavy is the delta frame's heavy lists from base to cur, both in
+// index order, as a node builds them: base's reverse delta against cur,
+// then the frame's lists from it.
+func diffHeavy(base, cur []stream.Weighted) (removed []uint32, upserts []stream.Weighted) {
+	changed, added := reverseHeavy(base, cur)
+	return forwardHeavy(changed, added, cur)
+}
+
+// heavyStep derives the next version of a list in index order: weights
+// change or flip sign (signed zeros included), entries leave, keys join.
+func heavyStep(rng *rand.Rand, ws []stream.Weighted) []stream.Weighted {
+	next := make([]stream.Weighted, 0, len(ws))
+	for _, w := range ws {
+		switch rng.Intn(5) {
+		case 0:
+			continue
+		case 1:
+			w.Weight = -w.Weight
+		case 2:
+			w.Weight = heavyEdgeWeights[rng.Intn(len(heavyEdgeWeights))]
+		}
+		next = append(next, w)
+	}
+	for range rng.Intn(len(ws)/4 + 2) {
+		next = append(next, stream.Weighted{Index: uint32(rng.Intn(2*len(ws) + 8)), Weight: rng.NormFloat64()})
+	}
+	return kept(next)
+}
+
+// TestReverseHeavyMatchesReference: a reverse delta, applied to the newer
+// list, gives the older one back bit for bit, ±0 weights included, and so
+// do reverse deltas composed over several versions; the delta frame built
+// from either is the one the reference diff builds from the two lists.
+func TestReverseHeavyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range heavySizes(rng) {
+		b, _ := heavyPair(rng, n, true)
+		chain := [][]stream.Weighted{kept(b)}
+		for range 4 {
+			chain = append(chain, heavyStep(rng, chain[len(chain)-1]))
+		}
+		cur := chain[len(chain)-1]
+		var changed []stream.Weighted
+		var added []uint32
+		for age := 1; age < len(chain); age++ {
+			older, newer := chain[len(chain)-1-age], chain[len(chain)-age]
+			oc, oa := reverseHeavy(older, newer)
+			if !slices.Equal(oc, kept(oc)) || !slices.IsSorted(oa) {
+				t.Fatalf("n=%d: reverse delta lists not in index order", n)
+			}
+			if back := refApplyHeavyDiff(newer, oa, oc); !sameWeighted(back, weightOrder(older)) {
+				t.Fatalf("n=%d: the reverse delta does not give the older list back", n)
+			}
+			if age == 1 {
+				changed, added = oc, oa
+			} else {
+				changed, added = mergeHeavy(nil, nil, changed, added, oc, oa)
+			}
+			var p heavyPatch
+			p.apply(cur, added, changed)
+			if !sameWeighted(p.out, older) {
+				t.Fatalf("n=%d, age %d: patching with the composed reverse delta does not give the older list back", n, age)
+			}
+			wr, wu := refDiffHeavy(weightOrder(older), weightOrder(cur))
+			gr, gu := forwardHeavy(changed, added, cur)
+			if !slices.Equal(gr, wr) || !sameWeighted(gu, wu) {
+				t.Fatalf("n=%d, age %d: the delta built from the reverse delta differs from the reference's", n, age)
+			}
 		}
 	}
 }
@@ -333,15 +409,24 @@ func heavyBenchPair(n int) (base, cur []stream.Weighted) {
 
 var heavyBenchSizes = []int{64, 2048, 8192}
 
-// BenchmarkDiffHeavy builds one version's heavy delta, weight order
-// included, as buildFrame does once per frame.
+// BenchmarkDiffHeavy builds one version's heavy delta in its two steps:
+// the base's reverse delta against the new version, which a node takes
+// once when it adopts the version whole, and the frame's lists in weight
+// order from it, which buildFrame takes once per frame.
 func BenchmarkDiffHeavy(b *testing.B) {
 	for _, n := range heavyBenchSizes {
 		base, cur := heavyBenchPair(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/reverse", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				diffHeavy(base, cur)
+				reverseHeavy(base, cur)
+			}
+		})
+		changed, added := reverseHeavy(base, cur)
+		b.Run(fmt.Sprintf("n=%d/frame", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				forwardHeavy(changed, added, cur)
 			}
 		})
 	}

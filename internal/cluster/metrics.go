@@ -64,6 +64,9 @@ type nodeMetrics struct {
 	builtDelta   *obs.Counter
 	appliedFull  *obs.Counter
 	appliedDelta *obs.Counter
+	// appliedOlderBase counts the applied deltas whose base was older than
+	// the origin's current version, and had to be rebuilt.
+	appliedOlderBase *obs.Counter
 
 	staleDropped    *obs.Counter
 	rejectedFrames  *obs.Counter
@@ -114,6 +117,8 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		"state frames adopted into the origin table, by kind", "kind")
 	m.appliedFull = applied.With("full")
 	m.appliedDelta = applied.With("delta")
+	m.appliedOlderBase = reg.Counter("wmgossip_delta_older_base_total",
+		"delta frames adopted on a version older than the origin's current one, rebuilt from reverse deltas")
 	reg.GaugeFunc("wmgossip_delta_built_ratio",
 		"fraction of built state frames that were deltas (the compression win)",
 		func() float64 {

@@ -17,6 +17,7 @@ import (
 	"wmsketch/internal/core"
 	"wmsketch/internal/obs"
 	"wmsketch/internal/sketch"
+	"wmsketch/internal/stream"
 	"wmsketch/internal/trace"
 )
 
@@ -115,6 +116,12 @@ func (c *Config) fill() error {
 	if c.Mix.Depth <= 0 || c.Mix.Width <= 0 {
 		return fmt.Errorf("cluster: Mix geometry must be set")
 	}
+	// Full frames carry the sketch whole: a geometry its readers refuse
+	// would replicate nothing.
+	if c.Mix.Depth > sketch.MaxDepth || c.Mix.Width > sketch.MaxBuckets/c.Mix.Depth {
+		return fmt.Errorf("cluster: Mix geometry %d×%d exceeds what a sketch reader accepts (depth %d, %d buckets)",
+			c.Mix.Depth, c.Mix.Width, sketch.MaxDepth, sketch.MaxBuckets)
+	}
 	if c.Interval == 0 {
 		c.Interval = 2 * time.Second
 	}
@@ -157,21 +164,18 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// versioned is one retained snapshot version, a delta base candidate.
-type versioned struct {
-	version int64
-	snap    core.Snapshot
-}
-
-// originState is everything known about one node's model: the current
-// snapshot plus a bounded history of recent versions kept as delta bases,
-// and the GC bookkeeping that ages it out of the mix once it stops
-// advancing.
+// originState is everything known about one node's model: its current
+// version in full, the versions before it as reverse deltas (delta bases
+// for peers that hold them), and the GC bookkeeping that ages it out of
+// the mix once it stops advancing.
 type originState struct {
 	id      string
 	version int64
-	snap    core.Snapshot // its heavy list, and history's, in index order (heavy.go)
-	history []versioned   // ascending version, ≤ HistoryDepth entries, includes current
+	snap    core.Snapshot // its heavy list in index order (heavy.go)
+	// history holds the versions before the current one, oldest first:
+	// with the current one, at most HistoryDepth versions. Each is its
+	// reverse delta against the next newer version, the last against snap.
+	history []reverseDelta
 	// lastAdvance is when this node last adopted a NEW version of the
 	// origin (local observation time — frames carry no timestamps).
 	lastAdvance time.Time
@@ -189,25 +193,186 @@ type originState struct {
 	builtBase int64
 }
 
-func (o *originState) baseFor(version int64) (core.Snapshot, bool) {
-	for _, v := range o.history {
-		if v.version == version {
-			return v.snap, true
-		}
-	}
-	return core.Snapshot{}, false
+// reverseDelta is a version before an origin's current one, kept as what
+// it differs in from the next newer version, with its own values. Applied
+// to that version, it gives this one back bit for bit (rebuild).
+type reverseDelta struct {
+	version int64
+	scale   float64
+	// changes are the buckets this version differs in, ascending, with its
+	// values.
+	changes []sketch.BucketChange
+	// heavy holds this version's heavy entries that the newer version
+	// changed or dropped, and added the keys the newer version added, both
+	// in index order.
+	heavy []stream.Weighted
+	added []uint32
 }
 
-func (o *originState) adopt(version int64, snap core.Snapshot, depth int, now time.Time) {
+// bytes is what r holds: 16 bytes a bucket change or heavy entry, 4 an
+// added key.
+func (r *reverseDelta) bytes() int64 {
+	return int64(16*len(r.changes) + 16*len(r.heavy) + 4*len(r.added))
+}
+
+// stateBytes is the model state o holds: 8 bytes a bucket and 16 a heavy
+// entry of the current version, and its reverse deltas.
+func (o *originState) stateBytes() int64 {
+	var n int64
+	if o.snap.CS != nil {
+		n = int64(8*o.snap.CS.Size() + 16*len(o.snap.Heavy))
+	}
+	for i := range o.history {
+		n += o.history[i].bytes()
+	}
+	return n
+}
+
+// versions is how many versions o holds: the current one and its history.
+func (o *originState) versions() int {
+	if o.snap.CS == nil {
+		return 0
+	}
+	return 1 + len(o.history)
+}
+
+// age returns how many versions before the current one version is: 0 for
+// the current version, 1 for the one before it, and -1 for a version o
+// does not hold.
+func (o *originState) age(version int64) int {
+	if o.snap.CS == nil {
+		return -1
+	}
+	if version == o.version {
+		return 0
+	}
+	for k := 1; k <= len(o.history); k++ {
+		if o.history[len(o.history)-k].version == version {
+			return k
+		}
+	}
+	return -1
+}
+
+// adopt installs snap as the current version. prev is the replaced
+// version's reverse delta against snap, or nil to keep no history. A full
+// history shifts down: its oldest version drops out, and no slot keeps it
+// reachable.
+func (o *originState) adopt(version int64, snap core.Snapshot, prev *reverseDelta, depth int, now time.Time) {
+	switch {
+	case prev == nil:
+		clear(o.history)
+		o.history = o.history[:0]
+	case len(o.history) < depth-1:
+		o.history = append(o.history, *prev)
+	case depth > 1:
+		copy(o.history, o.history[1:])
+		o.history[len(o.history)-1] = *prev
+	}
 	o.version = version
 	o.snap = snap
 	o.lastAdvance = now
 	o.gone = false
 	o.built = nil
-	o.history = append(o.history, versioned{version: version, snap: snap})
-	if len(o.history) > depth {
-		o.history = o.history[len(o.history)-depth:]
+}
+
+// reverseTo returns the current version's reverse delta against next, a
+// version about to replace it whole: one bucket diff and one heavy-list
+// walk. It returns nil when there is no current version to keep.
+func (o *originState) reverseTo(next core.Snapshot) *reverseDelta {
+	if o.snap.CS == nil {
+		return nil
 	}
+	changes, err := sketch.DiffBits(next.CS, o.snap.CS)
+	if err != nil {
+		return nil
+	}
+	heavy, added := reverseHeavy(o.snap.Heavy, next.Heavy)
+	return &reverseDelta{version: o.version, scale: o.snap.Scale, changes: changes, heavy: heavy, added: added}
+}
+
+// compose returns the reverse delta that takes the current version back
+// age versions in one step: the reverse deltas of the versions between,
+// merged so that the older one wins on a bucket or key both name. For
+// age 1 it is the previous version's own; for more, its lists live in s.
+func (o *originState) compose(age int, s *baseScratch) reverseDelta {
+	r := o.history[len(o.history)-1]
+	for k := 2; k <= age; k++ {
+		older, acc := &o.history[len(o.history)-k], &s.deltas[k%2]
+		acc.version, acc.scale = older.version, older.scale
+		acc.changes = mergeChanges(acc.changes[:0], r.changes, older.changes)
+		acc.heavy, acc.added = mergeHeavy(acc.heavy[:0], acc.added[:0], r.heavy, r.added, older.heavy, older.added)
+		r = *acc
+	}
+	return r
+}
+
+// rebuild returns the version age versions before the current one: its
+// sketch a new copy, its heavy list in s.
+func (o *originState) rebuild(age int, s *baseScratch) core.Snapshot {
+	snap := o.snap
+	snap.CS = snap.CS.Clone()
+	if age > 0 {
+		r := o.compose(age, s)
+		// The changes came from sketches of this geometry, so they apply.
+		_ = snap.CS.ApplyDiff(r.changes)
+		s.patch.apply(snap.Heavy, r.added, r.heavy)
+		snap.Heavy, snap.Scale, snap.Steps = s.patch.out, r.scale, r.version
+	}
+	return snap
+}
+
+// baseScratch is the pooled memory older versions are composed and
+// rebuilt in. Nothing it holds outlives the call that used it.
+type baseScratch struct {
+	deltas [2]reverseDelta
+	patch  heavyPatch
+}
+
+var basePool = sync.Pool{New: func() any { return new(baseScratch) }}
+
+// applyDelta builds the version f carries on o's version f.Base, age
+// versions before the current one, and returns it with the current
+// version's reverse delta against it. On the current version, the reverse
+// delta is what f's change lists overwrite: the current buckets they name,
+// and the heavy entries the walk that applies them replaces. On an older
+// version, that version is rebuilt first, and the reverse delta is a diff.
+func (o *originState) applyDelta(f *Frame, age int) (core.Snapshot, *reverseDelta, error) {
+	s := basePool.Get().(*baseScratch)
+	defer basePool.Put(s)
+	base := o.rebuild(age, s)
+	cs := base.CS
+	if err := cs.ApplyDiff(f.Changes); err != nil {
+		return core.Snapshot{}, nil, err
+	}
+	next, changed, added := applyHeavyDiff(base.Heavy, f.HeavyRemoved, f.HeavyUpserts)
+	snap := core.Snapshot{Origin: f.Origin, CS: cs, Scale: f.Scale, Heavy: next, Steps: f.Version}
+	if age > 0 {
+		return snap, o.reverseTo(snap), nil
+	}
+	rev := &reverseDelta{version: o.version, scale: o.snap.Scale, heavy: changed, added: added}
+	if ascending(f.Changes) {
+		rev.changes = make([]sketch.BucketChange, len(f.Changes))
+		for i, ch := range f.Changes {
+			rev.changes[i] = sketch.BucketChange{Index: ch.Index, Value: o.snap.CS.At(ch.Index)}
+		}
+	} else {
+		// Only a frame built outside this package can name a bucket twice
+		// or out of order.
+		rev.changes, _ = sketch.DiffBits(cs, o.snap.CS)
+	}
+	return snap, rev, nil
+}
+
+// ascending reports whether changes name each bucket once, in ascending
+// order, as Diff and decoded frames do.
+func ascending(changes []sketch.BucketChange) bool {
+	for i := 1; i < len(changes); i++ {
+		if changes[i].Index <= changes[i-1].Index {
+			return false
+		}
+	}
+	return true
 }
 
 // Node is one cluster member: the per-origin state table, the merged
@@ -330,7 +495,23 @@ func NewNode(cfg Config) (*Node, error) {
 		n.peers = append(n.peers, &peerState{url: u, lastOK: now})
 	}
 	n.view.Store(core.EmptyMixed(cfg.Mix))
+	n.met.reg.GaugeFunc("wmgossip_state_bytes",
+		"model state held for all origins: current versions in full, older ones as reverse deltas",
+		func() float64 { return float64(n.stateBytes()) })
 	return n, nil
+}
+
+// stateBytes is the model state the node holds for all origins, counted
+// from buckets and entries: the wmgossip_state_bytes gauge, and the sum of
+// Status's per-origin state_bytes.
+func (n *Node) stateBytes() int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var total int64
+	for _, o := range n.origins {
+		total += o.stateBytes()
+	}
+	return total
 }
 
 // Self returns the node's id.
@@ -392,7 +573,7 @@ func (n *Node) PublishLocal() (int64, bool, error) {
 	if sn.Steps <= self.version {
 		return self.version, false, nil
 	}
-	self.adopt(sn.Steps, sn, n.cfg.HistoryDepth, n.cfg.Clock.Now())
+	self.adopt(sn.Steps, sn, self.reverseTo(sn), n.cfg.HistoryDepth, n.cfg.Clock.Now())
 	n.viewDirty.Store(true)
 	return self.version, true, nil
 }
@@ -483,25 +664,70 @@ func (n *Node) frameForLocked(o *originState, acked int64) Frame {
 }
 
 // buildFrame picks delta vs full for one origin, and puts the heavy lists
-// in the weight order frames carry them in.
+// in the weight order frames carry them in. A delta from an older version
+// comes from its reverse delta against the current version, composed in
+// pooled scratch when it is more than one version back: the base itself
+// is never rebuilt.
 func buildFrame(o *originState, acked int64) Frame {
-	if acked > 0 {
-		if base, ok := o.baseFor(acked); ok {
-			changes, err := sketch.Diff(base.CS, o.snap.CS)
-			// A delta entry costs ~1.5× a raw bucket (varint gap + 8-byte
-			// value vs 8 bytes in the dense dump); past ~2/3 of the buckets
-			// changed, the full snapshot is the smaller frame.
-			if err == nil && 3*len(changes) <= 2*o.snap.CS.Size() {
-				removed, upserts := diffHeavy(base.Heavy, o.snap.Heavy)
-				return Frame{
-					Kind: kindDelta, Origin: o.id, Version: o.version, Base: acked,
-					Scale:   o.snap.Scale,
-					Changes: changes, HeavyRemoved: removed, HeavyUpserts: upserts,
-				}
+	if age := o.age(acked); age > 0 {
+		s := basePool.Get().(*baseScratch)
+		defer basePool.Put(s)
+		r := o.compose(age, s)
+		changes := forwardChanges(r.changes, o.snap.CS)
+		// A delta entry costs ~1.5× a raw bucket (varint gap + 8-byte
+		// value vs 8 bytes in the dense dump); past ~2/3 of the buckets
+		// changed, the full snapshot is the smaller frame.
+		if 3*len(changes) <= 2*o.snap.CS.Size() {
+			removed, upserts := forwardHeavy(r.heavy, r.added, o.snap.Heavy)
+			return Frame{
+				Kind: kindDelta, Origin: o.id, Version: o.version, Base: acked,
+				Scale:   o.snap.Scale,
+				Changes: changes, HeavyRemoved: removed, HeavyUpserts: upserts,
 			}
 		}
 	}
 	return FullFrame(o.snap)
+}
+
+// forwardChanges is Diff(base, cur) for the base that undo, a change list
+// taking cur back to base bit for bit, describes: the buckets undo names
+// whose value differs from cur's, carrying cur's values. Every other
+// bucket of base is cur's.
+func forwardChanges(undo []sketch.BucketChange, cur *sketch.CountSketch) []sketch.BucketChange {
+	var changes []sketch.BucketChange
+	for _, u := range undo {
+		if v := cur.At(u.Index); u.Value != v {
+			if changes == nil {
+				// All but a bucket whose zero changed sign differ.
+				changes = make([]sketch.BucketChange, 0, len(undo))
+			}
+			changes = append(changes, sketch.BucketChange{Index: u.Index, Value: v})
+		}
+	}
+	return changes
+}
+
+// mergeChanges appends to dst the union of two ascending change lists,
+// taking older's value for a bucket both name: the bucket changes of two
+// reverse deltas composed (originState.compose).
+func mergeChanges(dst, newer, older []sketch.BucketChange) []sketch.BucketChange {
+	i, j := 0, 0
+	for i < len(newer) && j < len(older) {
+		switch n, o := newer[i], older[j]; {
+		case n.Index < o.Index:
+			dst = append(dst, n)
+			i++
+		case o.Index < n.Index:
+			dst = append(dst, o)
+			j++
+		default:
+			dst = append(dst, o)
+			i++
+			j++
+		}
+	}
+	dst = append(dst, newer[i:]...)
+	return append(dst, older[j:]...)
 }
 
 // ApplyResult reports what one ApplyFrames call did.
@@ -574,25 +800,31 @@ func (n *Node) ApplyFramesCtx(ctx context.Context, frames []Frame) ApplyResult {
 		}
 		var snap core.Snapshot
 		var err error
+		var prev *reverseDelta
 		switch f.Kind {
 		case kindFull:
 			snap, err = n.snapshotFromFullLocked(f)
 			if err == nil {
 				n.met.appliedFull.Inc()
+				if o != nil {
+					prev = o.reverseTo(snap)
+				}
 			}
 		case kindDelta:
-			if o == nil {
+			age := -1
+			if o != nil {
+				age = o.age(f.Base)
+			}
+			if age < 0 {
 				res.NeedFull = append(res.NeedFull, f.Origin)
 				continue
 			}
-			base, ok := o.baseFor(f.Base)
-			if !ok {
-				res.NeedFull = append(res.NeedFull, f.Origin)
-				continue
-			}
-			snap, err = applyDelta(base, f)
+			snap, prev, err = o.applyDelta(f, age)
 			if err == nil {
 				n.met.appliedDelta.Inc()
+				if age > 0 {
+					n.met.appliedOlderBase.Inc()
+				}
 			}
 		}
 		if err != nil {
@@ -608,7 +840,7 @@ func (n *Node) ApplyFramesCtx(ctx context.Context, frames []Frame) ApplyResult {
 			o = &originState{id: f.Origin}
 			n.origins[f.Origin] = o
 		}
-		o.adopt(f.Version, snap, n.cfg.HistoryDepth, n.cfg.Clock.Now())
+		o.adopt(f.Version, snap, prev, n.cfg.HistoryDepth, n.cfg.Clock.Now())
 		n.appendLineage(f.Origin, f.Version, tid)
 		res.Applied++
 	}
@@ -635,17 +867,6 @@ func (n *Node) snapshotFromFullLocked(f *Frame) (core.Snapshot, error) {
 	// keeps an index-ordered copy of its list.
 	heavy := indexOrder(slices.Clone(f.Heavy))
 	return core.Snapshot{Origin: f.Origin, CS: f.CS, Scale: f.Scale, Heavy: heavy, Steps: f.Version}, nil
-}
-
-// applyDelta reconstructs version f.Version from the base snapshot: clone,
-// set changed buckets, merge the heavy delta into the index-ordered list.
-func applyDelta(base core.Snapshot, f *Frame) (core.Snapshot, error) {
-	cs := base.CS.Clone()
-	if err := cs.ApplyDiff(f.Changes); err != nil {
-		return core.Snapshot{}, err
-	}
-	heavy := applyHeavyDiff(base.Heavy, f.HeavyRemoved, f.HeavyUpserts)
-	return core.Snapshot{Origin: f.Origin, CS: cs, Scale: f.Scale, Heavy: heavy, Steps: f.Version}, nil
 }
 
 // rebuildViewLocked re-mixes every origin's current snapshot, weighting

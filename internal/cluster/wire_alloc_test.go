@@ -117,8 +117,9 @@ func (t applyTransport) Push(ctx context.Context, _ string, body []byte) error {
 // each holding a full 2048-entry AWM heap — publish, delta build, encode,
 // decode, apply — allocates what the new version keeps, plus a stated
 // slack. What it keeps: on the publisher, a sketch clone and one heavy
-// list; on the receiver, a clone and a heavy list; and the lists of the
-// frame kept for reuse. The slack is the decoded copy of the frame's
+// list; on the receiver, a clone and a heavy list; on each, the replaced
+// version's reverse delta; and the lists of the frame kept for reuse. The
+// slack is the decoded copy of the frame's
 // lists, the encoded stream at its payloadBound size, and 24 KiB for
 // small objects and for rounding allocations up to the allocator's size
 // classes. Copying the heap to read it,
@@ -181,7 +182,14 @@ func TestVersionAllocations(t *testing.T) {
 		f := &fs[0]
 		const entry = 16 // a BucketChange and a stream.Weighted
 		lists := entry*len(f.Changes) + 4*len(f.HeavyRemoved) + entry*len(f.HeavyUpserts)
-		keeps := 2*(8*4096+entry*cfg.HeapSize) + lists
+		// A reverse delta holds the changed buckets with their old values,
+		// the old entries the upserts overwrote and the removals dropped,
+		// and the keys the upserts added. The heap is full in both
+		// versions, so the upserts add as many keys as the removals drop:
+		// there are as many old entries as upserts, and as many added keys
+		// as removals.
+		reverse := entry*len(f.Changes) + entry*len(f.HeavyUpserts) + 4*len(f.HeavyRemoved)
+		keeps := 2*(8*4096+entry*cfg.HeapSize) + lists + 2*reverse
 		slack := lists + payloadBound(f) + 24<<10
 		allocated := int(after.TotalAlloc - before.TotalAlloc)
 		if allocated-keeps-slack > excess {

@@ -55,31 +55,30 @@ func (c *Config) fill() {
 	if c.Schedule == nil {
 		c.Schedule = linear.DefaultSchedule()
 	}
-	if err := c.validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		panic(err.Error())
 	}
 }
 
-// Bounds on a configuration. A plain checkpoint loader takes its
-// configuration from the header, and these bound what a header of a few
-// bytes makes it allocate before refusing what follows: a heap index of
-// 64 B a slot, and a hash family of ~14 KB a row. Both lie far above the
-// paper's configurations (an active set of at most 2048, depth at most
-// 31), and validate applies them to every learner, so that a process can
-// always restore what it wrote.
-const (
-	maxHeapSize = 1 << 16
-	maxDepth    = 64
-)
+// maxHeapSize bounds a configuration's heap. A plain checkpoint loader
+// takes its configuration from the header, and this bound, with
+// sketch.MaxDepth, bounds what a header of a few bytes makes it allocate
+// before refusing what follows: a heap index of 64 B a slot, and a hash
+// family of ~14 KB a row. Both lie far above the paper's configurations
+// (an active set of at most 2048, depth at most 31), and Validate applies
+// them to every learner, so that a process can always restore what it
+// wrote.
+const maxHeapSize = 1 << 16
 
-// validate reports a configuration the learners cannot run with; fill
-// panics on it, and checkpoint restore returns it.
-func (c *Config) validate() error {
+// Validate reports a configuration the learners cannot run with. Every
+// constructor panics on it (fill), checkpoint restore returns it, and a
+// server refuses it before it builds anything.
+func (c *Config) Validate() error {
 	switch {
 	case c.Width <= 0:
 		return fmt.Errorf("core: width must be positive, got %d", c.Width)
-	case c.Depth <= 0 || c.Depth > maxDepth:
-		return fmt.Errorf("core: depth must be in [1, %d], got %d", maxDepth, c.Depth)
+	case c.Depth <= 0 || c.Depth > sketch.MaxDepth:
+		return fmt.Errorf("core: depth must be in [1, %d], got %d", sketch.MaxDepth, c.Depth)
 	case c.Width > sketch.MaxBuckets/c.Depth:
 		return fmt.Errorf("core: %d×%d buckets exceed the checkpoint limit of %d", c.Depth, c.Width, sketch.MaxBuckets)
 	case c.HeapSize <= 0 || c.HeapSize > maxHeapSize:

@@ -146,7 +146,7 @@ func loadAWMSketch(r io.Reader, want *Geometry) (*AWMSketch, error) {
 	if want.sk == nil {
 		cfg := Config{Width: int(width), Depth: int(depth), HeapSize: int(heapSize),
 			Lambda: lambda, Seed: seed, Loss: want.cfg.Loss, Schedule: want.cfg.Schedule}
-		if err := cfg.validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 		*want = *NewGeometry(cfg)

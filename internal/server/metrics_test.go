@@ -189,4 +189,22 @@ func TestMetricsEndpoint(t *testing.T) {
 			}
 		})
 	}
+	// The gossip state families, on a node that holds a peer's model.
+	t.Run("cluster", func(t *testing.T) {
+		srvs, https := clusterServers(t, 2, testOptions(t, BackendAWM), nil)
+		if code := doJSON(t, "POST", https[0].URL+"/v1/update", UpdateRequest{Examples: toWire(datagen.RCV1Like(22).Take(256))}, nil); code != 200 {
+			t.Fatalf("update: HTTP %d", code)
+		}
+		if ok := srvs[0].ClusterNode().GossipOnce(); ok != 1 {
+			t.Fatalf("gossip round reconciled %d peers, want 1", ok)
+		}
+		requireFamilies(t, srvs[1], "wmgossip_state_bytes", "wmgossip_delta_older_base_total")
+		var sum int64
+		for _, o := range srvs[1].ClusterNode().Status().Origins {
+			sum += o.StateBytes
+		}
+		if v, _ := srvs[1].MetricsRegistry().Value("wmgossip_state_bytes"); sum == 0 || int64(v) != sum {
+			t.Fatalf("wmgossip_state_bytes = %v, status origins sum to %d", v, sum)
+		}
+	})
 }

@@ -148,13 +148,18 @@ type Server struct {
 	binHook func(op byte)
 }
 
-// New constructs a Server with a freshly initialized backend.
+// New constructs a Server with a freshly initialized backend. A
+// configuration that core refuses (Config.Validate) is returned as an
+// error before anything is built.
 func New(opt Options) (*Server, error) {
 	if opt.Backend == "" {
 		opt.Backend = BackendSharded
 	}
 	if opt.Backend != BackendSharded && opt.Backend != BackendAWM {
 		return nil, fmt.Errorf("server: unknown backend %q", opt.Backend)
+	}
+	if err := opt.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	geo := core.NewGeometry(opt.Config)
 	var b learner

@@ -255,6 +255,31 @@ func TestStatsWorkersFollowRestoredBackend(t *testing.T) {
 	}
 }
 
+// TestNewRefusesInvalidConfig: a configuration core refuses is an error
+// from New, on either backend, not a panic from inside it.
+func TestNewRefusesInvalidConfig(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		width, depth, heap int
+	}{
+		{"heap 0", 512, 1, 0},
+		{"heap 70000", 512, 1, 70000},
+		{"depth 0", 512, 0, 64},
+		{"depth 65", 512, 65, 64},
+		{"depth×width over 2^27", 1<<26 + 1, 2, 64},
+	} {
+		for _, backend := range backends() {
+			opt := testOptions(t, backend)
+			opt.Config.Width, opt.Config.Depth, opt.Config.HeapSize = c.width, c.depth, c.heap
+			srv, err := New(opt)
+			if err == nil {
+				srv.Close()
+				t.Errorf("%s, %s: New accepted the configuration", c.name, backend)
+			}
+		}
+	}
+}
+
 func TestServerRejectsBadInput(t *testing.T) {
 	_, hs := newTestServer(t, BackendAWM)
 	cases := []struct {

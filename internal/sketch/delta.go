@@ -20,8 +20,14 @@ import (
 //
 // A BucketChange carries the bucket's *new value*, not an additive
 // increment: applying a change is idempotent, so a frame replayed by a
-// retrying peer cannot double-count. Applying the full change list from
-// Diff(base, cur) onto a bit-wise copy of base reconstructs cur exactly.
+// retrying peer cannot double-count.
+//
+// Diff compares bucket values, so +0 equals −0: applying Diff(base, cur)
+// to a copy of base reconstructs cur exactly, except that a zero bucket
+// keeps base's sign. DiffBits compares bit patterns instead, and its
+// reconstruction is exact bit for bit. Cluster nodes keep older versions
+// of a model as DiffBits(newer, older): the change list that takes the
+// newer version back to the older one.
 
 // BucketChange records one changed bucket: its flat row-major index
 // (row·width + column) and its new value.
@@ -32,9 +38,11 @@ type BucketChange struct {
 
 // Diff returns the buckets where cur differs from base, in ascending flat
 // index order, carrying cur's values. The two sketches must share shape and
-// seed; Diff on incompatible sketches returns an error. Bit-wise equality
-// is the comparison: a bucket that left and returned to its old value is
-// (correctly) not reported.
+// seed; Diff on incompatible sketches returns an error. Buckets compare by
+// value: a bucket that left and returned to its old value is (correctly)
+// not reported, and neither is a zero bucket whose sign changed, so a
+// sketch rebuilt from the list is exact except for the sign of zero
+// buckets.
 func Diff(base, cur *CountSketch) ([]BucketChange, error) {
 	if err := compatible(base.depth, cur.depth, base.width, cur.width, base.seed, cur.seed); err != nil {
 		return nil, err
@@ -59,11 +67,42 @@ func Diff(base, cur *CountSketch) ([]BucketChange, error) {
 	return changes, nil
 }
 
+// DiffBits is Diff comparing buckets by bit pattern: it also reports a
+// zero bucket whose sign changed, so applying its list to a copy of base
+// gives cur bit for bit.
+func DiffBits(base, cur *CountSketch) ([]BucketChange, error) {
+	if err := compatible(base.depth, cur.depth, base.width, cur.width, base.seed, cur.seed); err != nil {
+		return nil, err
+	}
+	c, b := cur.buckets, base.buckets[:len(cur.buckets)]
+	n := 0
+	for i := range c {
+		if math.Float64bits(c[i]) != math.Float64bits(b[i]) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	changes := make([]BucketChange, 0, n)
+	for i := range c {
+		if math.Float64bits(c[i]) != math.Float64bits(b[i]) {
+			changes = append(changes, BucketChange{Index: uint32(i), Value: c[i]})
+		}
+	}
+	return changes, nil
+}
+
+// At returns the bucket at flat row-major index i, the index a
+// BucketChange carries.
+func (cs *CountSketch) At(i uint32) float64 { return cs.buckets[i] }
+
 // ApplyDiff sets each changed bucket to its new value. Indices are bounds-
 // checked and values NaN/Inf-rejected before any mutation, so a corrupt
 // frame leaves the sketch untouched. Changes must target the same shape the
-// diff was taken against; applying Diff(base, cur) to a copy of base yields
-// cur bit for bit.
+// diff was taken against; applying DiffBits(base, cur) to a copy of base
+// yields cur bit for bit, and Diff(base, cur) yields it up to the sign of
+// zero buckets.
 func (cs *CountSketch) ApplyDiff(changes []BucketChange) error {
 	size := uint32(cs.depth * cs.width)
 	for i, ch := range changes {

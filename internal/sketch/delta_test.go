@@ -155,3 +155,107 @@ func TestAddScaledMatchesMergeAtUnitScale(t *testing.T) {
 		}
 	}
 }
+
+// diffPair is two versions of a 1×width sketch that differ in about a
+// third of the buckets, in no pattern, with signed zeros among the values.
+func diffPair(width int) (base, cur *CountSketch) {
+	rng := rand.New(rand.NewSource(int64(width)))
+	base, cur = NewCountSketch(1, width, 3), NewCountSketch(1, width, 3)
+	value := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		}
+		return rng.NormFloat64()
+	}
+	var set, change []BucketChange
+	for i := range width {
+		set = append(set, BucketChange{Index: uint32(i), Value: value()})
+		if rng.Intn(3) == 0 {
+			change = append(change, BucketChange{Index: uint32(i), Value: value()})
+		}
+	}
+	if err := base.ApplyDiff(set); err != nil {
+		panic(err)
+	}
+	if err := cur.ApplyDiff(set); err != nil {
+		panic(err)
+	}
+	if err := cur.ApplyDiff(change); err != nil {
+		panic(err)
+	}
+	return base, cur
+}
+
+// TestDiffBitsRebuildsBitForBit: DiffBits reports what Diff reports, with
+// the same values, plus the zero buckets whose sign changed, so applying it
+// rebuilds the sketch bit for bit; Diff's rebuild differs only in the sign
+// of zero buckets.
+func TestDiffBitsRebuildsBitForBit(t *testing.T) {
+	for _, width := range []int{1, 7, 64, 4096} {
+		base, cur := diffPair(width)
+		exact, err := DiffBits(base, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byValue, err := Diff(base, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits, values := base.Clone(), base.Clone()
+		if err := bits.ApplyDiff(exact); err != nil {
+			t.Fatal(err)
+		}
+		if err := values.ApplyDiff(byValue); err != nil {
+			t.Fatal(err)
+		}
+		flips := 0
+		for i := range uint32(width) {
+			if math.Float64bits(bits.At(i)) != math.Float64bits(cur.At(i)) {
+				t.Fatalf("width %d: bucket %d rebuilt from DiffBits is %v, want %v", width, i, bits.At(i), cur.At(i))
+			}
+			if math.Float64bits(values.At(i)) != math.Float64bits(cur.At(i)) {
+				if values.At(i) != 0 || cur.At(i) != 0 {
+					t.Fatalf("width %d: bucket %d rebuilt from Diff is %v, want %v", width, i, values.At(i), cur.At(i))
+				}
+				flips++
+			}
+		}
+		if len(exact) != len(byValue)+flips {
+			t.Fatalf("width %d: DiffBits reports %d buckets, Diff %d and %d zeros flipped sign", width, len(exact), len(byValue), flips)
+		}
+		for i := 1; i < len(exact); i++ {
+			if exact[i].Index <= exact[i-1].Index {
+				t.Fatalf("width %d: DiffBits indices not strictly ascending at %d", width, i)
+			}
+		}
+		if width == 4096 && flips == 0 {
+			t.Fatal("no zero bucket changed sign: the pair does not test it")
+		}
+	}
+	if _, err := DiffBits(NewCountSketch(1, 64, 1), NewCountSketch(1, 64, 2)); err == nil {
+		t.Fatal("DiffBits accepted sketches of different seeds")
+	}
+}
+
+// BenchmarkDiff diffs two versions of a 4096×1 sketch a third of whose
+// buckets changed: by value, as the frame definition reads, and by bits,
+// as a node keeps an older version.
+func BenchmarkDiff(b *testing.B) {
+	base, cur := diffPair(4096)
+	for _, d := range []struct {
+		name string
+		diff func(base, cur *CountSketch) ([]BucketChange, error)
+	}{{"value", Diff}, {"bits", DiffBits}} {
+		b.Run(d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := d.diff(base, cur); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

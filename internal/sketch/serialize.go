@@ -24,16 +24,16 @@ import (
 // with sketches built from the same seed.
 //
 // Restore follows internal/frame's decode rules: the header's shape is
-// bounded (MaxBuckets) before the buckets are allocated, every restored
-// bucket is checked for NaN/±Inf as it is decoded — a long-lived serving
-// process must never adopt a checkpoint that would poison its arithmetic —
-// and a restore consumes exactly the sketch's own bytes, so a sketch can be
-// read from the middle of a larger checkpoint or frame. A restore adopts
-// only what it can write back: no writer sets a flag, so a header that
-// sets one is refused, like one of another version. The hash functions,
-// whose cost grows with the depth, are built only after every bucket has
-// arrived; Geometry.Read refuses a header of another geometry before it
-// allocates the buckets.
+// bounded (MaxDepth, MaxBuckets) before the buckets are allocated, every
+// restored bucket is checked for NaN/±Inf as it is decoded — a long-lived
+// serving process must never adopt a checkpoint that would poison its
+// arithmetic — and a restore consumes exactly the sketch's own bytes, so a
+// sketch can be read from the middle of a larger checkpoint or frame. A
+// restore adopts only what it can write back: no writer sets a flag, so a
+// header that sets one is refused, like one of another version. The hash
+// functions, whose cost grows with the depth, are built only after every
+// bucket has arrived; Geometry.Read refuses a header of another geometry
+// before it allocates the buckets.
 
 const (
 	magicCountSketch = 0x574d4353 // "WMCS"
@@ -46,6 +46,14 @@ const (
 // 2^27 buckets = 1 GiB of float64 — far above any configuration the paper
 // or this repository uses, far below an OOM.
 const MaxBuckets = 1 << 27
+
+// MaxDepth caps the rows accepted on restore, and core.Config caps every
+// learner's depth at it, so a process can read back any sketch it writes.
+// A hash family costs ~14 KB a row, built once the buckets have arrived:
+// without the cap, a 32,796-byte sketch of 4096 rows of one bucket would
+// cost 56 MB to restore. It lies far above the paper's configurations
+// (depth at most 31).
+const MaxDepth = 64
 
 // serializeChunk is the number of float64s encoded per Write (32 KiB).
 const serializeChunk = 4096
@@ -161,8 +169,11 @@ func readHeader(r io.Reader) (seed int64, depth, width int, err error) {
 	if flags != 0 {
 		return 0, 0, 0, fmt.Errorf("sketch: reserved header flags %#x set", flags)
 	}
-	if d32 == 0 || w32 == 0 || d32 > 1<<16 || w32 > 1<<30 {
+	if d32 == 0 || w32 == 0 || w32 > 1<<30 {
 		return 0, 0, 0, fmt.Errorf("sketch: implausible shape %dx%d", d32, w32)
+	}
+	if d32 > MaxDepth {
+		return 0, 0, 0, fmt.Errorf("sketch: depth %d exceeds the limit of %d", d32, MaxDepth)
 	}
 	if total := uint64(d32) * uint64(w32); total > MaxBuckets {
 		return 0, 0, 0, fmt.Errorf("sketch: header demands %d buckets, limit %d", total, uint64(MaxBuckets))

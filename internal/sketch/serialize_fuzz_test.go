@@ -50,6 +50,8 @@ func FuzzReadCountSketch(f *testing.F) {
 			}
 		}
 	}
+	// A consistent sketch deeper than MaxDepth (TestReadRefusesDeepSketch).
+	f.Add(deepSketch())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -65,6 +67,34 @@ func TestReadRejectsHugeShape(t *testing.T) {
 	binary.LittleEndian.PutUint32(blob[hdrFlagsOff:], 1<<31)
 	if _, err := ReadCountSketch(bytes.NewReader(blob)); err == nil || !bytes.Contains([]byte(err.Error()), []byte("flags")) {
 		t.Errorf("a header flag should fail on the flags, got %v", err)
+	}
+}
+
+// deepSketch is a consistent 32,796-byte sketch of 4096 rows of one
+// bucket: the header and every bucket, 64 times deeper than MaxDepth.
+func deepSketch() []byte {
+	return append(craftHeader(4096, 1), make([]byte, 8*4096)...)
+}
+
+// TestReadRefusesDeepSketch: a sketch deeper than MaxDepth is refused on
+// its header. Accepted, its 32 KB of buckets would arrive and then build a
+// 56 MB hash family, one row per bucket.
+func TestReadRefusesDeepSketch(t *testing.T) {
+	const bound = 64 << 10
+	blob := deepSketch()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCountSketch(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes in, %d allocated: %v", len(blob), allocated, err)
+	if err == nil {
+		t.Error("a sketch of depth 4096 was accepted")
+	}
+	if allocated > bound {
+		t.Errorf("refusing it allocated %d bytes, bound %d", allocated, bound)
 	}
 }
 

@@ -70,9 +70,11 @@ serve-smoke:
 # to quiescence: every node must land within 5% (relative) of a single
 # learner trained on the union, and delta rounds must move under 0.8x the
 # bytes of full-sync rounds (CLUSTER.md). -v logs rounds, bytes and errors.
-# CI runs it inside `go test -race ./...`.
+# Beside it, a pull must only read: a node answers at its published version
+# and its versions, history and state bytes stay put, with or without an
+# auth token, until its next publish. CI runs both inside `go test -race ./...`.
 cluster-smoke:
-	$(GO) test -run TestClusterMatchesUnionLearner -v ./internal/server
+	$(GO) test -run 'TestClusterMatchesUnionLearner|TestClusterPullOnlyReads' -v ./internal/server
 
 # Discrete-event robustness gate: 100 in-memory nodes under 10% message
 # loss, a 30-round partition, and 20% churn, fixed seed. Fails unless

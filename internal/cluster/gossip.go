@@ -12,18 +12,21 @@ import (
 	"wmsketch/internal/trace"
 )
 
-// Anti-entropy rounds. Each round a node, per peer:
+// Anti-entropy rounds. Each round a node publishes its local model (a new
+// version only if it progressed), then, per peer:
 //
-//  1. publishes its local model (new version only if it progressed),
-//  2. POSTs its digest to the peer's /v1/cluster/pull and applies the
-//     frames that come back (the peer's newer state, delta-compressed
-//     where the peer still holds our acked base),
-//  3. reads the peer's digest off the same response and POSTs back, via
+//  1. POSTs its digest to the peer's /v1/cluster/pull and applies the
+//     frames that come back (the peer's last published state,
+//     delta-compressed where the peer still holds our acked base),
+//  2. reads the peer's digest off the same response and POSTs back, via
 //     /v1/cluster/push, whatever the peer is missing.
 //
-// One round trip therefore reconciles both directions. Rounds are
-// independent per peer, failures back off exponentially per peer, and all
-// state transfer is idempotent, so any interleaving of retries converges.
+// One pull and at most one push per peer therefore reconcile both
+// directions. A pull only reads: the peer answers from what it last
+// published. A delta whose base we lack waits for the next round, whose
+// pull asks for that origin in full. Rounds are independent per peer,
+// failures back off exponentially per peer, and all state transfer is
+// idempotent, so any interleaving of retries converges.
 
 // maxPullBytes bounds a pull response read by the gossip client.
 const maxPullBytes = 1 << 30
@@ -60,21 +63,14 @@ type peerState struct {
 	bytesOut     int64        // guarded by mu
 	framesIn     int64        // guarded by mu
 	framesOut    int64        // guarded by mu
-	// fullRetries counts consecutive rounds that needed an inline full
-	// re-pull; past maxInlineFullRetries the re-pull is deferred to the
-	// next round's digest instead (forceFull), so a flapping peer cannot
-	// double every round's cost forever.
-	fullRetries int             // guarded by mu
-	forceFull   map[string]bool // guarded by mu
+	// forceFull holds the origins whose delta base this node lacked in the
+	// last round: the next round's pull zeroes them in its digest, which
+	// fetches them in full.
+	forceFull []string // guarded by mu
 }
 
 // maxBackoff caps the per-peer retry backoff.
 const maxBackoff = time.Minute
-
-// maxInlineFullRetries bounds how many consecutive rounds may re-pull
-// inline for missing delta bases before the re-pull is deferred to the
-// next round's digest.
-const maxInlineFullRetries = 2
 
 // Start launches the background gossip loop (no-op when Interval < 0 or
 // there are no peers). Close stops it.
@@ -203,10 +199,10 @@ func (n *Node) peerSucceeded(p *peerState) {
 	p.backoffUntil = time.Time{}
 }
 
-// gossipPeer reconciles with one peer: pull, apply, push back. The ctx
-// carries the round's span (the trace every RPC propagates) and the whole
-// round shares one context deadline (RPCTimeout), so a stalled peer costs
-// bounded wall time however many RPCs the round needs.
+// gossipPeer reconciles with one peer: one pull, its apply, and at most
+// one push back. The ctx carries the round's span (the trace every RPC
+// propagates) and both RPCs share one context deadline (RPCTimeout), so a
+// stalled peer costs bounded wall time.
 func (n *Node) gossipPeer(ctx context.Context, p *peerState) error {
 	if n.cfg.RPCTimeout > 0 {
 		var cancel context.CancelFunc
@@ -214,10 +210,10 @@ func (n *Node) gossipPeer(ctx context.Context, p *peerState) error {
 		defer cancel()
 	}
 	digest := n.Digest()
-	// Origins whose inline re-pull was deferred last round: zero their
-	// digest entries so this round's single pull fetches fulls.
+	// Origins whose delta base was missing last round: zero their digest
+	// entries so this round's pull fetches them in full.
 	p.mu.Lock()
-	for origin := range p.forceFull {
+	for _, origin := range p.forceFull {
 		digest[origin] = 0
 	}
 	p.forceFull = nil
@@ -226,42 +222,12 @@ func (n *Node) gossipPeer(ctx context.Context, p *peerState) error {
 	if err != nil {
 		return err
 	}
-	// Deltas whose base we lack: re-pull those origins with a zeroed digest
-	// entry, which forces full frames — but only a bounded number of rounds
-	// in a row. A peer that keeps flapping gets its fulls folded into the
-	// next round's pull instead of doubling this round's cost again.
+	// Deltas whose base we lack wait for the next round's pull.
 	if len(res.NeedFull) > 0 {
 		p.mu.Lock()
-		p.fullRetries++
-		deferred := p.fullRetries > maxInlineFullRetries
-		if deferred {
-			if p.forceFull == nil {
-				p.forceFull = make(map[string]bool, len(res.NeedFull))
-			}
-			for _, origin := range res.NeedFull {
-				p.forceFull[origin] = true
-			}
-		}
+		p.forceFull = res.NeedFull
 		p.mu.Unlock()
-		if deferred {
-			n.met.retriesDeferred.Inc()
-		} else {
-			retry := n.Digest()
-			for _, origin := range res.NeedFull {
-				retry[origin] = 0
-			}
-			if r2, err := n.pull(ctx, p, retry); err == nil {
-				if r2.TheirDigest != nil {
-					res.TheirDigest = r2.TheirDigest
-				}
-			} else {
-				return fmt.Errorf("full re-pull: %w", err)
-			}
-		}
-	} else {
-		p.mu.Lock()
-		p.fullRetries = 0
-		p.mu.Unlock()
+		n.met.retriesDeferred.Inc()
 	}
 	// Push back whatever the peer is missing.
 	if res.TheirDigest != nil {
@@ -391,8 +357,9 @@ type Status struct {
 	StaleDropped   int64 `json:"stale_dropped"`
 	RejectedFrames int64 `json:"rejected_frames"`
 	// OriginsGCed counts origins tombstoned by the age-based GC;
-	// RetriesDeferred counts rounds where the inline full re-pull was
-	// pushed to the next round's digest instead.
+	// RetriesDeferred counts peer rounds that met a delta whose base this
+	// node lacked and left those origins to the next round's pull, which
+	// asks for them in full.
 	OriginsGCed     int64 `json:"origins_gced"`
 	RetriesDeferred int64 `json:"retries_deferred"`
 

@@ -387,36 +387,31 @@ func pow(b, e int) int {
 }
 
 // TestOutOfOrderDeltaKeepsExactHistory: a delta frame built by hand with
-// its changes out of order, one bucket named twice, still leaves the
-// replaced version rebuildable bit for bit (the decoder never yields such
-// a frame, but ApplyFrames takes frames from any caller).
+// its changes out of order, one bucket named twice, is refused, on the
+// current version and on an older one: it counts in Rejected, and the
+// origin keeps its versions and streams bit for bit (the decoder never
+// yields such a frame, but ApplyFrames takes frames from any caller). An
+// ordered delta on the same base applies afterwards.
 func TestOutOfOrderDeltaKeepsExactHistory(t *testing.T) {
 	h := newHistoryHarness(t, 5, 8, 4, 8)
 	h.deliver(t, -1)
+	h.deliver(t, 0)
+	h.check(t)
 	cur := h.src.cur()
-	f := Frame{Kind: kindDelta, Origin: "src", Version: cur.version + 1, Base: cur.version, Scale: 1,
-		Changes: []sketch.BucketChange{{Index: 5, Value: 1.5}, {Index: 2, Value: -2}, {Index: 5, Value: 3}}}
-	if res := h.n.ApplyFrames([]Frame{f}); res.Applied != 1 {
-		t.Fatalf("apply: %+v", res)
+	for _, base := range []int64{cur.version, h.src.versions[0].version} {
+		f := Frame{Kind: kindDelta, Origin: "src", Version: cur.version + 1, Base: base, Scale: 1,
+			Changes: []sketch.BucketChange{{Index: 5, Value: 1.5}, {Index: 2, Value: -2}, {Index: 5, Value: 3}}}
+		rejected := h.n.met.rejectedFrames.Value()
+		if res := h.n.ApplyFrames([]Frame{f}); res.Applied != 0 || res.Rejected != 1 || res.Changed {
+			t.Fatalf("out-of-order delta on version %d: %+v, want it rejected", base, res)
+		}
+		if got := h.n.met.rejectedFrames.Value() - rejected; got != 1 {
+			t.Fatalf("wmgossip_rejected_frames_total moved by %d, want 1", got)
+		}
+		h.check(t)
 	}
-	h.n.mu.Lock()
-	o := h.n.origins["src"]
-	if got := o.rebuild(1, new(baseScratch)); !sameBuckets(got.CS, cur.cs) || !sameWeighted(got.Heavy, kept(cur.heavy)) {
-		t.Fatal("the replaced version does not rebuild bit for bit")
-	}
-	if o.snap.CS.At(5) != 3 || o.snap.CS.At(2) != -2 {
-		t.Fatalf("buckets 5 and 2 hold %v and %v, want 3 and -2", o.snap.CS.At(5), o.snap.CS.At(2))
-	}
-	h.n.mu.Unlock()
-	// A frame for a peer at the replaced version names each bucket once,
-	// in order, and decodes.
-	fs := h.n.BuildFrames(map[string]int64{"src": cur.version}, false)
-	if len(fs) != 1 || fs[0].Kind != kindDelta || !ascending(fs[0].Changes) {
-		t.Fatalf("built %d frames, the first %+v; want one delta with ascending changes", len(fs), fs)
-	}
-	if _, err := ReadFrames(bytes.NewReader(encodeFrames(t, fs))); err != nil {
-		t.Fatal(err)
-	}
+	h.deliver(t, 0)
+	h.check(t)
 }
 
 // TestHistoryTrimReleasesDroppedVersions: after 3×HistoryDepth versions an

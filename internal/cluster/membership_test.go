@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -383,44 +384,58 @@ func TestOriginGCDecayAndTombstone(t *testing.T) {
 	}
 }
 
-// TestInlineRetryCapped: a peer that needs a full re-pull every round gets
-// at most maxInlineFullRetries inline retries in a row; after that the
-// forced fulls ride the next round's digest (single pull per round).
+// TestInlineRetryCapped: a round that meets a delta whose base the node
+// lacks makes no second pull. It counts in retriesDeferred, and the next
+// round's one pull asks for that origin in full: its digest carries the
+// origin at 0.
 func TestInlineRetryCapped(t *testing.T) {
 	clock := newFakeClock()
-	// needFullTransport answers the first pull of a round with a delta whose
-	// base the node cannot have, forcing NeedFull, and answers zeroed-digest
-	// pulls cleanly — so the flap repeats every round the zero is absent.
+	// needFullTransport answers a pull whose digest does not zero "ghost"
+	// with a delta whose base the node cannot have, forcing NeedFull, and a
+	// zeroed one cleanly, so the origin flaps every other round.
 	tr := &needFullTransport{}
 	n := clockedNode(t, clock, tr, []string{"pb"}, nil)
-	for i := 0; i < 6; i++ {
+	for round := 1; round <= 6; round++ {
 		advancePastBackoff(clock, n.peers[0])
-		n.GossipOnce()
+		deferred := n.met.retriesDeferred.Value()
+		if ok := n.GossipOnce(); ok != 1 {
+			t.Fatalf("round %d reconciled %d peers, want 1", round, ok)
+		}
+		tr.mu.Lock()
+		pulls, digest := tr.pulls, tr.digest
+		tr.mu.Unlock()
+		if pulls != round {
+			t.Fatalf("%d rounds cost %d pulls, want one a round", round, pulls)
+		}
+		v, named := digest["ghost"]
+		forced := named && v == 0
+		if want := round%2 == 0; forced != want {
+			t.Fatalf("round %d: digest carries ghost at 0: %v, want %v (digest %v)", round, forced, want, digest)
+		}
+		// Odd rounds meet NeedFull; even ones fetch the full it asked for.
+		if got := n.met.retriesDeferred.Value() - deferred; got != int64(round%2) {
+			t.Fatalf("round %d deferred %d, want %d", round, got, round%2)
+		}
 	}
-	if n.met.retriesDeferred.Value() != 1 {
-		t.Fatalf("deferred %d retries over 6 flapping rounds, want 1 (pulls=%d)",
-			n.met.retriesDeferred.Value(), tr.pulls)
-	}
-	// Per 4-round cycle: 2 inline-retry rounds (2 pulls each), 1 deferred
-	// round (1 pull), 1 forced-full round (1 pull, resets the streak) —
-	// 6 pulls per cycle, then rounds 5–6 retry inline again.
-	if wantPulls := 10; tr.pulls != wantPulls {
-		t.Fatalf("6 rounds cost %d pulls, want %d (inline retries capped at %d)",
-			tr.pulls, wantPulls, maxInlineFullRetries)
+	if got := n.Status().RetriesDeferred; got != 3 {
+		t.Fatalf("status reports %d deferred rounds, want 3", got)
 	}
 }
 
 // needFullTransport forges pull responses containing a delta frame with an
-// unknown base, so the puller always reports NeedFull; zeroed re-pulls get
-// an empty digest-only answer (the origin "flaps" forever).
+// unknown base, so the puller reports NeedFull; a pull whose digest zeroes
+// that origin gets an empty digest-only answer (the origin "flaps"
+// forever). It keeps the digest of the last pull.
 type needFullTransport struct {
-	mu    sync.Mutex
-	pulls int
+	mu     sync.Mutex
+	pulls  int
+	digest map[string]int64
 }
 
 func (s *needFullTransport) Pull(ctx context.Context, peerURL string, req PullRequest) (io.ReadCloser, error) {
 	s.mu.Lock()
 	s.pulls++
+	s.digest = maps.Clone(req.Digest)
 	s.mu.Unlock()
 	frames := []Frame{{Kind: kindDigest, Digest: map[string]int64{}}}
 	if v, zeroed := req.Digest["ghost"]; !zeroed || v != 0 {

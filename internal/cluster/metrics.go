@@ -136,7 +136,7 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 	m.originsGCed = reg.Counter("wmgossip_origins_gced_total",
 		"origins tombstoned by the age-based GC")
 	m.retriesDeferred = reg.Counter("wmgossip_retries_deferred_total",
-		"rounds whose inline full re-pull was deferred to the next digest")
+		"peer rounds that met a delta with a missing base and left its origin to the next round's pull, in full")
 
 	trans := reg.CounterVec("wmgossip_peer_transitions_total",
 		"peer membership transitions, by destination state", "to")

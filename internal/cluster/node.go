@@ -47,11 +47,11 @@ type Config struct {
 	// AuthToken, when set, is sent as a bearer token on cluster push
 	// requests (the receiving node's -auth-token must match).
 	AuthToken string
-	// RPCTimeout bounds one peer round's RPCs: pull, the bounded full
-	// re-pull, and the push-back share a single context deadline, so a
-	// stalled peer costs at most this much wall time per round. 0 selects
-	// 10s; negative disables the deadline (the HTTP transport's 15s client
-	// timeout still applies per request).
+	// RPCTimeout bounds one peer round's RPCs: the pull and the push-back
+	// share a single context deadline, so a stalled peer costs at most this
+	// much wall time per round. 0 selects 10s; negative disables the
+	// deadline (the HTTP transport's 15s client timeout still applies per
+	// request).
 	RPCTimeout time.Duration
 	// Fanout is how many peers each round samples. 0 selects
 	// ⌈log₂(N+1)⌉ with a floor of 3 (so clusters of ≤3 peers keep full
@@ -337,7 +337,13 @@ var basePool = sync.Pool{New: func() any { return new(baseScratch) }}
 // delta is what f's change lists overwrite: the current buckets they name,
 // and the heavy entries the walk that applies them replaces. On an older
 // version, that version is rebuilt first, and the reverse delta is a diff.
+// A frame whose changes do not name each bucket once, in ascending order,
+// is refused: the decoder never yields one, and only such a list makes the
+// overwritten buckets the exact reverse delta.
 func (o *originState) applyDelta(f *Frame, age int) (core.Snapshot, *reverseDelta, error) {
+	if !ascending(f.Changes) {
+		return core.Snapshot{}, nil, fmt.Errorf("delta changes do not ascend strictly")
+	}
 	s := basePool.Get().(*baseScratch)
 	defer basePool.Put(s)
 	base := o.rebuild(age, s)
@@ -350,16 +356,10 @@ func (o *originState) applyDelta(f *Frame, age int) (core.Snapshot, *reverseDelt
 	if age > 0 {
 		return snap, o.reverseTo(snap), nil
 	}
-	rev := &reverseDelta{version: o.version, scale: o.snap.Scale, heavy: changed, added: added}
-	if ascending(f.Changes) {
-		rev.changes = make([]sketch.BucketChange, len(f.Changes))
-		for i, ch := range f.Changes {
-			rev.changes[i] = sketch.BucketChange{Index: ch.Index, Value: o.snap.CS.At(ch.Index)}
-		}
-	} else {
-		// Only a frame built outside this package can name a bucket twice
-		// or out of order.
-		rev.changes, _ = sketch.DiffBits(cs, o.snap.CS)
+	rev := &reverseDelta{version: o.version, scale: o.snap.Scale, heavy: changed, added: added,
+		changes: make([]sketch.BucketChange, len(f.Changes))}
+	for i, ch := range f.Changes {
+		rev.changes[i] = sketch.BucketChange{Index: ch.Index, Value: o.snap.CS.At(ch.Index)}
 	}
 	return snap, rev, nil
 }
@@ -384,8 +384,9 @@ type Node struct {
 	// must have it, and their sketches share its hash family.
 	geo *sketch.Geometry
 
-	// pmu serializes PublishLocal. It is taken before mu and before the
-	// learner's own lock, never while holding either.
+	// pmu serializes PublishLocal, which a gossip round, /v1/sync and a
+	// restore may run at once; a pull never publishes. It is taken before
+	// mu and before the learner's own lock, never while holding either.
 	pmu     sync.Mutex
 	mu      sync.Mutex              // guards origins and view rebuild
 	origins map[string]*originState // guarded by mu
@@ -543,7 +544,9 @@ func (n *Node) View() *core.Mixed {
 // PublishLocal snapshots the local learner and, when it has progressed,
 // installs it as this origin's newest version. Returns the current version
 // and whether a new one was published. A learner that has not moved since
-// the last publish costs one Steps call, not a snapshot.
+// the last publish costs one Steps call, not a snapshot. GossipOnce calls
+// it once a round; a server also calls it on /v1/sync and after a restore
+// or upload. Pulls answer from the version it last installed.
 func (n *Node) PublishLocal() (int64, bool, error) {
 	// One publish at a time, from the Steps check through adopt: a caller
 	// that arrives while another snapshots the learner waits, then finds
@@ -737,8 +740,9 @@ type ApplyResult struct {
 	// Applied counts adopted versions; Stale counts frames at or below the
 	// version already held; Rejected counts frames that failed validation.
 	Applied, Stale, Rejected int
-	// NeedFull lists origins whose delta base we did not have: the caller
-	// should re-request them with a zeroed digest entry to force a full.
+	// NeedFull lists origins whose delta base we did not have. A gossip
+	// round leaves them to its next pull from the same peer, which zeroes
+	// their digest entries and so fetches them in full.
 	NeedFull []string
 	// Changed reports whether the merged view was rebuilt.
 	Changed bool

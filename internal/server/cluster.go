@@ -37,10 +37,9 @@ type ClusterOptions struct {
 	// floored at 3, negative → full sweep).
 	Fanout int
 	// OriginGCAfter is the idle age past which a departed origin's mix
-	// weight starts decaying (0 → 15m, negative disables origin GC);
-	// OriginGCDecay is the decay ramp width (0 → OriginGCAfter/2).
+	// weight starts decaying, over a ramp of half that age (0 → 15m,
+	// negative disables origin GC).
 	OriginGCAfter time.Duration
-	OriginGCDecay time.Duration
 }
 
 func (o *ClusterOptions) enabled() bool { return len(o.Peers) > 0 }
@@ -75,7 +74,6 @@ func (s *Server) startCluster() error {
 		RPCTimeout:    s.opt.Cluster.GossipTimeout,
 		Fanout:        s.opt.Cluster.Fanout,
 		OriginGCAfter: s.opt.Cluster.OriginGCAfter,
-		OriginGCDecay: s.opt.Cluster.OriginGCDecay,
 		Registry:      s.met.reg,
 		Logger:        s.logger,
 		Tracer:        s.tracer,
@@ -114,7 +112,10 @@ func (s *Server) publishRestored() (warning string, err error) {
 }
 
 // handleClusterPull answers a peer's digest with the frames it is missing,
-// our own digest leading so the peer can push back what we lack.
+// our own digest leading so the peer can push back what we lack. A pull
+// only reads: it answers from what this node last published and never
+// touches the learner, so this node's version advances only in its own
+// gossip round, on /v1/sync, and on a restore or upload.
 func (s *Server) handleClusterPull(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil {
 		writeError(w, http.StatusNotFound, "cluster mode is not enabled")
@@ -122,12 +123,6 @@ func (s *Server) handleClusterPull(w http.ResponseWriter, r *http.Request) {
 	}
 	var req cluster.PullRequest
 	if !decodeBody(w, r, &req) {
-		return
-	}
-	// Publish before answering so a pull always sees our latest local
-	// state, even between gossip rounds.
-	if _, _, err := s.cluster.PublishLocal(); err != nil {
-		writeError(w, http.StatusInternalServerError, "publish: %v", err)
 		return
 	}
 	frames := s.cluster.BuildFrames(req.Digest, true)

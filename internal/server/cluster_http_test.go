@@ -1,16 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"wmsketch/internal/cluster"
 	"wmsketch/internal/core"
 	"wmsketch/internal/datagen"
 	"wmsketch/internal/stream"
@@ -134,8 +137,10 @@ func TestClusterPushRequiresAuth(t *testing.T) {
 		t.Fatalf("unauthenticated push: HTTP %d, want 401", resp.StatusCode)
 	}
 
-	// Train node 1 (authorized), then gossip: node 0 pulls node 1's state,
-	// and node 1's push back to node 0 carries the shared token.
+	// Train node 1 (authorized), then gossip. Node 0's pull finds nothing
+	// new, since a pull answers from what node 1 last published; node 1's
+	// own round publishes its state and pushes it to node 0, carrying the
+	// shared token.
 	req, _ := http.NewRequest("POST", https[1].URL+"/v1/update",
 		strings.NewReader(`{"example":{"y":1,"x":[{"i":3,"v":1}]}}`))
 	req.Header.Set("Content-Type", "application/json")
@@ -164,6 +169,110 @@ func TestClusterPushRequiresAuth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pull with no token: HTTP %d", resp.StatusCode)
 	}
+}
+
+// TestClusterPullOnlyReads: POST /v1/cluster/pull answers from what a node
+// last published and changes nothing. A node whose learner moved after its
+// last publish answers at the published version, and its digest, its
+// /v1/cluster/status version and history, and wmgossip_state_bytes stay as
+// they were; the next POST /v1/sync publishes. With an auth token set, the
+// pull needs no token and still changes nothing.
+func TestClusterPullOnlyReads(t *testing.T) {
+	for _, token := range []string{"", "mesh-token"} {
+		name := "open"
+		if token != "" {
+			name = "auth"
+		}
+		t.Run(name, func(t *testing.T) {
+			opt := testOptions(t, BackendAWM)
+			opt.AuthToken = token
+			srvs, https := clusterServers(t, 2, opt, nil)
+			srv, url := srvs[0], https[0].URL
+			post := func(path string, body any) {
+				t.Helper()
+				blob, err := json.Marshal(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req, err := http.NewRequest("POST", url+path, bytes.NewReader(blob))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Content-Type", "application/json")
+				if token != "" {
+					req.Header.Set("Authorization", "Bearer "+token)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("POST %s: HTTP %d", path, resp.StatusCode)
+				}
+			}
+			data := datagen.RCV1Like(31).Take(300)
+			// Two publishes, so the node holds a history, then a learner
+			// that moved past the last one.
+			for _, part := range [][]stream.Example{data[:100], data[100:200]} {
+				post("/v1/update", UpdateRequest{Examples: toWire(part)})
+				post("/v1/sync", struct{}{})
+			}
+			post("/v1/update", UpdateRequest{Examples: toWire(data[200:])})
+			before := probePublished(t, srv, url)
+			if before.Version != 200 || before.History != 2 {
+				t.Fatalf("before the pull: %+v, want version 200 with 2 versions held", before)
+			}
+
+			resp, err := http.Post(url+"/v1/cluster/pull", "application/json",
+				strings.NewReader(`{"from":"probe","digest":{}}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, err := cluster.ReadFrames(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("pull with no token: HTTP %d, %v", resp.StatusCode, err)
+			}
+			self := srv.ClusterNode().Self()
+			if len(frames) != 2 || frames[0].Digest[self] != 200 || frames[1].Origin != self || frames[1].Version != 200 {
+				t.Fatalf("pull answered %d frames, digest %v; want the digest and one frame, both at version 200", len(frames), frames[0].Digest)
+			}
+			if after := probePublished(t, srv, url); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the pull changed the node: %+v, before %+v", after, before)
+			}
+
+			post("/v1/sync", struct{}{})
+			if after := probePublished(t, srv, url); after.Version != 300 || after.History != 3 {
+				t.Fatalf("after /v1/sync: %+v, want version 300 with 3 versions held", after)
+			}
+		})
+	}
+}
+
+// publishedState is what a node has published, as its digest, its
+// /v1/cluster/status and its /metrics report it.
+type publishedState struct {
+	Digest     map[string]int64
+	Version    int64
+	History    int
+	StateBytes float64
+}
+
+func probePublished(t *testing.T, srv *Server, url string) publishedState {
+	t.Helper()
+	var st cluster.Status
+	if code := doJSON(t, "GET", url+"/v1/cluster/status", nil, &st); code != http.StatusOK {
+		t.Fatalf("status: HTTP %d", code)
+	}
+	p := publishedState{Digest: srv.ClusterNode().Digest(), Version: st.Version}
+	for _, o := range st.Origins {
+		if o.ID == st.Self {
+			p.History = o.History
+		}
+	}
+	p.StateBytes, _ = srv.MetricsRegistry().Value("wmgossip_state_bytes")
+	return p
 }
 
 // TestClusterEndpointsDisabledWithoutPeers: a plain server 404s the

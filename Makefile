@@ -61,7 +61,10 @@ bench-serve-check:
 # The serving API end to end on loopback, every backend: update ->
 # predict -> topk -> estimate -> checkpoint -> restore, span chains and
 # structured logs, the /metrics families, the background refresher, the
-# JSON/binary conformance suite, and wmserve's restore-before-serve boot.
+# JSON/binary conformance suite, wmserve's restore-before-serve boot, and
+# what a boot builds (TestBoot*): New, refresh ticks, a cluster publish
+# and a scrape build no learner, and New then Restore at the ingest
+# geometry allocates what the restored learner keeps plus 1 MiB.
 # CI runs these inside `go test -race ./...`.
 serve-smoke:
 	$(GO) test -run 'TestServer|TestTracesAndStructuredLogs|TestMetricsEndpoint|TestBackgroundRefresh|TestConformance|TestBoot' ./internal/server ./cmd/wmserve

@@ -100,9 +100,9 @@ func (c *Concurrent) MemoryBytes() int {
 	return c.m.MemoryBytes()
 }
 
-// Sync is a no-op: queries read the model itself, so they are always
-// current.
-func (c *Concurrent) Sync() {}
+// Sync is a no-op that merges nothing: queries read the model itself, so
+// they are always current.
+func (c *Concurrent) Sync() bool { return false }
 
 // Close is a no-op: there is no background goroutine to stop.
 func (c *Concurrent) Close() {}

@@ -11,6 +11,7 @@ import (
 
 	"wmsketch/internal/datagen"
 	"wmsketch/internal/hashing"
+	"wmsketch/internal/sketch"
 )
 
 // TestGeometrySharesOneHashFamily: every sketch built on a Geometry
@@ -262,5 +263,197 @@ func agreeOnGeometry(t *testing.T, name string, g *Geometry, data []byte, m io.W
 	}
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatalf("%s: accepted checkpoint of %d bytes re-serializes to %d different bytes", name, len(data), out.Len())
+	}
+}
+
+// sameMixed reports how two views differ bit for bit — merged buckets,
+// scale, top list and mixed heavy weights — or "" when they do not.
+func sameMixed(a, b *Mixed) string {
+	if math.Float64bits(a.sqrtS) != math.Float64bits(b.sqrtS) {
+		return "scale"
+	}
+	for j := 0; j < a.cs.Depth(); j++ {
+		ra, rb := a.cs.Row(j), b.cs.Row(j)
+		for i := range ra {
+			if math.Float64bits(ra[i]) != math.Float64bits(rb[i]) {
+				return fmt.Sprintf("bucket %d of row %d: %v vs %v", i, j, ra[i], rb[i])
+			}
+		}
+	}
+	if len(a.top) != len(b.top) {
+		return fmt.Sprintf("top lengths %d vs %d", len(a.top), len(b.top))
+	}
+	for i := range a.top {
+		if a.top[i].Index != b.top[i].Index || math.Float64bits(a.top[i].Weight) != math.Float64bits(b.top[i].Weight) {
+			return fmt.Sprintf("top[%d]: %v vs %v", i, a.top[i], b.top[i])
+		}
+	}
+	if len(a.exact) != len(b.exact) {
+		return fmt.Sprintf("%d vs %d mixed heavy weights", len(a.exact), len(b.exact))
+	}
+	for k, w := range a.exact {
+		if v, ok := b.exact[k]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return fmt.Sprintf("heavy weight of %d: %v vs %v", k, w, v)
+		}
+	}
+	return ""
+}
+
+// TestMixInPlaceMatchesSnapshots: a learner loaded from a checkpoint, and
+// one retired by Close, mix their view in the shards' own sketches. That
+// view must equal, bit for bit, the mix of ModelSnapshot clones of the
+// same models — through mixShards, and through MixSnapshots on the
+// snapshots' heavy lists in heap order — and the shards must serialize to
+// the bytes they held before the mix. The sketches are narrow enough that
+// active keys share buckets, so a write-back that is undone in the wrong
+// order leaves a bucket changed; depth 3 also takes the median path.
+func TestMixInPlaceMatchesSnapshots(t *testing.T) {
+	for _, depth := range []int{1, 3} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			cfg := Config{Width: 64, Depth: depth, HeapSize: 32, Lambda: 1e-5, Seed: 17}
+			data := datagen.RCV1Like(23).Take(1200)
+			s := NewSharded(cfg, ShardedOptions{Workers: 2, SyncEvery: -1})
+			s.UpdateBatch(data[:1000])
+			var blob bytes.Buffer
+			if _, err := s.WriteTo(&blob); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			// check compares s's view with the mixes of snapshot clones of
+			// its models, and its serialization with want.
+			check := func(when string, s *Sharded, want []byte) {
+				t.Helper()
+				snaps := make([]Snapshot, len(s.workers))
+				heapOrder := make([]Snapshot, len(s.workers))
+				collided := false
+				for i, w := range s.workers {
+					snaps[i], _ = w.model.ModelSnapshot()
+					heapOrder[i], _ = w.model.ModelSnapshot()
+					heapOrder[i].Origin = fmt.Sprintf("%06d", i)
+					collided = collided || collides(w.model)
+				}
+				if !collided {
+					t.Fatalf("%s: no two active keys share a bucket; the test needs a narrower sketch", when)
+				}
+				if diff := sameMixed(s.currentView(), s.geo.mixShards(snaps)); diff != "" {
+					t.Errorf("%s: the view differs from mixShards over snapshot clones: %s", when, diff)
+				}
+				direct, err := MixSnapshots(heapOrder, s.geo.Mix())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameMixed(s.currentView(), direct); diff != "" {
+					t.Errorf("%s: the view differs from MixSnapshots over heap-order snapshots: %s", when, diff)
+				}
+				var got bytes.Buffer
+				if _, err := s.WriteTo(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Errorf("%s: the shards serialize to other bytes than they held before the mix", when)
+				}
+			}
+
+			r, err := LoadSharded(bytes.NewReader(blob.Bytes()), nil, nil, ShardedOptions{SyncEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after the load", r, blob.Bytes())
+			r.UpdateBatch(data[1000:])
+			var held bytes.Buffer
+			if _, err := r.WriteTo(&held); err != nil {
+				t.Fatal(err)
+			}
+			v := r.currentView()
+			r.Close()
+			if r.currentView() == v {
+				t.Fatal("Close kept a view that misses updates routed after it")
+			}
+			check("after Close", r, held.Bytes())
+		})
+	}
+}
+
+// collides reports whether two of a's active keys share a bucket.
+func collides(a *AWMSketch) bool {
+	seen := make(map[int32]bool)
+	locs := make([]sketch.Loc, a.cs.Depth())
+	for e := range a.active.All() {
+		a.cs.Locate(e.Key, locs)
+		for _, l := range locs {
+			if seen[l.Bucket] {
+				return true
+			}
+			seen[l.Bucket] = true
+		}
+	}
+	return false
+}
+
+// TestSyncKeepsAnUpToDateView: Sync, like Close, merges only when an
+// update was routed since the installed view was built. After a load and
+// after a Sync, it keeps the installed view, pointer-equal, reports no
+// merge and allocates nothing; one routed example makes it merge.
+func TestSyncKeepsAnUpToDateView(t *testing.T) {
+	cfg := Config{Width: 512, Depth: 1, HeapSize: 32, Lambda: 1e-6, Seed: 3}
+	data := datagen.RCV1Like(9).Take(301)
+	s := NewSharded(cfg, ShardedOptions{Workers: 2, SyncEvery: -1})
+	s.UpdateBatch(data[:300])
+	var ckpt bytes.Buffer
+	if _, err := s.WriteTo(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	r, err := LoadSharded(bytes.NewReader(ckpt.Bytes()), nil, nil, ShardedOptions{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	keeps := func(when string) {
+		t.Helper()
+		v := r.currentView()
+		if r.Sync() {
+			t.Errorf("%s: Sync merged", when)
+		}
+		if r.currentView() != v {
+			t.Errorf("%s: Sync installed a new view", when)
+		}
+		if n := testing.AllocsPerRun(20, func() { r.Sync() }); n != 0 {
+			t.Errorf("%s: Sync allocated %v times", when, n)
+		}
+	}
+	keeps("after the load")
+	r.UpdateBatch(data[300:])
+	v := r.currentView()
+	if !r.Sync() || r.currentView() == v {
+		t.Fatal("Sync after a routed example kept the old view")
+	}
+	keeps("after a Sync")
+}
+
+// TestLiteralMixSharesSnapshotFamily: MixSnapshots under a MixOptions
+// literal builds its view on the geometry of the snapshots it mixes,
+// sharing their hash family, rather than a family of its own per mix.
+func TestLiteralMixSharesSnapshotFamily(t *testing.T) {
+	cfg := Config{Width: 256, Depth: 3, HeapSize: 16, Lambda: 1e-6, Seed: 5}
+	g := NewGeometry(cfg)
+	a, b := g.NewAWMSketch(), g.NewAWMSketch()
+	for i, ex := range datagen.RCV1Like(4).Take(200) {
+		if i%2 == 0 {
+			a.Update(ex.X, ex.Y)
+		} else {
+			b.Update(ex.X, ex.Y)
+		}
+	}
+	sa, _ := a.ModelSnapshot()
+	sb, _ := b.ModelSnapshot()
+	sa.Origin, sb.Origin = "a", "b"
+	v, err := MixSnapshots([]Snapshot{sa, sb}, MixOptions{Depth: cfg.Depth, Width: cfg.Width, Seed: cfg.Seed, HeapSize: cfg.HeapSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Sketch().Hashes() != g.Hashes() {
+		t.Fatal("a literal mix built a hash family of its own")
 	}
 }

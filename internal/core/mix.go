@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -104,8 +105,18 @@ type MixOptions struct {
 // Sketch returns the Count-Sketch geometry o fixes: the one Geometry.Mix
 // bound o to, or for a literal a new one with a hash family of its own.
 func (o MixOptions) Sketch() *sketch.Geometry {
-	if o.sk != nil && o.sk.Matches(o.Depth, o.Width, o.Seed) {
+	return o.sketchLike(nil)
+}
+
+// sketchLike returns the geometry o fixes as Sketch does, except that a
+// literal takes the geometry of cs, sharing its hash family, when cs has
+// o's depth, width and seed.
+func (o MixOptions) sketchLike(cs *sketch.CountSketch) *sketch.Geometry {
+	switch {
+	case o.sk != nil && o.sk.Matches(o.Depth, o.Width, o.Seed):
 		return o.sk
+	case cs != nil && cs.Depth() == o.Depth && cs.Width() == o.Width && cs.Seed() == o.Seed:
+		return cs.Geometry()
 	}
 	return sketch.NewGeometry(o.Depth, o.Width, o.Seed)
 }
@@ -187,37 +198,66 @@ func MixSnapshots(snaps []Snapshot, opt MixOptions) (*Mixed, error) {
 	// Mixed heavy-candidate weights, computed against the per-snapshot
 	// folded sketches: for each candidate key, the weighted average over
 	// snapshots of the snapshot's exact heavy weight where present and its
-	// sketch estimate where not.
-	heavyVal := make([]map[uint32]float64, len(live))
+	// sketch estimate where not. The keys come from a merge of the heavy
+	// lists in index order, so no lookup table is built; a list out of
+	// order is merged from a sorted copy, and of a key listed twice the
+	// later weight counts. A first pass counts the keys, so that the view's
+	// top list and heavy weights are allocated once, at their final size.
+	lists := make([][]stream.Weighted, len(live))
 	for i, sn := range live {
-		m := make(map[uint32]float64, len(sn.Heavy))
-		for _, hv := range sn.Heavy {
-			m[hv.Index] = hv.Weight
+		lists[i] = sn.Heavy
+		if !slices.IsSortedFunc(sn.Heavy, byIndex) {
+			lists[i] = slices.Clone(sn.Heavy)
+			stream.SortByIndex(lists[i])
 		}
-		heavyVal[i] = m
 	}
-	exact := make(map[uint32]float64)
-	for _, sn := range live {
-		for _, hv := range sn.Heavy {
-			k := hv.Index
-			if _, done := exact[k]; done {
-				continue
+	next := make([]int, len(live))
+	// least returns the least key at the lists' cursors.
+	least := func() (k uint32, found bool) {
+		for i, l := range lists {
+			if j := next[i]; j < len(l) && (!found || l[j].Index < k) {
+				k, found = l[j].Index, true
 			}
-			sum := 0.0
-			for i, other := range live {
-				var v float64
-				if raw, ok := heavyVal[i][k]; ok {
-					v = other.scaleOr1() * raw
-				} else {
-					v = sqrtS * (other.scaleOr1() * other.CS.Estimate(k))
-				}
-				sum += weight(other) * v
-			}
-			exact[k] = sum / totalW
 		}
+		return k, found
+	}
+	// pass moves list i's cursor past k and reports whether it listed k.
+	pass := func(i int, k uint32) bool {
+		l, j := lists[i], next[i]
+		for next[i] < len(l) && l[next[i]].Index == k {
+			next[i]++
+		}
+		return next[i] > j
+	}
+	keys := 0
+	for k, ok := least(); ok; k, ok = least() {
+		keys++
+		for i := range lists {
+			pass(i, k)
+		}
+	}
+	clear(next)
+	top := make([]stream.Weighted, 0, keys)
+	exact := make(map[uint32]float64, keys)
+	for k, ok := least(); ok; k, ok = least() {
+		sum := 0.0
+		for i, other := range live {
+			var v float64
+			if pass(i, k) {
+				v = other.scaleOr1() * lists[i][next[i]-1].Weight
+			} else {
+				v = sqrtS * (other.scaleOr1() * other.CS.Estimate(k))
+			}
+			sum += weight(other) * v
+		}
+		w := sum / totalW
+		top = append(top, stream.Weighted{Index: k, Weight: w})
+		exact[k] = w
 	}
 
-	merged := opt.Sketch().New()
+	// Every live sketch of the geometry shares one hash family; a literal's
+	// own family would cost a build per mix.
+	merged := opt.sketchLike(live[0].CS).New()
 	for _, sn := range live {
 		// The contribution coefficient folds the snapshot's decay scale
 		// into the mixing weight (model = Scale·CS); the normalizer stays
@@ -230,16 +270,15 @@ func MixSnapshots(snaps []Snapshot, opt MixOptions) (*Mixed, error) {
 		merged.Scale(1 / totalW)
 	}
 
-	top := make([]stream.Weighted, 0, len(exact))
-	for k, v := range exact {
-		top = append(top, stream.Weighted{Index: k, Weight: v})
-	}
 	stream.SortWeighted(top)
 	if opt.HeapSize > 0 && len(top) > opt.HeapSize {
 		top = top[:opt.HeapSize]
 	}
 	return &Mixed{cs: merged, sqrtS: sqrtS, top: top, exact: exact}, nil
 }
+
+// byIndex orders heavy entries by ascending index.
+func byIndex(a, b stream.Weighted) int { return cmp.Compare(a.Index, b.Index) }
 
 // Estimate returns the mixed model's weight estimate for feature i.
 func (m *Mixed) Estimate(i uint32) float64 {
@@ -287,24 +326,50 @@ func (m *Mixed) Sketch() *sketch.CountSketch { return m.cs }
 // deltas stay sparse. The heavy list holds the active set's unscaled
 // weights in heap order, read from the heap in place.
 func (a *AWMSketch) ModelSnapshot() (Snapshot, error) {
+	return a.snapshot(a.rawSketch()), nil
+}
+
+// snapshot returns a's snapshot over cs, a's buckets with its active set
+// written back.
+func (a *AWMSketch) snapshot(cs *sketch.CountSketch) Snapshot {
 	heavy := make([]stream.Weighted, 0, a.active.Len())
 	for e := range a.active.All() {
 		heavy = append(heavy, stream.Weighted{Index: e.Key, Weight: e.Weight})
 	}
-	return Snapshot{CS: a.rawSketch(), Scale: a.scale, Heavy: heavy, Steps: a.t}, nil
+	return Snapshot{CS: cs, Scale: a.scale, Heavy: heavy, Steps: a.t}
 }
 
 // rawSketch returns a deep copy of the AWM-Sketch's projection with every
-// active-set weight written back (sketch(i) += S[i] − Query(i), the same
-// reconciliation Algorithm 2 performs on eviction) but the decay scale NOT
-// folded, so it answers √s·scale·median queries for *all* features.
+// active-set weight written back but the decay scale NOT folded, so it
+// answers √s·scale·median queries for *all* features.
 func (a *AWMSketch) rawSketch() *sketch.CountSketch {
 	c := a.cs.Clone()
-	for e := range a.active.All() {
-		delta := e.Weight - a.sqrtS*c.Estimate(e.Key)
-		c.Update(e.Key, delta/a.sqrtS)
-	}
+	a.writeActive(c, false)
 	return c
+}
+
+// writeActive writes every active-set weight into c, a sketch holding a's
+// buckets: sketch(i) += S[i] − Query(i), the same reconciliation
+// Algorithm 2 performs on eviction. With undo set it returns the value
+// each written bucket held before the write, in write order, so that
+// c.Revert of the list takes c back to a's buckets bit for bit.
+func (a *AWMSketch) writeActive(c *sketch.CountSketch, undo bool) []sketch.BucketChange {
+	var prior []sketch.BucketChange
+	if undo {
+		prior = make([]sketch.BucketChange, 0, a.active.Len()*c.Depth())
+	}
+	locs := make([]sketch.Loc, c.Depth())
+	for e := range a.active.All() {
+		c.Locate(e.Key, locs)
+		if undo {
+			for _, l := range locs {
+				prior = append(prior, sketch.BucketChange{Index: uint32(l.Bucket), Value: c.At(uint32(l.Bucket))})
+			}
+		}
+		delta := e.Weight - a.sqrtS*c.EstimateAt(locs)
+		c.AddAt(locs, delta/a.sqrtS)
+	}
+	return prior
 }
 
 // ModelSnapshot refreshes the merged view (reflecting every example routed

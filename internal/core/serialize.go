@@ -286,12 +286,8 @@ func loadSharded(r io.Reader, want *Geometry, opt ShardedOptions) (*Sharded, err
 	opt.Workers = int(workers)
 	opt.fill()
 	// The workers have not started, so the first view is mixed from the
-	// models directly.
-	snaps := make([]Snapshot, workers)
-	for i, m := range models {
-		snaps[i], _ = m.ModelSnapshot()
-	}
-	return want.startSharded(opt, models, pending, want.mixShards(snaps)), nil
+	// models in place.
+	return want.startSharded(opt, models, pending, want.mixModels(models)), nil
 }
 
 // maxShardedWorkers bounds the worker count accepted from a checkpoint so a

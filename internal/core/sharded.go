@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
 )
 
@@ -202,19 +203,24 @@ func (s *Sharded) UpdateBatch(batch []stream.Example) {
 	}
 }
 
-// Sync rebuilds the merged query snapshot from the current worker states.
-// It blocks until every example routed before the call has been applied
-// (the snapshot request travels the same FIFO queues as the examples).
-// Concurrent Syncs coalesce behind a single-flight lock.
-func (s *Sharded) Sync() {
+// Sync rebuilds the merged query snapshot from the current worker states
+// and reports whether it merged. It blocks until every example routed
+// before the call has been applied (the snapshot request travels the same
+// FIFO queues as the examples). Concurrent Syncs coalesce behind a
+// single-flight lock.
+//
+// When no update was routed since the installed view was built, that view
+// already reflects every update routed before the call, and Sync keeps it
+// without a merge, as Close does.
+func (s *Sharded) Sync() bool {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
-	if s.closed.Load() {
-		return // final snapshot was installed by Close
-	}
 	// Every update counted here was routed before the snapshot requests
 	// below, so the view reflects it.
 	steps := s.pending.Load()
+	if s.closed.Load() || steps == s.viewSteps {
+		return false // Close installed the final view, or the view is current
+	}
 	replies := make([]chan Snapshot, len(s.workers))
 	for i, w := range s.workers {
 		ch := make(chan Snapshot, 1)
@@ -226,6 +232,7 @@ func (s *Sharded) Sync() {
 		snaps[i] = <-ch
 	}
 	s.installLocked(s.geo.mixShards(snaps), steps)
+	return true
 }
 
 // Close stops the workers, waits for queued examples to drain, and installs
@@ -250,12 +257,13 @@ func (s *Sharded) Close() {
 			return
 		}
 		// Workers have exited; wg.Wait is the happens-before barrier that
-		// makes their private state safe to read directly.
-		snaps := make([]Snapshot, len(s.workers))
+		// makes their private state safe to mix in place. WriteTo waits on
+		// syncMu, so it never reads the state written back for the mix.
+		models := make([]*AWMSketch, len(s.workers))
 		for i, w := range s.workers {
-			snaps[i] = w.snapshot()
+			models[i] = w.model
 		}
-		s.installLocked(s.geo.mixShards(snaps), steps)
+		s.installLocked(s.geo.mixModels(models), steps)
 	})
 }
 
@@ -279,16 +287,38 @@ func (s *Sharded) currentView() *Mixed {
 // core.MixSnapshots — the same example-count-weighted parameter mixing the
 // cluster layer applies to the snapshots nodes send — which also gives
 // every heavy-key candidate a mixed "exact" weight that Estimate and TopK
-// prefer over the (collision-noisier) merged-sketch query.
+// prefer over the (collision-noisier) merged-sketch query. The snapshots'
+// heavy lists are the caller's, and are sorted by index in place, the
+// order MixSnapshots merges them in.
 func (g *Geometry) mixShards(snaps []Snapshot) *Mixed {
 	for i := range snaps {
 		// Zero-padded so the canonical Origin order equals worker order.
 		snaps[i].Origin = fmt.Sprintf("%06d", i)
+		stream.SortByIndex(snaps[i].Heavy)
 	}
 	v, err := MixSnapshots(snaps, g.Mix())
 	if err != nil {
 		// Same shape and seed by construction; mixing cannot fail.
 		panic("core: shard merge: " + err.Error())
+	}
+	return v
+}
+
+// mixModels mixes the view of models that no worker is training, in
+// place: each model's active set is written into its own sketch for the
+// mix and reverted after it, bit for bit, instead of into a clone, as
+// ModelSnapshot must for a model that keeps training. The view equals
+// mixShards over the models' ModelSnapshots.
+func (g *Geometry) mixModels(models []*AWMSketch) *Mixed {
+	snaps := make([]Snapshot, len(models))
+	priors := make([][]sketch.BucketChange, len(models))
+	for i, m := range models {
+		priors[i] = m.writeActive(m.cs, true)
+		snaps[i] = m.snapshot(m.cs)
+	}
+	v := g.mixShards(snaps)
+	for i, m := range models {
+		m.cs.Revert(priors[i])
 	}
 	return v
 }

@@ -53,8 +53,11 @@ func (bs backendSnapshotter) ModelSnapshot() (sn core.Snapshot, err error) {
 	return sn, err
 }
 
+// Steps reads a server that has built no learner yet as 0 steps, which no
+// publish is past, so a gossip round before the first update or restore
+// builds none.
 func (bs backendSnapshotter) Steps() (steps int64) {
-	bs.s.withBackend(func(b learner) { steps = b.Steps() })
+	bs.s.peekBackend(func(b learner) { steps = b.Steps() })
 	return steps
 }
 

@@ -113,8 +113,9 @@ func (m *binMetrics) register(reg *obs.Registry) {
 func (m *binMetrics) op(op byte) *binOpInstruments { return m.ops[op] }
 
 // newServerMetrics registers the serving and core families and the
-// backend-sourced gauges. It reads backend state through s.withBackend, so
-// a scrape can never race a checkpoint restore's backend swap.
+// backend-sourced gauges. They read backend state through s.peekBackend,
+// so a scrape can never race a checkpoint restore's backend swap, and
+// never builds a learner: before the first one exists they read 0.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{reg: reg}
@@ -146,27 +147,27 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.restoreDur = reg.Histogram("wmcore_checkpoint_restore_duration_seconds",
 		"backend reconstruction from serialized state", obs.LatencyBuckets)
 	m.refreshes = reg.Counter("wmcore_snapshot_refreshes_total",
-		"sharded query-snapshot merges (refresh loop and /v1/sync)")
+		"sharded query-snapshot merges made by the refresh loop and /v1/sync (a sync that finds the view current makes none)")
 
 	m.bin.register(reg)
 
 	reg.GaugeFunc("wmcore_steps", "backend training step counter",
 		func() float64 {
 			var v int64
-			s.withBackend(func(b learner) { v = b.Steps() })
+			s.peekBackend(func(b learner) { v = b.Steps() })
 			return float64(v)
 		})
 	reg.GaugeFunc("wmcore_memory_bytes", "backend model memory footprint",
 		func() float64 {
 			var v int
-			s.withBackend(func(b learner) { v = b.MemoryBytes() })
+			s.peekBackend(func(b learner) { v = b.MemoryBytes() })
 			return float64(v)
 		})
 	reg.GaugeFunc("wmcore_shard_queue_messages",
 		"messages waiting in the sharded backend's worker queues (0 for awm)",
 		func() float64 {
 			var v int
-			s.withBackend(func(b learner) { v = b.QueuedMessages() })
+			s.peekBackend(func(b learner) { v = b.QueuedMessages() })
 			return float64(v)
 		})
 	reg.GaugeFunc("wmserve_uptime_seconds", "seconds since the server was constructed",

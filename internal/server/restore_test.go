@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"wmsketch/internal/core"
 	"wmsketch/internal/datagen"
@@ -230,15 +234,31 @@ func ingestCheckpoint(tb testing.TB) (Options, string) {
 	return opt, path
 }
 
+// restoredKeeps is what a server restored from ingestCheckpoint keeps:
+// its two shards' buckets and heaps and its first view's buckets. A heap
+// keeps its 32-byte entries and an index of four 8-byte slots per entry
+// (the capacity, 2048, is a power of two).
+func restoredKeeps(c core.Config) int {
+	const workers = 2
+	sketchBytes := 8 * c.Depth * c.Width
+	heapBytes := 32*c.HeapSize + 4*8*c.HeapSize
+	return workers*(sketchBytes+heapBytes) + sketchBytes
+}
+
+// allocSlack covers what a boot with a restore allocates beside the
+// learner it keeps: the heavy lists, the view's mixed heavy weights (up to
+// 4096 keys), the undo list of the buckets the load-time mix writes back,
+// the read buffers, and small objects. Any sketch built beside the
+// learner, 3 MiB at the ingest geometry, does not fit in it.
+const allocSlack = 1 << 20
+
 // TestRestoreAllocations: Server.Restore of a 2-worker 3×2^17 checkpoint
-// allocates what the restored backend keeps — its shards' buckets and
-// heaps and its first view's buckets — plus the buckets of the two shard
-// snapshots the load-time merge reads and a stated slack; retiring the
-// fresh backend New built costs no merge. The slack, 1 MiB, covers the
-// heavy lists, the maps that mix them and the view's mixed heavy weights
-// (up to 4096 keys), the read buffers, and small objects. Zeroing a sketch
-// per shard to discard it, an empty view that the first merge replaces, or
-// a final merge of the retired backend each take 3 MiB, past the slack.
+// allocates what the restored backend keeps plus allocSlack. The load
+// mixes the first view in the shards' own sketches, so it clones none,
+// and New built no backend for the restore to retire. Zeroing a sketch per
+// shard to discard it, an empty view that the first merge replaces, a
+// shard snapshot for the load-time merge, or a backend New built each
+// take 3 MiB, past the slack.
 func TestRestoreAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a 3×2^17 checkpoint")
@@ -258,21 +278,164 @@ func TestRestoreAllocations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 
-	c := opt.Config
-	const workers = 2
-	sketchBytes := 8 * c.Depth * c.Width
-	// A heap keeps its 32-byte entries and an index of four 8-byte slots
-	// per entry (the capacity, 2048, is a power of two).
-	heapBytes := 32*c.HeapSize + 4*8*c.HeapSize
-	keeps := workers*(sketchBytes+heapBytes) + sketchBytes
-	transient := workers * sketchBytes
-	const slack = 1 << 20
+	keeps := restoredKeeps(opt.Config)
 	allocated := int(after.TotalAlloc - before.TotalAlloc)
-	report := fmt.Sprintf("Server.Restore allocated %d bytes in %d allocations; it keeps %d, the merge's snapshots %d, slack %d",
-		allocated, after.Mallocs-before.Mallocs, keeps, transient, slack)
+	report := fmt.Sprintf("Server.Restore allocated %d bytes in %d allocations; it keeps %d, slack %d",
+		allocated, after.Mallocs-before.Mallocs, keeps, allocSlack)
 	t.Log(report)
-	if allocated > keeps+transient+slack {
-		t.Errorf("%s: %d bytes over", report, allocated-keeps-transient-slack)
+	if allocated > keeps+allocSlack {
+		t.Errorf("%s: %d bytes over", report, allocated-keeps-allocSlack)
+	}
+}
+
+// TestBootRestoreBuildsOneLearner boots a server as wmserve -restore does
+// at perfbench's ingest geometry: New; five refresh ticks and a /metrics
+// scrape, none of which may build a learner; then Restore of a 2-worker
+// 3×2^17 checkpoint. The whole sequence allocates what the restored
+// learner keeps plus allocSlack: a learner built before the restore and
+// retired by it would take 9 MiB more. The scrape reads the wmcore gauges
+// as 0. After the restore, the refresh loop finds the loaded view current
+// and merges nothing until an update arrives.
+func TestBootRestoreBuildsOneLearner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a 3×2^17 checkpoint")
+	}
+	opt, path := ingestCheckpoint(t)
+	const interval = 2 * time.Millisecond
+	opt.RefreshInterval = interval
+	value := func(srv *Server, name string) float64 {
+		v, _ := srv.MetricsRegistry().Value(name)
+		return v
+	}
+	// The recorder stands in for the scraper's connection: its buffer is
+	// the test's, so it is sized before the count starts.
+	rec := httptest.NewRecorder()
+	rec.Body.Grow(1 << 20)
+	scrape := httptest.NewRequest("GET", "/metrics", nil)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	time.Sleep(5 * interval)
+	srv.ServeHTTP(rec, scrape)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: HTTP %d", rec.Code)
+	}
+	if err := srv.Restore(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	for _, line := range []string{"wmcore_steps 0\n", "wmcore_memory_bytes 0\n", "wmcore_shard_queue_messages 0\n"} {
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Errorf("the scrape before the restore lacks %q", strings.TrimSpace(line))
+		}
+	}
+
+	keeps := restoredKeeps(opt.Config)
+	allocated := int(after.TotalAlloc - before.TotalAlloc)
+	report := fmt.Sprintf("New, ticks, a scrape and Restore allocated %d bytes in %d allocations; the learner keeps %d, slack %d",
+		allocated, after.Mallocs-before.Mallocs, keeps, allocSlack)
+	t.Log(report)
+	if allocated > keeps+allocSlack {
+		t.Errorf("%s: %d bytes over", report, allocated-keeps-allocSlack)
+	}
+
+	time.Sleep(5 * interval)
+	if n := value(srv, "wmcore_snapshot_refreshes_total"); n != 0 {
+		t.Fatalf("the refresh loop merged %v times after the restore, with no update", n)
+	}
+	srv.withBackend(func(b learner) { b.UpdateBatch(datagen.URLLike(43).Take(64)) })
+	for deadline := time.Now().Add(10 * time.Second); value(srv, "wmcore_snapshot_refreshes_total") == 0; time.Sleep(interval) {
+		if time.Now().After(deadline) {
+			t.Fatal("the refresh loop never merged the update")
+		}
+	}
+}
+
+// TestBootReadersBuildNoLearner: on a fresh server of either backend in
+// cluster mode, the refresh loop, the cluster publish and a /metrics
+// scrape build no learner, and the wmcore gauges read 0. Close then builds
+// one only to flush CheckpointPath, which holds the empty model's
+// checkpoint, byte for byte what a fresh learner writes.
+func TestBootReadersBuildNoLearner(t *testing.T) {
+	for _, backend := range backends() {
+		t.Run(backend, func(t *testing.T) {
+			opt := testOptions(t, backend)
+			opt.RefreshInterval = 2 * time.Millisecond
+			opt.Cluster = ClusterOptions{Self: "node-a", Peers: []string{"http://node-b.invalid"}, Interval: -1}
+			srv, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(10 * opt.RefreshInterval)
+			if _, published, err := srv.ClusterNode().PublishLocal(); err != nil || published {
+				t.Fatalf("publish before any update: published %v, err %v", published, err)
+			}
+			requireFamilies(t, srv, "wmcore_steps")
+			for _, name := range []string{"wmcore_steps", "wmcore_memory_bytes", "wmcore_shard_queue_messages", "wmcore_snapshot_refreshes_total"} {
+				if v, _ := srv.MetricsRegistry().Value(name); v != 0 {
+					t.Errorf("%s reads %v before any learner exists", name, v)
+				}
+			}
+			srv.mu.RLock()
+			built := srv.backend != nil
+			srv.mu.RUnlock()
+			if built {
+				t.Fatal("a reader built the learner")
+			}
+
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(opt.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := writeCheckpoint(t, backend, opt.Config, nil); !bytes.Equal(got, want) {
+				t.Fatalf("Close wrote %d checkpoint bytes, not the empty model's %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestBootFirstRequestsShareOneLearner: on a fresh server of either
+// backend, concurrent first updates, a scrape and a publish check racing
+// them build one learner between them, which holds every update.
+func TestBootFirstRequestsShareOneLearner(t *testing.T) {
+	for _, backend := range backends() {
+		t.Run(backend, func(t *testing.T) {
+			srv, err := New(testOptions(t, backend))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			const clients, batch = 8, 16
+			data := datagen.RCV1Like(5).Take(clients * batch)
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					srv.applyBatch(context.Background(), data[c*batch:(c+1)*batch])
+				}()
+				go func() {
+					defer wg.Done()
+					srv.MetricsRegistry().Value("wmcore_steps")
+					backendSnapshotter{srv}.Steps()
+				}()
+			}
+			wg.Wait()
+			var steps int64
+			srv.withBackend(func(b learner) { steps = b.Steps() })
+			if steps != clients*batch {
+				t.Fatalf("the learner holds %d steps, want %d", steps, clients*batch)
+			}
+		})
 	}
 }
 

@@ -54,8 +54,9 @@ type learner interface {
 	QueuedMessages() int
 	MemoryBytes() int
 	// Sync refreshes the query snapshot so that queries reflect every
-	// update routed before the call.
-	Sync()
+	// update routed before the call, and reports whether it merged a new
+	// one.
+	Sync() bool
 	Close()
 	io.WriterTo
 	core.Snapshotter // ModelSnapshot and Steps
@@ -116,10 +117,10 @@ type Server struct {
 	// restored checkpoint's and the cluster node's.
 	geo *core.Geometry
 
-	// mu guards backend replacement (checkpoint restore swaps the learner);
-	// request handlers hold it for read.
+	// mu guards backend replacement (checkpoint restore swaps the learner,
+	// and the first use builds it); request handlers hold it for read.
 	mu      sync.RWMutex
-	backend learner // guarded by mu
+	backend learner // guarded by mu; nil until first use or a restore
 
 	// cluster is non-nil when Options.Cluster is enabled.
 	cluster *cluster.Node
@@ -148,8 +149,10 @@ type Server struct {
 	binHook func(op byte)
 }
 
-// New constructs a Server with a freshly initialized backend. A
-// configuration that core refuses (Config.Validate) is returned as an
+// New constructs a Server. It builds no learner: the first request that
+// needs one builds the default (withBackend), unless a restore installs
+// the learner it loaded first, so a boot that restores builds exactly one.
+// A configuration that core refuses (Config.Validate) is returned as an
 // error before anything is built.
 func New(opt Options) (*Server, error) {
 	if opt.Backend == "" {
@@ -161,17 +164,10 @@ func New(opt Options) (*Server, error) {
 	if err := opt.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	geo := core.NewGeometry(opt.Config)
-	var b learner
-	if opt.Backend == BackendSharded {
-		b = geo.NewSharded(opt.Sharded)
-	} else {
-		b = core.NewConcurrent(geo.NewAWMSketch())
-	}
 	if opt.RefreshInterval == 0 {
 		opt.RefreshInterval = 200 * time.Millisecond
 	}
-	s := &Server{opt: opt, geo: geo, backend: b, start: time.Now()}
+	s := &Server{opt: opt, geo: core.NewGeometry(opt.Config), start: time.Now()}
 	s.logger = opt.Logger
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -181,7 +177,6 @@ func New(opt Options) (*Server, error) {
 	s.tracer = trace.New(opt.Trace)
 	if opt.Cluster.enabled() {
 		if err := s.startCluster(); err != nil {
-			b.Close()
 			return nil, err
 		}
 	}
@@ -197,7 +192,8 @@ func New(opt Options) (*Server, error) {
 // refreshLoop re-merges the sharded query snapshot whenever updates have
 // arrived since the last merge, bounding the staleness of Predict/Estimate/
 // TopK answers under continuous training. New starts it for the sharded
-// backend only.
+// backend only. It never builds a learner: before one exists there is
+// nothing to merge.
 func (s *Server) refreshLoop() {
 	defer s.running.Done()
 	t := time.NewTicker(s.opt.RefreshInterval)
@@ -208,10 +204,11 @@ func (s *Server) refreshLoop() {
 		case <-s.stop.Done():
 			return
 		case <-t.C:
-			s.withBackend(func(b learner) {
+			s.peekBackend(func(b learner) {
 				if steps := b.Steps(); steps != synced {
-					b.Sync()
-					s.met.refreshes.Inc()
+					if b.Sync() {
+						s.met.refreshes.Inc()
+					}
 					synced = steps
 				}
 			})
@@ -309,7 +306,9 @@ func (s *Server) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.backend.Close()
+	if s.backend != nil {
+		s.backend.Close()
+	}
 	return err
 }
 
@@ -328,10 +327,43 @@ func (s *Server) Restore(path string) error {
 // withBackend runs fn on the active backend under the read lock, so a
 // concurrent checkpoint restore (which swaps the backend under the write
 // lock and closes the old one) can never retire a backend mid-operation.
+// The first call to find no backend builds the default learner on s.geo,
+// under the write lock.
 func (s *Server) withBackend(fn func(b learner)) {
 	s.mu.RLock()
+	if s.backend == nil {
+		s.mu.RUnlock()
+		s.mu.Lock()
+		if s.backend == nil {
+			s.backend = s.newLearner()
+		}
+		s.mu.Unlock()
+		s.mu.RLock()
+	}
 	defer s.mu.RUnlock()
 	fn(s.backend)
+}
+
+// peekBackend runs fn on the backend under the read lock, as withBackend
+// does, unless there is none yet: it never builds one. The refresh loop,
+// the cluster's Steps check and the wmcore_* gauges read through it, so a
+// restore that outlasts a refresh tick, a gossip interval or a scrape
+// still builds one learner; they read a missing learner as an empty one.
+func (s *Server) peekBackend(fn func(b learner)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.backend != nil {
+		fn(s.backend)
+	}
+}
+
+// newLearner builds the default learner on s.geo: a fresh sharded learner
+// or AWM-Sketch.
+func (s *Server) newLearner() learner {
+	if s.opt.Backend == BackendSharded {
+		return s.geo.NewSharded(s.opt.Sharded)
+	}
+	return core.NewConcurrent(s.geo.NewAWMSketch())
 }
 
 // predict/estimate/topK route queries to the cluster-merged view when
@@ -760,11 +792,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // that follow see local progress without waiting for a gossip round.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	var steps int64
+	var merged bool
 	s.withBackend(func(b learner) {
-		b.Sync()
+		merged = b.Sync()
 		steps = b.Steps()
 	})
-	if s.opt.Backend == BackendSharded {
+	if merged {
 		s.met.refreshes.Inc()
 	}
 	if s.cluster != nil {
@@ -866,7 +899,9 @@ func (s *Server) restoreFromReader(ctx context.Context, f io.Reader) error {
 	old := s.backend
 	s.backend = fresh
 	s.mu.Unlock()
-	old.Close()
+	if old != nil {
+		old.Close()
+	}
 	// Counts every restore path — file restore, boot-time Restore, and
 	// checkpoint upload — since each swaps the backend the same way.
 	s.met.restores.Inc()

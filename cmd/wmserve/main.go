@@ -63,7 +63,7 @@ func main() {
 		syncEvery = flag.Int("sync-every", 0, "sharded snapshot refresh cadence in updates (0 = default, <0 disables)")
 		ckpt      = flag.String("checkpoint", "", "checkpoint path: /v1/checkpoint default and final flush on shutdown")
 		restore   = flag.Bool("restore", false, "restore from -checkpoint at boot when the file exists")
-		authToken = flag.String("auth-token", "", "bearer token required on mutating endpoints (update/checkpoint/cluster push); refused with -bin-addr")
+		authToken = flag.String("auth-token", "", "bearer token required on mutating endpoints (update/sync/checkpoint/cluster push); refused with -bin-addr")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and net/http/pprof on this separate listener (e.g. 127.0.0.1:6060; empty disables)")
 
 		peers          = flag.String("peers", "", "cluster: comma-separated peer base URLs (enables replication; see CLUSTER.md)")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
+	"slices"
 	"testing"
 
 	"wmsketch/internal/core"
@@ -140,6 +141,71 @@ func TestTwoNodeConvergenceViaWire(t *testing.T) {
 		va, vb, vw := a.node.View().Estimate(i), b.node.View().Estimate(i), want.Estimate(i)
 		if va != vw || vb != vw {
 			t.Fatalf("Estimate(%d): a=%v b=%v direct-mix=%v", i, va, vb, vw)
+		}
+	}
+}
+
+// TestShardedPeerServesTheNodesView: a sharded node's cluster view, and
+// that of a peer whose one origin is the node, serve the sharded learner's
+// own view bit for bit, at depths 1 and 3 with 2 and 4 workers, after a
+// first trip over the wire and after a second: every estimate, every
+// held-out prediction and the top-K. The learner's view mixes the shards'
+// tails, so this holds only because the published heavy list carries
+// every mixed heavy weight of that view, more than HeapSize.
+func TestShardedPeerServesTheNodesView(t *testing.T) {
+	for _, depth := range []int{1, 3} {
+		for _, workers := range []int{2, 4} {
+			t.Run(fmt.Sprintf("depth=%d/workers=%d", depth, workers), func(t *testing.T) {
+				cfg := core.Config{Width: 4096, Depth: depth, HeapSize: 256, Lambda: 1e-5, Seed: 7}
+				gen := datagen.RCV1Like(9)
+				holdout := gen.Take(2000)
+				sh := core.NewSharded(cfg, core.ShardedOptions{Workers: workers, SyncEvery: -1})
+				defer sh.Close()
+				node, err := NewNode(Config{Self: "node-a", Mix: mixOpt(cfg), Local: sh, Interval: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				peer, err := NewNode(Config{Self: "node-b", Mix: mixOpt(cfg), Local: core.NewAWMSketch(cfg), Interval: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for trip := 1; trip <= 2; trip++ {
+					sh.UpdateBatch(gen.Take(3000))
+					if _, published, err := node.PublishLocal(); err != nil || !published {
+						t.Fatalf("trip %d: publish: %v %v", trip, published, err)
+					}
+					frames := node.BuildFrames(peer.Digest(), false)
+					if trip == 1 && (len(frames) != 1 || len(frames[0].Heavy) <= cfg.HeapSize) {
+						t.Fatalf("first trip: want one full frame listing more than %d heavy keys, got %d frames", cfg.HeapSize, len(frames))
+					}
+					var buf bytes.Buffer
+					if _, err := WriteFrames(&buf, frames); err != nil {
+						t.Fatal(err)
+					}
+					decoded, _, err := peer.ReadFramesTraced(&buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res := peer.ApplyFrames(decoded); res.Applied != 1 {
+						t.Fatalf("trip %d: applied %+v, want one frame", trip, res)
+					}
+					for who, view := range map[string]*core.Mixed{"node": node.View(), "peer": peer.View()} {
+						for i := uint32(0); i < uint32(gen.Dim()); i++ {
+							if got, want := view.Estimate(i), sh.Estimate(i); got != want {
+								t.Fatalf("trip %d: Estimate(%d) = %v in the %s's cluster view, %v in the learner's", trip, i, got, who, want)
+							}
+						}
+						for j, ex := range holdout {
+							if got, want := view.Predict(ex.X), sh.Predict(ex.X); got != want {
+								t.Fatalf("trip %d: held-out example %d predicts %v in the %s's cluster view, %v in the learner's", trip, j, got, who, want)
+							}
+						}
+						if got, want := view.TopK(cfg.HeapSize), sh.TopK(cfg.HeapSize); !slices.Equal(got, want) {
+							t.Fatalf("trip %d: the %s's cluster top-%d differs from the learner's", trip, who, cfg.HeapSize)
+						}
+					}
+				}
+			})
 		}
 	}
 }

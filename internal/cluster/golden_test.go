@@ -12,10 +12,11 @@ import (
 
 // goldenStreams builds the gossip streams pinned under testdata: a digest,
 // a full snapshot and a delta, each written by WriteFrames (untraced
-// header) from learners trained on a fixed datagen seed. The files were
-// written once and are never regenerated by the tests, so they pin the
-// codec and the canonical heavy-list order, which the fuzz corpus (rebuilt
-// from the current encoder on every run) cannot.
+// header) from learners trained on a fixed datagen seed. The tests never
+// regenerate the files: they are re-recorded by hand only with a new
+// wireVersion (last at v4, when a snapshot's sketch became the sender's
+// tail), so they pin the codec and the canonical heavy-list order, which
+// the fuzz corpus (rebuilt from the current encoder on every run) cannot.
 func goldenStreams(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	cfg := core.Config{Width: 1024, Depth: 1, HeapSize: 256, Lambda: 1e-6, Seed: 11}

@@ -495,7 +495,9 @@ func NewNode(cfg Config) (*Node, error) {
 		// promoted dead by the DeadAfter clock, not instantly at start.
 		n.peers = append(n.peers, &peerState{url: u, lastOK: now})
 	}
-	n.view.Store(core.EmptyMixed(cfg.Mix))
+	// The first View builds the view (over no origins, the empty model),
+	// so a restore boot that publishes before any read builds just one.
+	n.viewDirty.Store(true)
 	n.met.reg.GaugeFunc("wmgossip_state_bytes",
 		"model state held for all origins: current versions in full, older ones as reverse deltas",
 		func() float64 { return float64(n.stateBytes()) })

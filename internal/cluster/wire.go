@@ -73,15 +73,18 @@ import (
 //	        the requester can push back what the responder lacks
 //	        (push-pull anti-entropy in one round trip).
 //	full:   a complete snapshot of one origin's model — heavy list plus the
-//	        folded Count-Sketch in its own (hardened) serialization.
+//	        tail Count-Sketch in its own (hardened) serialization.
 //	delta:  only what changed between the receiver's acked version (base)
 //	        and the sender's current version: changed buckets as
 //	        gap-encoded flat indices with their new values, plus the heavy
 //	        list diff (removed keys + upserted entries). Values are
 //	        absolute, not additive, so replay is harmless.
 const (
-	frameMagic  = 0x574d4346 // "WMCF"
-	wireVersion = 3          // v2 added per-frame length + CRC32; v3 the header trace annotation
+	frameMagic = 0x574d4346 // "WMCF"
+	// v2 added per-frame length + CRC32; v3 the header trace annotation;
+	// v4 keeps v3's layout, but a snapshot's sketch is the sender's tail,
+	// without its active set written back.
+	wireVersion = 4
 	// streamHeaderSize is the fixed stream prefix: magic, version, the
 	// 24-byte trace annotation, and the header CRC.
 	streamHeaderSize = 4 + 4 + 16 + 8 + 4

@@ -159,8 +159,12 @@ func TestVersionAllocations(t *testing.T) {
 		t.Fatalf("first trip: %d frames, want one full frame with a full heap", len(fs))
 	}
 	// A warm-up version fills the scratch pools, and no GC runs from then
-	// on to empty them; each of the next three versions is measured.
-	chunks := [][]stream.Example{gen.Take(512), gen.Take(512), gen.Take(512), gen.Take(512)}
+	// on to empty them; each of the next three versions is measured. A
+	// collection before the warm-up may already have emptied the pools the
+	// full trip filled, so the warm-up trains on twice the examples: its
+	// delta is larger than every measured one, and the buffers it sizes
+	// serve them all.
+	chunks := [][]stream.Example{gen.Take(1024), gen.Take(512), gen.Take(512), gen.Take(512)}
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var report string

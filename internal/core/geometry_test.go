@@ -300,13 +300,13 @@ func sameMixed(a, b *Mixed) string {
 }
 
 // TestMixInPlaceMatchesSnapshots: a learner loaded from a checkpoint, and
-// one retired by Close, mix their view in the shards' own sketches. That
+// one retired by Close, mix their view from the shards' own sketches. That
 // view must equal, bit for bit, the mix of ModelSnapshot clones of the
 // same models — through mixShards, and through MixSnapshots on the
 // snapshots' heavy lists in heap order — and the shards must serialize to
 // the bytes they held before the mix. The sketches are narrow enough that
-// active keys share buckets, so a write-back that is undone in the wrong
-// order leaves a bucket changed; depth 3 also takes the median path.
+// active keys share buckets with each other and with the tail; depth 3
+// also takes the median path.
 func TestMixInPlaceMatchesSnapshots(t *testing.T) {
 	for _, depth := range []int{1, 3} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {

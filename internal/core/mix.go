@@ -19,19 +19,23 @@ import (
 // machines, weighting each node's model by its observed example count so a
 // node that saw twice the stream contributes twice the mass.
 
-// Snapshot is a consistent, immutable copy of one learner's model state:
-// the Count-Sketch with the active set written back, a global scale
-// multiplier, the heavy-hitter candidates at true scale, and the number of
-// examples the model has observed. Snapshots are the unit of merging
-// everywhere — shard → process view, node → cluster view — and must be
-// treated as read-only by every holder.
+// Snapshot is a consistent, immutable copy of one learner's model state,
+// as Algorithm 2 keeps it: the Count-Sketch of the tail, a global scale
+// multiplier, the active set, and the number of examples the model has
+// observed. Snapshots are the unit of merging everywhere — shard → process
+// view, node → cluster view — and must be treated as read-only by every
+// holder.
 //
-// The model weight of feature i is √depth·Scale·CS.Estimate(i). Keeping
-// the lazy ℓ2-decay scale OUT of the buckets matters for replication:
-// decay multiplies every nonzero bucket on every step, so a scale-folded
-// sketch differs everywhere between any two versions and bucket-level
-// deltas degenerate to full snapshots. In raw space only gradient-touched
-// buckets change, and the scale travels as one float.
+// An active weight travels only in Heavy. The sketch is the tail: for an
+// active key it holds only the stale mass Algorithm 2 leaves there until
+// an eviction writes the weight back. So the model weight of feature i is
+// Scale·w for an entry (i, w) of Heavy and √depth·Scale·CS.Estimate(i)
+// for any other i. Keeping the lazy ℓ2-decay scale OUT of the buckets
+// matters for replication: decay multiplies every nonzero bucket on every
+// step, so a scale-folded sketch differs everywhere between any two
+// versions and bucket-level deltas degenerate to full snapshots. In raw
+// space only gradient-touched buckets change, and the scale travels as one
+// float.
 type Snapshot struct {
 	// Origin identifies the sub-stream this model was trained on (a shard
 	// index, a cluster node id). MixSnapshots canonicalizes the summation
@@ -40,15 +44,16 @@ type Snapshot struct {
 	// deterministic order is the only way two replicas mixing the same set
 	// arrive at identical buckets.
 	Origin string
-	// CS is the raw sketch (active set written back, decay not folded).
+	// CS is the learner's own sketch of the tail, decay not folded.
 	CS *sketch.CountSketch
 	// Scale is the global decay multiplier; 0 is treated as 1 so that
 	// hand-built snapshots of scale-free sketches stay valid.
 	Scale float64
-	// Heavy holds the heavy-weight candidates, raw like the buckets: the
-	// model weight of entry e is Scale·e.Weight. (True-scale weights would
-	// change on every decay step, which would make heavy-list deltas dense
-	// for the same reason scale-folded buckets would.)
+	// Heavy holds the heavy weights (a learner's active set), raw like the
+	// buckets: the model weight of entry e is Scale·e.Weight. (True-scale
+	// weights would change on every decay step, which would make
+	// heavy-list deltas dense for the same reason scale-folded buckets
+	// would.)
 	Heavy []stream.Weighted
 	// Steps is the number of examples observed; it is the snapshot's mixing
 	// weight.
@@ -290,10 +295,8 @@ func (m *Mixed) Estimate(i uint32) float64 {
 
 // Predict evaluates the margin wᵀx under the mixed model: mixed heavy
 // weights where present, as Estimate reads them, and the compressed inner
-// product over the merged sketch for the rest (Algorithm 2's τ). The heavy
-// weights are in the sketch too, where they collide with each other and
-// with every tail feature sharing a bucket, so read there they can make
-// the view predict worse than any model it mixes.
+// product over the merged sketch for the rest (Algorithm 2's τ). The
+// merged sketch mixes the snapshots' tails, so it holds no heavy weight.
 func (m *Mixed) Predict(x stream.Vector) float64 {
 	dot := 0.0
 	for _, f := range x {
@@ -321,16 +324,15 @@ func (m *Mixed) Sketch() *sketch.CountSketch { return m.cs }
 
 // ---- Snapshotter implementations ----
 
-// ModelSnapshot implements Snapshotter: a raw deep copy with the active
-// set written back, plus the current decay scale, so that version-to-version
+// ModelSnapshot implements Snapshotter: a deep copy of the sketch, which
+// keeps training, with the current decay scale, so that version-to-version
 // deltas stay sparse. The heavy list holds the active set's unscaled
 // weights in heap order, read from the heap in place.
 func (a *AWMSketch) ModelSnapshot() (Snapshot, error) {
-	return a.snapshot(a.rawSketch()), nil
+	return a.snapshot(a.cs.Clone()), nil
 }
 
-// snapshot returns a's snapshot over cs, a's buckets with its active set
-// written back.
+// snapshot returns a's snapshot over cs, a's sketch or a copy of it.
 func (a *AWMSketch) snapshot(cs *sketch.CountSketch) Snapshot {
 	heavy := make([]stream.Weighted, 0, a.active.Len())
 	for e := range a.active.All() {
@@ -339,43 +341,14 @@ func (a *AWMSketch) snapshot(cs *sketch.CountSketch) Snapshot {
 	return Snapshot{CS: cs, Scale: a.scale, Heavy: heavy, Steps: a.t}
 }
 
-// rawSketch returns a deep copy of the AWM-Sketch's projection with every
-// active-set weight written back but the decay scale NOT folded, so it
-// answers √s·scale·median queries for *all* features.
-func (a *AWMSketch) rawSketch() *sketch.CountSketch {
-	c := a.cs.Clone()
-	a.writeActive(c, false)
-	return c
-}
-
-// writeActive writes every active-set weight into c, a sketch holding a's
-// buckets: sketch(i) += S[i] − Query(i), the same reconciliation
-// Algorithm 2 performs on eviction. With undo set it returns the value
-// each written bucket held before the write, in write order, so that
-// c.Revert of the list takes c back to a's buckets bit for bit.
-func (a *AWMSketch) writeActive(c *sketch.CountSketch, undo bool) []sketch.BucketChange {
-	var prior []sketch.BucketChange
-	if undo {
-		prior = make([]sketch.BucketChange, 0, a.active.Len()*c.Depth())
-	}
-	locs := make([]sketch.Loc, c.Depth())
-	for e := range a.active.All() {
-		c.Locate(e.Key, locs)
-		if undo {
-			for _, l := range locs {
-				prior = append(prior, sketch.BucketChange{Index: uint32(l.Bucket), Value: c.At(uint32(l.Bucket))})
-			}
-		}
-		delta := e.Weight - a.sqrtS*c.EstimateAt(locs)
-		c.AddAt(locs, delta/a.sqrtS)
-	}
-	return prior
-}
-
 // ModelSnapshot refreshes the merged view (reflecting every example routed
 // before the call) and returns it as a snapshot: the node-level model the
 // cluster layer replicates. The returned sketch is the live immutable view
-// and must not be mutated; the heavy list is a copy of the view's.
+// and must not be mutated. The view's sketch mixes the shards' tails, so
+// the heavy list carries every mixed heavy weight the view holds, the
+// union of the shards' active sets, not only its top HeapSize: a key left
+// out would reach a peer with its tail estimate alone. Past maxHeapSize
+// keys, which no gossip decoder takes, the lightest are left out.
 func (s *Sharded) ModelSnapshot() (Snapshot, error) {
 	// Capture the routed-update counter BEFORE the sync: the refreshed view
 	// reflects at least these examples, so the snapshot's step count can
@@ -390,7 +363,15 @@ func (s *Sharded) ModelSnapshot() (Snapshot, error) {
 	// The merged view is already at true scale. Its buckets shift a little
 	// on every re-merge, so sharded-backed cluster nodes ship full frames
 	// more often than single-model ones; see CLUSTER.md.
-	return Snapshot{CS: v.cs, Scale: 1, Heavy: slices.Clone(v.top), Steps: steps}, nil
+	heavy := make([]stream.Weighted, 0, len(v.exact))
+	for i, w := range v.exact {
+		heavy = append(heavy, stream.Weighted{Index: i, Weight: w})
+	}
+	if len(heavy) > maxHeapSize {
+		stream.SortWeighted(heavy)
+		heavy = heavy[:maxHeapSize]
+	}
+	return Snapshot{CS: v.cs, Scale: 1, Heavy: heavy, Steps: steps}, nil
 }
 
 var (

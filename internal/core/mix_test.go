@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -298,6 +299,53 @@ func TestMixedViewPredictsNoWorseThanItsNodes(t *testing.T) {
 				if got > worst+epsilon {
 					t.Errorf("%d passes: the view's error %.4f exceeds the worst node's %.4f by more than %g",
 						pass, got, worst, epsilon)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedSnapshotListsItsViewsHeavyUnion: a sharded learner's snapshot
+// lists every mixed heavy weight of its view, past HeapSize, with the
+// view's weights; past maxHeapSize keys, the most a gossip decoder takes,
+// it keeps the heaviest.
+func TestShardedSnapshotListsItsViewsHeavyUnion(t *testing.T) {
+	for _, heap := range []int{256, maxHeapSize} {
+		t.Run(fmt.Sprint(heap), func(t *testing.T) {
+			s := NewSharded(Config{Width: 1024, Depth: 1, HeapSize: heap, Lambda: 1e-6, Seed: 7},
+				ShardedOptions{Workers: 2, SyncEvery: -1})
+			defer s.Close()
+			// Each example brings two features no other example has, so
+			// each shard's active set fills with keys of its own.
+			batch := make([]stream.Example, 2*heap)
+			for i := range batch {
+				k := uint32(2 * i)
+				batch[i] = stream.Example{X: stream.Vector{{Index: k, Value: 1}, {Index: k + 1, Value: 0.5}}, Y: 1 - 2*(i%2)}
+			}
+			s.UpdateBatch(batch)
+			sn, err := s.ModelSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact := s.currentView().exact
+			if len(exact) <= heap {
+				t.Fatalf("the view holds %d heavy weights, want more than the heap's %d", len(exact), heap)
+			}
+			if want := min(len(exact), maxHeapSize); len(sn.Heavy) != want {
+				t.Fatalf("the snapshot lists %d heavy weights, want %d of the view's %d", len(sn.Heavy), want, len(exact))
+			}
+			listed := make(map[uint32]bool, len(sn.Heavy))
+			lightest := math.Inf(1)
+			for _, e := range sn.Heavy {
+				if w, ok := exact[e.Index]; !ok || w != e.Weight || listed[e.Index] {
+					t.Fatalf("listed %v: the view holds %v (%v), listed before: %v", e, w, ok, listed[e.Index])
+				}
+				listed[e.Index] = true
+				lightest = min(lightest, math.Abs(e.Weight))
+			}
+			for k, w := range exact {
+				if !listed[k] && math.Abs(w) > lightest {
+					t.Fatalf("key %d (weight %v) is left out, but a key of |weight| %v is listed", k, w, lightest)
 				}
 			}
 		})

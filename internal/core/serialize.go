@@ -286,7 +286,7 @@ func loadSharded(r io.Reader, want *Geometry, opt ShardedOptions) (*Sharded, err
 	opt.Workers = int(workers)
 	opt.fill()
 	// The workers have not started, so the first view is mixed from the
-	// models in place.
+	// models' own sketches.
 	return want.startSharded(opt, models, pending, want.mixModels(models)), nil
 }
 

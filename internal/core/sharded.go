@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
 )
 
@@ -159,7 +158,8 @@ func (s *Sharded) runWorker(w *shardWorker) {
 }
 
 // snapshot returns the worker's model in the form cluster nodes send it:
-// the raw sketch, the decay scale and the raw active set. It cannot fail.
+// a copy of the tail sketch, the decay scale and the raw active set. It
+// cannot fail.
 func (w *shardWorker) snapshot() Snapshot {
 	sn, _ := w.model.ModelSnapshot()
 	return sn
@@ -257,8 +257,7 @@ func (s *Sharded) Close() {
 			return
 		}
 		// Workers have exited; wg.Wait is the happens-before barrier that
-		// makes their private state safe to mix in place. WriteTo waits on
-		// syncMu, so it never reads the state written back for the mix.
+		// makes their private state safe to mix without a copy.
 		models := make([]*AWMSketch, len(s.workers))
 		for i, w := range s.workers {
 			models[i] = w.model
@@ -304,23 +303,15 @@ func (g *Geometry) mixShards(snaps []Snapshot) *Mixed {
 	return v
 }
 
-// mixModels mixes the view of models that no worker is training, in
-// place: each model's active set is written into its own sketch for the
-// mix and reverted after it, bit for bit, instead of into a clone, as
-// ModelSnapshot must for a model that keeps training. The view equals
+// mixModels mixes the view of models that no worker is training from
+// their own sketches, which MixSnapshots only reads. The view equals
 // mixShards over the models' ModelSnapshots.
 func (g *Geometry) mixModels(models []*AWMSketch) *Mixed {
 	snaps := make([]Snapshot, len(models))
-	priors := make([][]sketch.BucketChange, len(models))
 	for i, m := range models {
-		priors[i] = m.writeActive(m.cs, true)
 		snaps[i] = m.snapshot(m.cs)
 	}
-	v := g.mixShards(snaps)
-	for i, m := range models {
-		m.cs.Revert(priors[i])
-	}
-	return v
+	return g.mixShards(snaps)
 }
 
 // Predict evaluates the margin under the current merged snapshot.

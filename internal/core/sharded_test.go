@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -8,37 +12,72 @@ import (
 	"wmsketch/internal/stream"
 )
 
-// TestShardedSingleWorkerMatchesSequential: with one worker and round-robin
-// routing, the private shard sees exactly the sequential stream, so the
-// merged view's active-set estimates and TopK must match a sequential
-// AWM-Sketch.
+// TestShardedSingleWorkerMatchesSequential: with one worker, the private
+// shard sees exactly the sequential stream, so the view must answer as a
+// sequential AWM-Sketch does: after a Sync, after more updates and Close,
+// and after a load of its checkpoint. Estimates agree on every feature id
+// below 2^15, bit for bit at depth 1; at depth 3 the view folds the decay
+// scale into the buckets before the median's √3 and the learner after
+// it, so they agree to 1e-15 relative. Predictions agree to 1e-9 and TopK
+// exactly.
 func TestShardedSingleWorkerMatchesSequential(t *testing.T) {
-	cfg := Config{Width: 512, Depth: 1, HeapSize: 128, Lambda: 1e-6, Seed: 7}
-	sh := NewSharded(cfg, ShardedOptions{Workers: 1, SyncEvery: -1})
-	seq := NewAWMSketch(cfg)
-
-	gen := datagen.RCV1Like(7)
-	for i := 0; i < 5000; i++ {
-		ex := gen.Next()
-		sh.Update(ex.X, ex.Y)
-		seq.Update(ex.X, ex.Y)
-	}
-	sh.Close()
-
-	seqTop := seq.TopK(cfg.HeapSize)
-	shTop := sh.TopK(cfg.HeapSize)
-	if len(shTop) != len(seqTop) {
-		t.Fatalf("TopK sizes differ: %d vs %d", len(shTop), len(seqTop))
-	}
-	for i := range seqTop {
-		if shTop[i].Index != seqTop[i].Index || shTop[i].Weight != seqTop[i].Weight {
-			t.Fatalf("TopK[%d] = %+v, sequential %+v", i, shTop[i], seqTop[i])
-		}
-	}
-	for _, e := range seqTop {
-		if got := sh.Estimate(e.Index); got != e.Weight {
-			t.Fatalf("Estimate(%d) = %v, sequential %v", e.Index, got, e.Weight)
-		}
+	for _, depth := range []int{1, 3} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			cfg := Config{Width: 1024, Depth: depth, HeapSize: 256, Lambda: 1e-5, Seed: 7}
+			gen := datagen.RCV1Like(7)
+			data, heldOut := gen.Take(6000), gen.Take(2000)
+			sh := NewSharded(cfg, ShardedOptions{Workers: 1, SyncEvery: -1})
+			awm := NewAWMSketch(cfg)
+			feed := func(part []stream.Example) {
+				for i := 0; i < len(part); i += 100 {
+					batch := part[i:min(i+100, len(part))]
+					sh.UpdateBatch(batch)
+					for _, ex := range batch {
+						awm.Update(ex.X, ex.Y)
+					}
+				}
+			}
+			check := func(when string, sh *Sharded) {
+				t.Helper()
+				estimates := 0
+				for i := uint32(0); i < 1<<15; i++ {
+					got, want := sh.Estimate(i), awm.Estimate(i)
+					if depth == 1 && math.Float64bits(got) != math.Float64bits(want) ||
+						math.Abs(got-want) > 1e-15*math.Abs(want) {
+						estimates++
+					}
+				}
+				predicts := 0
+				for _, ex := range heldOut {
+					if math.Abs(sh.Predict(ex.X)-awm.Predict(ex.X)) > 1e-9 {
+						predicts++
+					}
+				}
+				if estimates > 0 || predicts > 0 {
+					t.Errorf("%s: %d of %d estimates and %d of %d predictions differ from the sequential AWM's",
+						when, estimates, 1<<15, predicts, len(heldOut))
+				}
+				if got, want := sh.TopK(cfg.HeapSize), awm.TopK(cfg.HeapSize); !slices.Equal(got, want) {
+					t.Errorf("%s: TopK differs from the sequential AWM's", when)
+				}
+			}
+			feed(data[:3000])
+			sh.Sync()
+			check("after a Sync", sh)
+			feed(data[3000:])
+			sh.Close()
+			check("after Close", sh)
+			var blob bytes.Buffer
+			if _, err := sh.WriteTo(&blob); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadSharded(&blob, nil, nil, ShardedOptions{SyncEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			check("after LoadSharded", loaded)
+		})
 	}
 }
 

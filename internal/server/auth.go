@@ -8,10 +8,10 @@ import (
 
 // Bearer-token authorization for mutating endpoints. The model itself is
 // readable by design (estimates, top-K, predictions), but anything that
-// changes it — training updates, checkpoint swaps, cluster pushes — can be
-// gated behind a shared token with -auth-token. Peers in an authenticated
-// cluster must be configured with the same token, since gossip pushes
-// state.
+// changes it or what the node gossips — training updates, syncs,
+// checkpoint swaps, cluster pushes — can be gated behind a shared token
+// with -auth-token. Peers in an authenticated cluster must be configured
+// with the same token, since gossip pushes state.
 
 // authorized reports whether the request may hit a mutating endpoint,
 // writing the 401 response itself when not. With no token configured every

@@ -247,9 +247,8 @@ func restoredKeeps(c core.Config) int {
 
 // allocSlack covers what a boot with a restore allocates beside the
 // learner it keeps: the heavy lists, the view's mixed heavy weights (up to
-// 4096 keys), the undo list of the buckets the load-time mix writes back,
-// the read buffers, and small objects. Any sketch built beside the
-// learner, 3 MiB at the ingest geometry, does not fit in it.
+// 4096 keys), the read buffers, and small objects. Any sketch built
+// beside the learner, 3 MiB at the ingest geometry, does not fit in it.
 const allocSlack = 1 << 20
 
 // TestRestoreAllocations: Server.Restore of a 2-worker 3×2^17 checkpoint
@@ -289,71 +288,81 @@ func TestRestoreAllocations(t *testing.T) {
 }
 
 // TestBootRestoreBuildsOneLearner boots a server as wmserve -restore does
-// at perfbench's ingest geometry: New; five refresh ticks and a /metrics
-// scrape, none of which may build a learner; then Restore of a 2-worker
-// 3×2^17 checkpoint. The whole sequence allocates what the restored
-// learner keeps plus allocSlack: a learner built before the restore and
-// retired by it would take 9 MiB more. The scrape reads the wmcore gauges
-// as 0. After the restore, the refresh loop finds the loaded view current
-// and merges nothing until an update arrives.
+// at perfbench's ingest geometry, alone and as a cluster node: New; five
+// refresh ticks and a /metrics scrape, none of which may build a learner;
+// then Restore of a 2-worker 3×2^17 checkpoint. The whole sequence
+// allocates what the restored learner keeps plus allocSlack: a learner
+// built before the restore and retired by it would take 9 MiB more, and a
+// cluster view built before the restore's publish 3 MiB more. The scrape
+// reads the wmcore gauges as 0. After the restore, the refresh loop finds
+// the loaded view current and merges nothing until an update arrives.
 func TestBootRestoreBuildsOneLearner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a 3×2^17 checkpoint")
 	}
-	opt, path := ingestCheckpoint(t)
+	single, path := ingestCheckpoint(t)
 	const interval = 2 * time.Millisecond
-	opt.RefreshInterval = interval
-	value := func(srv *Server, name string) float64 {
-		v, _ := srv.MetricsRegistry().Value(name)
-		return v
-	}
-	// The recorder stands in for the scraper's connection: its buffer is
-	// the test's, so it is sized before the count starts.
-	rec := httptest.NewRecorder()
-	rec.Body.Grow(1 << 20)
-	scrape := httptest.NewRequest("GET", "/metrics", nil)
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	srv, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	time.Sleep(5 * interval)
-	srv.ServeHTTP(rec, scrape)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /metrics: HTTP %d", rec.Code)
-	}
-	if err := srv.Restore(path); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	for _, line := range []string{"wmcore_steps 0\n", "wmcore_memory_bytes 0\n", "wmcore_shard_queue_messages 0\n"} {
-		if !strings.Contains(rec.Body.String(), line) {
-			t.Errorf("the scrape before the restore lacks %q", strings.TrimSpace(line))
-		}
-	}
+	single.RefreshInterval = interval
+	clustered := single
+	clustered.Cluster = ClusterOptions{Self: "node-a", Peers: []string{"http://node-b.invalid"}, Interval: -1}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{{"single", single}, {"clustered", clustered}} {
+		t.Run(tc.name, func(t *testing.T) {
+			value := func(srv *Server, name string) float64 {
+				v, _ := srv.MetricsRegistry().Value(name)
+				return v
+			}
+			// The recorder stands in for the scraper's connection: its
+			// buffer is the test's, so it is sized before the count starts.
+			rec := httptest.NewRecorder()
+			rec.Body.Grow(1 << 20)
+			scrape := httptest.NewRequest("GET", "/metrics", nil)
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			srv, err := New(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			time.Sleep(5 * interval)
+			srv.ServeHTTP(rec, scrape)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET /metrics: HTTP %d", rec.Code)
+			}
+			if err := srv.Restore(path); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			for _, line := range []string{"wmcore_steps 0\n", "wmcore_memory_bytes 0\n", "wmcore_shard_queue_messages 0\n"} {
+				if !strings.Contains(rec.Body.String(), line) {
+					t.Errorf("the scrape before the restore lacks %q", strings.TrimSpace(line))
+				}
+			}
 
-	keeps := restoredKeeps(opt.Config)
-	allocated := int(after.TotalAlloc - before.TotalAlloc)
-	report := fmt.Sprintf("New, ticks, a scrape and Restore allocated %d bytes in %d allocations; the learner keeps %d, slack %d",
-		allocated, after.Mallocs-before.Mallocs, keeps, allocSlack)
-	t.Log(report)
-	if allocated > keeps+allocSlack {
-		t.Errorf("%s: %d bytes over", report, allocated-keeps-allocSlack)
-	}
+			keeps := restoredKeeps(tc.opt.Config)
+			allocated := int(after.TotalAlloc - before.TotalAlloc)
+			report := fmt.Sprintf("New, ticks, a scrape and Restore allocated %d bytes in %d allocations; the learner keeps %d, slack %d",
+				allocated, after.Mallocs-before.Mallocs, keeps, allocSlack)
+			t.Log(report)
+			if allocated > keeps+allocSlack {
+				t.Errorf("%s: %d bytes over", report, allocated-keeps-allocSlack)
+			}
 
-	time.Sleep(5 * interval)
-	if n := value(srv, "wmcore_snapshot_refreshes_total"); n != 0 {
-		t.Fatalf("the refresh loop merged %v times after the restore, with no update", n)
-	}
-	srv.withBackend(func(b learner) { b.UpdateBatch(datagen.URLLike(43).Take(64)) })
-	for deadline := time.Now().Add(10 * time.Second); value(srv, "wmcore_snapshot_refreshes_total") == 0; time.Sleep(interval) {
-		if time.Now().After(deadline) {
-			t.Fatal("the refresh loop never merged the update")
-		}
+			time.Sleep(5 * interval)
+			if n := value(srv, "wmcore_snapshot_refreshes_total"); n != 0 {
+				t.Fatalf("the refresh loop merged %v times after the restore, with no update", n)
+			}
+			srv.withBackend(func(b learner) { b.UpdateBatch(datagen.URLLike(43).Take(64)) })
+			for deadline := time.Now().Add(10 * time.Second); value(srv, "wmcore_snapshot_refreshes_total") == 0; time.Sleep(interval) {
+				if time.Now().After(deadline) {
+					t.Fatal("the refresh loop never merged the update")
+				}
+			}
+		})
 	}
 }
 

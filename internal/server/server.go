@@ -82,9 +82,9 @@ type Options struct {
 	// negative disables the loop (POST /v1/sync still refreshes on demand).
 	RefreshInterval time.Duration
 	// AuthToken, when set, gates every mutating endpoint (/v1/update,
-	// /v1/checkpoint, /v1/checkpoint/upload, /v1/cluster/push) behind a
-	// bearer-token check. Read-only endpoints stay open. A server with a
-	// token refuses to serve the binary protocol (ServeBin), whose
+	// /v1/sync, /v1/checkpoint, /v1/checkpoint/upload, /v1/cluster/push)
+	// behind a bearer-token check. Read-only endpoints stay open. A server
+	// with a token refuses to serve the binary protocol (ServeBin), whose
 	// handshake carries no credentials.
 	AuthToken string
 	// Cluster configures peer-to-peer model replication (CLUSTER.md).
@@ -790,7 +790,11 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // backends, whose queries are always current. In cluster mode it also
 // publishes the refreshed local model into the cluster view, so queries
 // that follow see local progress without waiting for a gossip round.
+// Because it changes what the node serves and gossips, it takes the token.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
+	if !s.authorized(w, r) {
+		return
+	}
 	var steps int64
 	var merged bool
 	s.withBackend(func(b learner) {

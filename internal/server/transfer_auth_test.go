@@ -261,6 +261,7 @@ func TestAuthTokenGatesMutatingEndpoints(t *testing.T) {
 		{"POST", "/v1/update", "application/x-ndjson", `{"y":1,"x":[{"i":3,"v":1}]}`},
 		{"POST", "/v1/checkpoint", "application/json", `{"action":"save"}`},
 		{"POST", "/v1/checkpoint/upload", "application/octet-stream", "x"},
+		{"POST", "/v1/sync", "application/json", "{}"},
 	}
 	send := func(m, path, ct, body, auth string) int {
 		req, err := http.NewRequest(m, hs.URL+path, bytes.NewReader([]byte(body)))

@@ -119,17 +119,6 @@ func (cs *CountSketch) ApplyDiff(changes []BucketChange) error {
 	return nil
 }
 
-// Revert sets each listed bucket back to the value it carries, last entry
-// first, so a bucket listed more than once ends at its first-listed value.
-// Given the list of bucket values recorded before each of a run of writes,
-// it undoes the run bit for bit. Unlike ApplyDiff it checks nothing: the
-// values are the sketch's own.
-func (cs *CountSketch) Revert(prior []BucketChange) {
-	for i := len(prior) - 1; i >= 0; i-- {
-		cs.buckets[prior[i].Index] = prior[i].Value
-	}
-}
-
 // AddScaled adds c·other into cs bucket-wise: cs += c·other. With c == 1
 // the addition is performed without the multiply, so it is bit-identical to
 // Merge. Used by weighted parameter mixing (Σᵢ wᵢ·zᵢ, then one final

@@ -28,8 +28,9 @@ race:
 # fused learner updates, sharded throughput), of the gossip round's
 # heavy-list path (SortWeighted, frame encode/decode, the heavy diff, its
 # replay and the index sort of a published list), each swept over sizes, of
-# one origin's history of reverse deltas (OriginHistory: adopting a version,
-# building frames one and two versions back, and the bytes it retains), of the three decoders: binary update frames
+# one origin's history of packed reverse deltas (OriginHistory: adopting a
+# version, building frames one and two versions back, the heap it retains
+# and its state bytes), of the three decoders: binary update frames
 # (DecodeUpdateRequest, ReadRequestFrame), gossip frames (ReadFrames) and
 # checkpoint restore at the ingest and mixed geometries (LoadCheckpoint),
 # of a server's boot with a restore at the ingest geometry (BootRestore:
@@ -83,8 +84,10 @@ cluster-smoke:
 # loss, a 30-round partition, and 20% churn, fixed seed. Fails unless
 # survivors converge within the relative-error gate AND every churned-out
 # node's origin is GC'd to zero weight AND the report equals BENCH_sim.json
-# byte for byte (on a mismatch the test prints the observed report). CI
-# runs it inside `go test -race ./...`.
+# byte for byte (on a mismatch the test prints the observed report). It
+# also logs the process's peak RSS (VmHWM, where /proc/self/status
+# exists), the figure ROADMAP item 10's memory gate reads. CI runs it
+# inside `go test -race ./...`, and again on its own to print that line.
 bench-sim:
 	$(GO) test -run TestAcceptanceScenario -v ./internal/cluster/sim
 

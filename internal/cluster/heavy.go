@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"wmsketch/internal/stream"
 )
@@ -27,19 +26,19 @@ import (
 //	       return m's entries in canonical (SortWeighted) order
 //
 // A node never diffs two full lists to build a frame. It keeps each older
-// version as a reverse delta against the next newer one (reverseHeavy, or
-// what applyHeavyDiff overwrote), composes those (mergeHeavy), and builds
-// the diff from the composed delta and the current list (forwardHeavy):
-// the diff definition's result for the two lists in weight order. Given a
-// base as a node keeps it, applyHeavyDiff returns the apply definition's
-// result in index order, for any removed keys and upserts, repeated or in
-// any order. A list that is not canonical (a key repeated, or any order),
+// version as a reverse delta against the next newer one (reverse, or what
+// applyDiff overwrote), composes those (mergeHeavy), and builds the diff
+// from the composed delta and the current list (forward): the diff
+// definition's result for the two lists in weight order. Given a base as
+// a node keeps it, applyDiff returns the apply definition's result in
+// index order, for any removed keys and upserts, repeated or in any
+// order. A list that is not canonical (a key repeated, or any order),
 // which only a faulty or hostile peer sends, is put in index order when it
 // is adopted, keeping the last entry of each key: the entry the maps keep.
 //
-// heavyPatch.apply and forwardHeavy visit the keys a delta names, and
-// cross the runs of the full list between them in a tight loop, so their
-// branches depend on the delta's size, not the list's.
+// heavyPatch.apply and forward visit the keys a delta names, and cross the
+// runs of the full list between them in a tight loop, so their branches
+// depend on the delta's size, not the list's.
 
 // indexOrder sorts ws in place by index and keeps only the last entry of
 // each key, the one a map filled from ws in order ends up holding. It
@@ -64,22 +63,20 @@ func weightOrder(ws []stream.Weighted) []stream.Weighted {
 	return out
 }
 
-// applyHeavyDiff patches base, in index order, with a delta's removed keys
-// and upserts, in any order and possibly repeated, and returns the result
+// applyDiff patches base, in index order, with a delta's removed keys and
+// upserts, in any order and possibly repeated, and returns the patch in s:
+// the result in index order, and base's reverse delta against it, the
+// entries of base the delta dropped or overwrote and the keys it added,
 // in index order. The last upsert of a key wins, and an upsert wins over a
-// removal of its key. The delta's lists are not modified. It also returns
-// base's reverse delta against the result: the entries of base the delta
-// dropped or overwrote, and the keys it added, in index order.
-func applyHeavyDiff(base []stream.Weighted, removed []uint32, upserts []stream.Weighted) (out, changed []stream.Weighted, added []uint32) {
-	s := heavyPool.Get().(*heavyScratch)
-	defer heavyPool.Put(s)
+// removal of its key. The delta's lists are not modified. The patch's
+// lists are s's, valid until s is used again.
+func (s *heavyScratch) applyDiff(base []stream.Weighted, removed []uint32, upserts []stream.Weighted) *heavyPatch {
 	rm := append(s.keys[:0], removed...)
 	slices.Sort(rm)
 	up := indexOrder(append(s.a[:0], upserts...))
 	s.keys, s.a = rm, up
-	p := &s.patch
-	p.apply(base, rm, up)
-	return slices.Clone(p.out), clonedOrNil(p.changed), clonedOrNil(p.added)
+	s.patch.apply(base, rm, up)
+	return &s.patch
 }
 
 // heavyPatch is one patched heavy list and the reverse delta of the list
@@ -133,12 +130,11 @@ func (p *heavyPatch) apply(base []stream.Weighted, rm []uint32, up []stream.Weig
 	p.out, p.changed, p.added = out[:n], changed, added
 }
 
-// reverseHeavy returns older's reverse delta against newer, both lists in
+// reverse returns older's reverse delta against newer, both lists in
 // index order: the entries of older that newer changed (in any bit) or
-// dropped, and the keys newer added, in index order.
-func reverseHeavy(older, newer []stream.Weighted) (changed []stream.Weighted, added []uint32) {
-	s := heavyPool.Get().(*heavyScratch)
-	defer heavyPool.Put(s)
+// dropped, and the keys newer added, in index order. The lists are s's,
+// valid until s is used again.
+func (s *heavyScratch) reverse(older, newer []stream.Weighted) (changed []stream.Weighted, added []uint32) {
 	ch, add := s.a[:0], s.keys[:0]
 	i, j := 0, 0
 	for i < len(older) && j < len(newer) {
@@ -163,21 +159,19 @@ func reverseHeavy(older, newer []stream.Weighted) (changed []stream.Weighted, ad
 		add = append(add, n.Index)
 	}
 	s.a, s.keys = ch, add
-	return clonedOrNil(ch), clonedOrNil(add)
+	return ch, add
 }
 
-// forwardHeavy returns the heavy lists of the delta frame from older to
-// newer, for the older list that the reverse delta (changed, added)
-// against newer describes: older holds the changed entries, lacks the
+// forward returns, as new lists, the heavy lists of the delta frame from
+// older to newer, for the older list that the reverse delta (changed,
+// added) against newer describes: older holds the changed entries, lacks the
 // added keys, and holds newer's entry for any other key. The lists come in
 // the order a delta frame carries them: the keys of older entries whose
 // key newer lacks, in older's weight order, and the entries of newer that
 // are new or changed, in newer's weight order. A composed delta
 // (mergeHeavy) may name an entry older and newer share, or add a key newer
 // lacks; neither changes the result.
-func forwardHeavy(changed []stream.Weighted, added []uint32, newer []stream.Weighted) (removed []uint32, upserts []stream.Weighted) {
-	s := heavyPool.Get().(*heavyScratch)
-	defer heavyPool.Put(s)
+func (s *heavyScratch) forward(changed []stream.Weighted, added []uint32, newer []stream.Weighted) (removed []uint32, upserts []stream.Weighted) {
 	gone, up := s.a[:0], s.b[:0]
 	c, i, k := 0, 0, 0
 	for i < len(changed) || k < len(added) {
@@ -278,20 +272,9 @@ func weightOrderOrNil(ws []stream.Weighted) []stream.Weighted {
 	return weightOrder(ws)
 }
 
-// clonedOrNil copies a scratch list out, as nil when it is empty.
-func clonedOrNil[E any](xs []E) []E {
-	if len(xs) == 0 {
-		return nil
-	}
-	return slices.Clone(xs)
-}
-
-// heavyScratch is the reusable working memory of one call of the
-// functions above.
+// heavyScratch is the reusable working memory of the methods above.
 type heavyScratch struct {
 	keys  []uint32
 	a, b  []stream.Weighted
 	patch heavyPatch
 }
-
-var heavyPool = sync.Pool{New: func() any { return new(heavyScratch) }}

@@ -176,14 +176,15 @@ func checkDiff(t *testing.T, what string, base, cur []stream.Weighted) {
 	}
 }
 
-// checkApply compares applyHeavyDiff on base as a node keeps it with the
+// checkApply compares applyDiff on base as a node keeps it with the
 // reference on base itself, bit for bit once both are in weight order. The
 // result must be in strict index order and the delta's lists unchanged,
 // and the reverse delta it returns must give base back bit for bit.
 func checkApply(t *testing.T, what string, base []stream.Weighted, removed []uint32, upserts []stream.Weighted) {
 	t.Helper()
 	rm, up := slices.Clone(removed), slices.Clone(upserts)
-	got, changed, added := applyHeavyDiff(kept(base), removed, upserts)
+	p := new(heavyScratch).applyDiff(kept(base), removed, upserts)
+	got, changed, added := p.out, p.changed, p.added
 	if back := refApplyHeavyDiff(got, added, changed); !sameWeighted(back, weightOrder(kept(base))) {
 		t.Fatalf("%s: the reverse delta (%d changed, %d added) does not give base back", what, len(changed), len(added))
 	}
@@ -229,7 +230,7 @@ func TestApplyHeavyDiffMatchesReference(t *testing.T) {
 			// the diff (comparing with ==) does not ship.
 			if canonical {
 				r, u := diffHeavy(kept(base), kept(cur))
-				if got, _, _ := applyHeavyDiff(kept(base), r, u); !slices.Equal(got, kept(cur)) {
+				if got := new(heavyScratch).applyDiff(kept(base), r, u).out; !slices.Equal(got, kept(cur)) {
 					t.Fatalf("n=%d: replaying the diff onto base does not give cur", n)
 				}
 			}
@@ -265,8 +266,8 @@ func TestApplyHeavyDiffMatchesReference(t *testing.T) {
 // index order, as a node builds them: base's reverse delta against cur,
 // then the frame's lists from it.
 func diffHeavy(base, cur []stream.Weighted) (removed []uint32, upserts []stream.Weighted) {
-	changed, added := reverseHeavy(base, cur)
-	return forwardHeavy(changed, added, cur)
+	changed, added := new(heavyScratch).reverse(base, cur)
+	return new(heavyScratch).forward(changed, added, cur)
 }
 
 // heavyStep derives the next version of a list in index order: weights
@@ -307,7 +308,7 @@ func TestReverseHeavyMatchesReference(t *testing.T) {
 		var added []uint32
 		for age := 1; age < len(chain); age++ {
 			older, newer := chain[len(chain)-1-age], chain[len(chain)-age]
-			oc, oa := reverseHeavy(older, newer)
+			oc, oa := new(heavyScratch).reverse(older, newer)
 			if !slices.Equal(oc, kept(oc)) || !slices.IsSorted(oa) {
 				t.Fatalf("n=%d: reverse delta lists not in index order", n)
 			}
@@ -325,7 +326,7 @@ func TestReverseHeavyMatchesReference(t *testing.T) {
 				t.Fatalf("n=%d, age %d: patching with the composed reverse delta does not give the older list back", n, age)
 			}
 			wr, wu := refDiffHeavy(weightOrder(older), weightOrder(cur))
-			gr, gu := forwardHeavy(changed, added, cur)
+			gr, gu := new(heavyScratch).forward(changed, added, cur)
 			if !slices.Equal(gr, wr) || !sameWeighted(gu, wu) {
 				t.Fatalf("n=%d, age %d: the delta built from the reverse delta differs from the reference's", n, age)
 			}
@@ -417,16 +418,18 @@ func BenchmarkDiffHeavy(b *testing.B) {
 	for _, n := range heavyBenchSizes {
 		base, cur := heavyBenchPair(n)
 		b.Run(fmt.Sprintf("n=%d/reverse", n), func(b *testing.B) {
+			var s heavyScratch
 			b.ReportAllocs()
 			for b.Loop() {
-				reverseHeavy(base, cur)
+				s.reverse(base, cur)
 			}
 		})
-		changed, added := reverseHeavy(base, cur)
+		changed, added := new(heavyScratch).reverse(base, cur)
 		b.Run(fmt.Sprintf("n=%d/frame", n), func(b *testing.B) {
+			var s heavyScratch
 			b.ReportAllocs()
 			for b.Loop() {
-				forwardHeavy(changed, added, cur)
+				s.forward(changed, added, cur)
 			}
 		})
 	}
@@ -439,9 +442,10 @@ func BenchmarkApplyHeavyDiff(b *testing.B) {
 		base, cur := heavyBenchPair(n)
 		removed, upserts := diffHeavy(base, cur)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var s heavyScratch
 			b.ReportAllocs()
 			for b.Loop() {
-				applyHeavyDiff(base, removed, upserts)
+				s.applyDiff(base, removed, upserts)
 			}
 		})
 	}

@@ -263,8 +263,8 @@ func (h *historyHarness) check(t *testing.T) {
 		}
 		for age := range len(r.versions) {
 			want := r.versions[len(r.versions)-1-age]
-			got := o.rebuild(age, new(baseScratch))
-			if got.Steps != want.version || math.Float64bits(got.Scale) != math.Float64bits(want.scale) ||
+			got, err := o.rebuild(age, new(baseScratch))
+			if err != nil || got.Steps != want.version || math.Float64bits(got.Scale) != math.Float64bits(want.scale) ||
 				!sameBuckets(got.CS, want.cs) || !sameWeighted(got.Heavy, kept(want.heavy)) {
 				h.n.mu.Unlock()
 				t.Fatalf("%s: the version %d before the current one differs from the reference's %d", r.id, age, want.version)
@@ -416,21 +416,24 @@ func TestOutOfOrderDeltaKeepsExactHistory(t *testing.T) {
 
 // TestHistoryTrimReleasesDroppedVersions: after 3×HistoryDepth versions an
 // origin holds HistoryDepth of them, and only the current one in full.
-// Every other version's sketch is garbage, and so is the reverse delta of
-// every version that left the window: no slot past the history's length
-// holds one.
+// Every other version's sketch is garbage, and no version that left the
+// window is reachable as a version: its packed buffer is garbage, or it
+// lives on as the buffer of a version the history holds (a new reverse
+// delta may take over the buffer of the version it pushes out), and no
+// slot past the history's length holds an entry.
 func TestHistoryTrimReleasesDroppedVersions(t *testing.T) {
 	const depth = 8
 	h := newHistoryHarness(t, 1, 64, 8, depth)
 	sketches := map[int64]weak.Pointer[sketch.CountSketch]{}
-	reverses := map[int64]weak.Pointer[sketch.BucketChange]{}
+	buffers := map[int64]weak.Pointer[byte]{}
+	taken := 0
 	for range 3 * depth {
 		h.publish(t)
 		h.n.mu.Lock()
 		o := h.n.origins["self"]
 		sketches[o.version] = weak.Make(o.snap.CS)
-		if k := len(o.history); k > 0 && len(o.history[k-1].changes) > 0 {
-			reverses[o.history[k-1].version] = weak.Make(&o.history[k-1].changes[0])
+		if k := len(o.history); k > 0 {
+			buffers[o.history[k-1].version] = weak.Make(&o.history[k-1].packed[0])
 		}
 		h.n.mu.Unlock()
 		runtime.GC()
@@ -448,18 +451,30 @@ func TestHistoryTrimReleasesDroppedVersions(t *testing.T) {
 				t.Fatalf("at version %d the sketch of version %d is still reachable", o.version, v)
 			}
 		}
-		for v, p := range reverses {
-			if o.age(v) < 0 && p.Value() != nil {
+		holder := map[*byte]int64{}
+		for i := range o.history {
+			holder[&o.history[i].packed[0]] = o.history[i].version
+		}
+		for v, p := range buffers {
+			b := p.Value()
+			if o.age(v) >= 0 || b == nil {
+				continue
+			}
+			w, held := holder[b]
+			if !held {
 				t.Fatalf("at version %d version %d left the window, and its reverse delta is still reachable", o.version, v)
 			}
+			t.Logf("at version %d the buffer of version %d, which left the window, is version %d's", o.version, v, w)
+			taken++
 		}
 		h.n.mu.Unlock()
 	}
 	h.n.mu.Lock()
 	defer h.n.mu.Unlock()
-	if o := h.n.origins["self"]; len(o.history) != depth-1 || len(reverses) != 3*depth-1 {
-		t.Fatalf("history holds %d older versions of %d tracked; want %d of %d", len(o.history), len(reverses), depth-1, 3*depth-1)
+	if o := h.n.origins["self"]; len(o.history) != depth-1 || len(buffers) != 3*depth-1 {
+		t.Fatalf("history holds %d older versions of %d tracked; want %d of %d", len(o.history), len(buffers), depth-1, 3*depth-1)
 	}
+	t.Logf("%d checks found a dropped version's buffer taken over", taken)
 }
 
 // TestStateBytesMatchOrigins: the wmgossip_state_bytes gauge is the sum of
@@ -569,7 +584,8 @@ func applyEach(tb testing.TB, n *Node, frames []Frame) {
 const fullVersionsBytes = 8 * (8*4096 + 16*2048)
 
 // TestOriginHistoryStateBytes: one origin holding eight versions at
-// 4096×1 with heap 2048 takes at most 65% of what the eight take in full.
+// 4096×1 with heap 2048 takes at most 45% of what the eight take in full
+// (38.1% with its reverse deltas packed).
 func TestOriginHistoryStateBytes(t *testing.T) {
 	cfg, frames := originHistoryFrames(t, 9)
 	n := holdOrigin(t, cfg, frames)
@@ -579,17 +595,18 @@ func TestOriginHistoryStateBytes(t *testing.T) {
 	}
 	got := st.Origins[0].StateBytes
 	t.Logf("8 versions take %d bytes, %.1f%% of %d in full", got, 100*float64(got)/fullVersionsBytes, fullVersionsBytes)
-	if got > fullVersionsBytes*65/100 {
-		t.Errorf("8 versions take %d bytes, over 65%% of the %d they take in full", got, fullVersionsBytes)
+	if got > fullVersionsBytes*45/100 {
+		t.Errorf("8 versions take %d bytes, over 45%% of the %d they take in full", got, fullVersionsBytes)
 	}
 }
 
 // BenchmarkOriginHistory holds one origin at 4096×1, heap 2048 and the
 // default depth of 8, its versions as far apart as in the gossip workload
-// (originHistoryFrames). It times
-// adopting a version (a delta on the current one) and building the frame
-// for a peer one and two versions behind, and reports the bytes the origin
-// retains on the heap next to what eight full versions take.
+// (originHistoryFrames). It times adopting a version (a delta on the
+// current one) and building the frame for a peer one and two versions
+// behind, and reports the bytes the origin retains on the heap and its
+// state bytes (the current version and the packed reverse deltas), next
+// to what eight full versions take.
 func BenchmarkOriginHistory(b *testing.B) {
 	cfg, frames := originHistoryFrames(b, 11)
 	n := holdOrigin(b, cfg, nil)
@@ -603,8 +620,10 @@ func BenchmarkOriginHistory(b *testing.B) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	state := float64(n.stateBytes())
 	report := func(b *testing.B) {
 		b.ReportMetric(retained, "retained_B/origin")
+		b.ReportMetric(state, "state_B/origin")
 		b.ReportMetric(fullVersionsBytes, "full_B/origin")
 	}
 	o := n.origins["origin"]
@@ -645,5 +664,135 @@ func BenchmarkOriginHistory(b *testing.B) {
 			}
 			report(b)
 		})
+	}
+}
+
+// TestPackedDeltaRoundTrip: a reverse delta packs at exactly the size its
+// lists encode to, and unpacks to them bit for bit, into scratch that held
+// other lists: empty lists, bucket 0 and the top index, keys 0 and
+// 2^32−1, signed zeros, subnormals and the largest magnitudes.
+func TestPackedDeltaRoundTrip(t *testing.T) {
+	negZero, sub := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	type bc = sketch.BucketChange
+	type w = stream.Weighted
+	cases := []struct {
+		name    string
+		changes []sketch.BucketChange
+		added   []uint32
+		heavy   []stream.Weighted
+	}{
+		{"empty", nil, nil, nil},
+		{"bucket 0", []bc{{Index: 0, Value: negZero}}, nil, nil},
+		{"bucket 0 and the top index", []bc{{Index: 0, Value: sub}, {Index: 1, Value: -sub},
+			{Index: 1 << 14, Value: 0}, {Index: math.MaxUint32, Value: -math.MaxFloat64}}, nil, nil},
+		{"keys 0 and 2^32-1", nil, []uint32{0, math.MaxUint32},
+			[]w{{Index: 0, Weight: negZero}, {Index: 127, Weight: sub}, {Index: math.MaxUint32, Weight: math.MaxFloat64}}},
+		{"heavy only", nil, nil, []w{{Index: 1 << 21, Weight: -2.5}}},
+		{"every list", []bc{{Index: 3, Value: 1e-300}, {Index: 200, Value: negZero}}, []uint32{5, 1 << 28},
+			[]w{{Index: 4, Weight: -sub}, {Index: 9, Weight: 0}}},
+	}
+	// The scratch holds other lists when each case unpacks into it.
+	held, err := appendDeltaLists(nil, []bc{{Index: 7, Value: 1}}, []uint32{1, 2}, []w{{Index: 3, Weight: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l deltaLists
+	l.unpack(&reverseDelta{packed: held})
+	for _, c := range cases {
+		o := &originState{version: 9, snap: core.Snapshot{Scale: 0.25}}
+		r := o.packReverse(8, c.changes, c.added, c.heavy)
+		if size := deltaListsSize(c.changes, c.added, c.heavy); len(r.packed) != size || cap(r.packed) != size || r.bytes() != int64(size) {
+			t.Fatalf("%s: packed %d bytes in a %d-byte buffer, reporting %d; want exactly %d", c.name, len(r.packed), cap(r.packed), r.bytes(), size)
+		}
+		if r.version != 9 || r.scale != 0.25 {
+			t.Fatalf("%s: packed version %d scale %g, want the current version's 9 and 0.25", c.name, r.version, r.scale)
+		}
+		l.unpack(r)
+		sameChanges := slices.EqualFunc(l.changes, c.changes, func(a, b sketch.BucketChange) bool {
+			return a.Index == b.Index && math.Float64bits(a.Value) == math.Float64bits(b.Value)
+		})
+		if !sameChanges || !slices.Equal(l.added, c.added) || !sameWeighted(l.heavy, c.heavy) {
+			t.Fatalf("%s: unpacked %v %v %v, want %v %v %v", c.name, l.changes, l.added, l.heavy, c.changes, c.added, c.heavy)
+		}
+	}
+}
+
+// TestPackReverseTakesOverDroppedBuffer: when the adopt a reverse delta is
+// packed for drops the oldest version, the delta is written into that
+// version's buffer if the buffer is large enough and at most an eighth
+// over; otherwise, and whenever the history is not full, it gets a buffer
+// of its own, of exactly its size.
+func TestPackReverseTakesOverDroppedBuffer(t *testing.T) {
+	changes := make([]sketch.BucketChange, 80)
+	for i := range changes {
+		changes[i] = sketch.BucketChange{Index: uint32(3 * i), Value: float64(i)}
+	}
+	size := deltaListsSize(changes, nil, nil)
+	for _, c := range []struct {
+		name        string
+		held, spare int // versions held before the current one; the oldest's capacity
+		takeOver    bool
+	}{
+		{"exact fit", 3, size, true},
+		{"an eighth over", 3, size + size/8, true},
+		{"more than an eighth over", 3, size + size/8 + 1, false},
+		{"too small", 3, size - 1, false},
+		{"history not full", 2, size, false},
+	} {
+		o := &originState{version: 50}
+		for v := range c.held {
+			o.history = append(o.history, reverseDelta{version: int64(10 * (v + 1)), packed: make([]byte, 1, c.spare)})
+		}
+		oldest := &o.history[0].packed[:1][0]
+		r := o.packReverse(4, changes, nil, nil)
+		if took := &r.packed[:1][0] == oldest; took != c.takeOver {
+			t.Errorf("%s: took over the oldest version's buffer: %v, want %v", c.name, took, c.takeOver)
+		}
+		if !c.takeOver && cap(r.packed) != size {
+			t.Errorf("%s: a new buffer of %d bytes, want exactly %d", c.name, cap(r.packed), size)
+		}
+		var l deltaLists
+		if l.unpack(r); !slices.Equal(l.changes, changes) {
+			t.Errorf("%s: the packed delta does not unpack to its changes", c.name)
+		}
+	}
+}
+
+// TestNonFiniteVersionBuildsFrames: a local learner that diverged can
+// publish an infinite bucket, which the decoder refuses. A peer one
+// version past it gets the reference's delta byte for byte: the build
+// reads the reverse delta that keeps the infinite value in place, only to
+// compare it. A peer two versions past it gets a full frame of the
+// current version: composing unpacks that reverse delta, which fails, and
+// never yields a delta missing the changes after the infinite value.
+func TestNonFiniteVersionBuildsFrames(t *testing.T) {
+	h := newHistoryHarness(t, 3, 64, 8, 8)
+	h.publish(t)
+	first := h.self.cur().version
+	v := h.next(h.self)
+	v.cs.Update(5, math.Inf(1))
+	h.local.next = core.Snapshot{Origin: "self", CS: v.cs, Scale: v.scale, Heavy: v.heavy, Steps: v.version}
+	if _, published, err := h.n.PublishLocal(); err != nil || !published {
+		t.Fatalf("publish: %v %v", published, err)
+	}
+	h.self.adopt(v)
+	h.publish(t)
+	cur := h.self.cur()
+	inf := -1
+	for i := range cur.cs.Size() {
+		if math.IsInf(v.cs.At(uint32(i)), 0) {
+			inf = i
+		}
+	}
+	if inf < 0 || math.IsInf(cur.cs.At(uint32(inf)), 0) {
+		t.Fatalf("version %d has no infinite bucket that the current version overwrote", v.version)
+	}
+	fs := h.n.BuildFrames(map[string]int64{"self": v.version}, false)
+	if len(fs) != 1 || !bytes.Equal(encodeFrames(t, fs), encodeFrames(t, []Frame{h.self.frame(v.version)})) {
+		t.Fatalf("a peer at version %d got %d frames, not the reference's delta", v.version, len(fs))
+	}
+	fs = h.n.BuildFrames(map[string]int64{"self": first}, false)
+	if len(fs) != 1 || fs[0].Kind != kindFull || fs[0].Version != cur.version {
+		t.Fatalf("a peer at version %d got %d frames, the first a %s frame; want one full frame", first, len(fs), kindLabel(fs[0].Kind))
 	}
 }

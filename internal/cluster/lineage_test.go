@@ -9,14 +9,18 @@ import (
 	"wmsketch/internal/trace"
 )
 
-// TestLineageRecordsApplyTrace: every adopted frame lands in the lineage
-// ring under the trace that delivered it — the wire annotation survives the
-// encode/decode round trip and a remote-continued apply records the
-// sender's trace id, while an untraced apply records a zero id (which is
-// exactly what the simulator's gate flags).
+// TestLineageRecordsApplyTrace: once drained, a node records every adopted
+// frame in the lineage ring under the trace that delivered it — the wire
+// annotation survives the encode/decode round trip and a remote-continued
+// apply records the sender's trace id, while an untraced apply records a
+// zero id (which is exactly what the simulator's gate flags).
 func TestLineageRecordsApplyTrace(t *testing.T) {
 	a := newMember(t, "a")
 	b := newMember(t, "b")
+	// A node records lineage from its first drain on.
+	if entries, dropped := a.node.DrainLineage(); len(entries) != 0 || dropped != 0 {
+		t.Fatalf("the first drain returned %d entries (%d dropped), want none", len(entries), dropped)
+	}
 	train(b, datagen.RCV1Like(41).Take(50))
 	if _, _, err := b.node.PublishLocal(); err != nil {
 		t.Fatal(err)

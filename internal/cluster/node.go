@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"wmsketch/internal/core"
+	"wmsketch/internal/frame"
 	"wmsketch/internal/obs"
 	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
@@ -199,20 +202,33 @@ type originState struct {
 type reverseDelta struct {
 	version int64
 	scale   float64
-	// changes are the buckets this version differs in, ascending, with its
-	// values.
-	changes []sketch.BucketChange
-	// heavy holds this version's heavy entries that the newer version
-	// changed or dropped, and added the keys the newer version added, both
-	// in index order.
-	heavy []stream.Weighted
-	added []uint32
+	// packed holds, in a delta frame's list encoding (appendDeltaLists),
+	// the buckets this version differs in, ascending, with its values; the
+	// keys the newer version added; and this version's heavy entries that
+	// the newer version changed or dropped. Keys and entries are in index
+	// order. It is sized to what it holds, or at most an eighth over when
+	// it took over a dropped version's buffer (packReverse).
+	packed []byte
 }
 
-// bytes is what r holds: 16 bytes a bucket change or heavy entry, 4 an
-// added key.
-func (r *reverseDelta) bytes() int64 {
-	return int64(16*len(r.changes) + 16*len(r.heavy) + 4*len(r.added))
+// bytes is what r's buffer holds.
+func (r *reverseDelta) bytes() int64 { return int64(cap(r.packed)) }
+
+// deltaLists is a reverse delta's lists unpacked into scratch memory.
+type deltaLists struct {
+	changes []sketch.BucketChange
+	added   []uint32
+	heavy   []stream.Weighted
+}
+
+// unpack decodes r's lists into l, reusing l's memory. The node packed
+// them itself, so it fails only on a non-finite value, which the decoder
+// refuses and only a diverged local learner can publish; the lists are
+// then incomplete.
+func (l *deltaLists) unpack(r *reverseDelta) error {
+	var err error
+	l.changes, l.added, l.heavy, err = decodeDeltaLists(frame.NewCursor(r.packed), l.changes[:0], l.added[:0], l.heavy[:0])
+	return err
 }
 
 // stateBytes is the model state o holds: 8 bytes a bucket and 16 a heavy
@@ -257,7 +273,7 @@ func (o *originState) age(version int64) int {
 // adopt installs snap as the current version. prev is the replaced
 // version's reverse delta against snap, or nil to keep no history. A full
 // history shifts down: its oldest version drops out, and no slot keeps it
-// reachable.
+// reachable (prev may have taken over its buffer).
 func (o *originState) adopt(version int64, snap core.Snapshot, prev *reverseDelta, depth int, now time.Time) {
 	switch {
 	case prev == nil:
@@ -277,91 +293,134 @@ func (o *originState) adopt(version int64, snap core.Snapshot, prev *reverseDelt
 }
 
 // reverseTo returns the current version's reverse delta against next, a
-// version about to replace it whole: one bucket diff and one heavy-list
-// walk. It returns nil when there is no current version to keep.
-func (o *originState) reverseTo(next core.Snapshot) *reverseDelta {
+// version about to replace it whole in a history of depth versions: one
+// bucket diff and one heavy-list walk. It returns nil when there is no
+// current version to keep.
+func (o *originState) reverseTo(next core.Snapshot, depth int) *reverseDelta {
 	if o.snap.CS == nil {
 		return nil
 	}
-	changes, err := sketch.DiffBits(next.CS, o.snap.CS)
+	s := basePool.Get().(*baseScratch)
+	defer basePool.Put(s)
+	changes, err := sketch.AppendDiffBits(s.undo[:0], next.CS, o.snap.CS)
 	if err != nil {
 		return nil
 	}
-	heavy, added := reverseHeavy(o.snap.Heavy, next.Heavy)
-	return &reverseDelta{version: o.version, scale: o.snap.Scale, changes: changes, heavy: heavy, added: added}
+	s.undo = changes
+	heavy, added := s.heavy.reverse(o.snap.Heavy, next.Heavy)
+	return o.packReverse(depth, changes, added, heavy)
+}
+
+// packReverse returns the current version's reverse delta with the given
+// lists, packed at their exact size, for an adopt into a history of depth
+// versions. When that adopt drops the oldest version, the new delta may
+// take over its buffer: if the buffer is large enough and at most an
+// eighth over, it is written in place. So every read of the oldest
+// version must come before this call, in the same critical section as the
+// adopt.
+func (o *originState) packReverse(depth int, changes []sketch.BucketChange, added []uint32, heavy []stream.Weighted) *reverseDelta {
+	size := deltaListsSize(changes, added, heavy)
+	var buf []byte
+	if k := len(o.history); k > 0 && k == depth-1 {
+		buf = o.history[0].packed[:0]
+	}
+	if cap(buf) < size || cap(buf)-size > size/8 {
+		buf = make([]byte, 0, size)
+	}
+	// Both producers list each bucket once, ascending.
+	buf, _ = appendDeltaLists(buf, changes, added, heavy)
+	return &reverseDelta{version: o.version, scale: o.snap.Scale, packed: buf}
 }
 
 // compose returns the reverse delta that takes the current version back
-// age versions in one step: the reverse deltas of the versions between,
-// merged so that the older one wins on a bucket or key both name. For
-// age 1 it is the previous version's own; for more, its lists live in s.
-func (o *originState) compose(age int, s *baseScratch) reverseDelta {
-	r := o.history[len(o.history)-1]
+// age versions in one step, its lists in s: the reverse deltas of the
+// versions between, merged so that the older one wins on a bucket or key
+// both name.
+func (o *originState) compose(age int, s *baseScratch) (*deltaLists, error) {
+	r := &s.lists[0]
+	if err := r.unpack(&o.history[len(o.history)-1]); err != nil {
+		return nil, err
+	}
 	for k := 2; k <= age; k++ {
-		older, acc := &o.history[len(o.history)-k], &s.deltas[k%2]
-		acc.version, acc.scale = older.version, older.scale
+		older, acc := &s.lists[1], &s.lists[2]
+		if err := older.unpack(&o.history[len(o.history)-k]); err != nil {
+			return nil, err
+		}
 		acc.changes = mergeChanges(acc.changes[:0], r.changes, older.changes)
 		acc.heavy, acc.added = mergeHeavy(acc.heavy[:0], acc.added[:0], r.heavy, r.added, older.heavy, older.added)
-		r = *acc
+		s.lists[0], s.lists[2] = *acc, *r
 	}
-	return r
+	return r, nil
 }
 
 // rebuild returns the version age versions before the current one: its
 // sketch a new copy, its heavy list in s.
-func (o *originState) rebuild(age int, s *baseScratch) core.Snapshot {
+func (o *originState) rebuild(age int, s *baseScratch) (core.Snapshot, error) {
 	snap := o.snap
 	snap.CS = snap.CS.Clone()
 	if age > 0 {
-		r := o.compose(age, s)
+		r, err := o.compose(age, s)
+		if err != nil {
+			return core.Snapshot{}, fmt.Errorf("version %d before the current one: %w", age, err)
+		}
 		// The changes came from sketches of this geometry, so they apply.
 		_ = snap.CS.ApplyDiff(r.changes)
 		s.patch.apply(snap.Heavy, r.added, r.heavy)
-		snap.Heavy, snap.Scale, snap.Steps = s.patch.out, r.scale, r.version
+		old := &o.history[len(o.history)-age]
+		snap.Heavy, snap.Scale, snap.Steps = s.patch.out, old.scale, old.version
 	}
-	return snap
+	return snap, nil
 }
 
-// baseScratch is the pooled memory older versions are composed and
-// rebuilt in. Nothing it holds outlives the call that used it.
+// baseScratch is the pooled memory older versions are composed, rebuilt
+// and packed in. Nothing it holds outlives the call that used it.
 type baseScratch struct {
-	deltas [2]reverseDelta
-	patch  heavyPatch
+	lists [3]deltaLists
+	patch heavyPatch
+	heavy heavyScratch
+	// undo is a reverse delta's bucket changes before they are packed.
+	undo []sketch.BucketChange
+	// packed is composed changes packed for a build (forwardFrom).
+	packed []byte
 }
 
 var basePool = sync.Pool{New: func() any { return new(baseScratch) }}
 
 // applyDelta builds the version f carries on o's version f.Base, age
 // versions before the current one, and returns it with the current
-// version's reverse delta against it. On the current version, the reverse
-// delta is what f's change lists overwrite: the current buckets they name,
-// and the heavy entries the walk that applies them replaces. On an older
-// version, that version is rebuilt first, and the reverse delta is a diff.
-// A frame whose changes do not name each bucket once, in ascending order,
-// is refused: the decoder never yields one, and only such a list makes the
-// overwritten buckets the exact reverse delta.
-func (o *originState) applyDelta(f *Frame, age int) (core.Snapshot, *reverseDelta, error) {
+// version's reverse delta against it, for a history of depth versions. On
+// the current version, the reverse delta is what f's change lists
+// overwrite: the current buckets they name, and the heavy entries the walk
+// that applies them replaces. On an older version, that version is
+// rebuilt first, and the reverse delta is a diff. A frame whose changes do
+// not name each bucket once, in ascending order, is refused: the decoder
+// never yields one, and only such a list makes the overwritten buckets the
+// exact reverse delta.
+func (o *originState) applyDelta(f *Frame, age, depth int) (core.Snapshot, *reverseDelta, error) {
 	if !ascending(f.Changes) {
 		return core.Snapshot{}, nil, fmt.Errorf("delta changes do not ascend strictly")
 	}
 	s := basePool.Get().(*baseScratch)
 	defer basePool.Put(s)
-	base := o.rebuild(age, s)
+	base, err := o.rebuild(age, s)
+	if err != nil {
+		return core.Snapshot{}, nil, err
+	}
 	cs := base.CS
 	if err := cs.ApplyDiff(f.Changes); err != nil {
 		return core.Snapshot{}, nil, err
 	}
-	next, changed, added := applyHeavyDiff(base.Heavy, f.HeavyRemoved, f.HeavyUpserts)
-	snap := core.Snapshot{Origin: f.Origin, CS: cs, Scale: f.Scale, Heavy: next, Steps: f.Version}
+	p := s.heavy.applyDiff(base.Heavy, f.HeavyRemoved, f.HeavyUpserts)
+	snap := core.Snapshot{Origin: f.Origin, CS: cs, Scale: f.Scale, Heavy: slices.Clone(p.out), Steps: f.Version}
 	if age > 0 {
-		return snap, o.reverseTo(snap), nil
+		return snap, o.reverseTo(snap, depth), nil
 	}
-	rev := &reverseDelta{version: o.version, scale: o.snap.Scale, heavy: changed, added: added,
-		changes: make([]sketch.BucketChange, len(f.Changes))}
-	for i, ch := range f.Changes {
-		rev.changes[i] = sketch.BucketChange{Index: ch.Index, Value: o.snap.CS.At(ch.Index)}
+	undo := s.undo[:0]
+	for _, ch := range f.Changes {
+		undo = append(undo, sketch.BucketChange{Index: ch.Index, Value: o.snap.CS.At(ch.Index)})
 	}
-	return snap, rev, nil
+	s.undo = undo
+	return snap, o.packReverse(depth, undo, p.added, p.changed), nil
 }
 
 // ascending reports whether changes name each bucket once, in ascending
@@ -412,10 +471,12 @@ type Node struct {
 	// counters live on peerState); Status() and /metrics both read it.
 	met *nodeMetrics
 
-	// Causal-lineage bookkeeping (see DrainLineage): every applied frame
-	// records which trace carried it, and the simulator checks each entry
-	// against the set of round traces actually minted.
+	// Causal-lineage bookkeeping (see DrainLineage): once something has
+	// drained it, every applied frame records which trace carried it, and
+	// the simulator checks each entry against the set of round traces
+	// actually minted.
 	lmu            sync.Mutex
+	lineageOn      bool           // guarded by lmu; set by the first drain
 	lineage        []LineageEntry // guarded by lmu
 	lineageDropped int64          // guarded by lmu
 	lastRound      trace.TraceID  // guarded by lmu
@@ -425,6 +486,7 @@ type Node struct {
 // simulator drains every round; a node applying more frames than this
 // between drains records the overflow in DrainLineage's dropped count (the
 // lineage gate fails on any drop — silence would hide missing evidence).
+// A node nothing drains, such as wmserve's, keeps no ring at all.
 const maxLineageEntries = 8192
 
 // LineageEntry is the provenance record of one applied frame: which
@@ -437,10 +499,14 @@ type LineageEntry struct {
 	Trace   trace.TraceID
 }
 
-// appendLineage records one applied frame's provenance.
+// appendLineage records one applied frame's provenance, from the first
+// DrainLineage on: before it, nothing reads the ring.
 func (n *Node) appendLineage(origin string, version int64, tid trace.TraceID) {
 	n.lmu.Lock()
 	defer n.lmu.Unlock()
+	if !n.lineageOn {
+		return
+	}
 	if len(n.lineage) >= maxLineageEntries {
 		n.lineageDropped++
 		return
@@ -450,10 +516,13 @@ func (n *Node) appendLineage(origin string, version int64, tid trace.TraceID) {
 
 // DrainLineage returns and clears the applied-frame provenance recorded
 // since the last drain, plus how many entries overflowed the ring (always
-// zero unless the caller drains too rarely).
+// zero unless the caller drains too rarely). A node records provenance
+// only from its first drain on, so a caller that checks lineage drains
+// once before the traffic it checks; the first drain returns nothing.
 func (n *Node) DrainLineage() ([]LineageEntry, int64) {
 	n.lmu.Lock()
 	defer n.lmu.Unlock()
+	n.lineageOn = true
 	out := n.lineage
 	dropped := n.lineageDropped
 	n.lineage = nil
@@ -523,10 +592,30 @@ func (n *Node) Self() string { return n.cfg.Self }
 // ReadFramesTraced is the package-level ReadFramesTraced on the node's
 // geometry: a full frame whose sketch header disagrees with Config.Mix in
 // depth, width or seed fails the stream before any bucket is allocated,
-// and every decoded sketch shares the node's hash family. The node reads
-// pull answers through it; a server reads pushed streams through it.
+// and every decoded sketch shares the node's hash family. A full or delta
+// frame whose version the node already holds is not decoded past its
+// origin and version: it reads as a stale stub, which ApplyFramesCtx
+// counts as stale. The node reads pull answers through it; a server reads
+// pushed streams through it.
 func (n *Node) ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
-	return readFrames(r, n.geo)
+	return readFrames(r, n)
+}
+
+// heldVersions fills m, emptied, with the version the node holds of each
+// origin, and returns it (a new map when m is nil): the node's digest.
+// Versions only grow, so it bounds from below what the node holds at any
+// later time.
+func (n *Node) heldVersions(m map[string]int64) map[string]int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if m == nil {
+		m = make(map[string]int64, len(n.origins))
+	}
+	clear(m)
+	for id, o := range n.origins {
+		m[id] = o.version
+	}
+	return m
 }
 
 // View returns the current merged model over every known origin (self
@@ -578,7 +667,8 @@ func (n *Node) PublishLocal() (int64, bool, error) {
 	if sn.Steps <= self.version {
 		return self.version, false, nil
 	}
-	self.adopt(sn.Steps, sn, self.reverseTo(sn), n.cfg.HistoryDepth, n.cfg.Clock.Now())
+	depth := n.cfg.HistoryDepth
+	self.adopt(sn.Steps, sn, self.reverseTo(sn, depth), depth, n.cfg.Clock.Now())
 	n.viewDirty.Store(true)
 	return self.version, true, nil
 }
@@ -604,15 +694,7 @@ func (n *Node) selfLocked() *originState {
 }
 
 // Digest returns origin → version for every origin this node knows.
-func (n *Node) Digest() map[string]int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	d := make(map[string]int64, len(n.origins))
-	for id, o := range n.origins {
-		d[id] = o.version
-	}
-	return d
-}
+func (n *Node) Digest() map[string]int64 { return n.heldVersions(nil) }
 
 // BuildFrames assembles the frames a peer with the given digest is
 // missing: for each origin where our version is newer, a delta frame when
@@ -670,20 +752,22 @@ func (n *Node) frameForLocked(o *originState, acked int64) Frame {
 
 // buildFrame picks delta vs full for one origin, and puts the heavy lists
 // in the weight order frames carry them in. A delta from an older version
-// comes from its reverse delta against the current version, composed in
-// pooled scratch when it is more than one version back: the base itself
-// is never rebuilt.
+// comes from its reverse delta against the current version (forwardFrom):
+// the base itself is never rebuilt. A reverse delta that does not unpack
+// whole gives a full frame.
 func buildFrame(o *originState, acked int64) Frame {
 	if age := o.age(acked); age > 0 {
 		s := basePool.Get().(*baseScratch)
 		defer basePool.Put(s)
-		r := o.compose(age, s)
-		changes := forwardChanges(r.changes, o.snap.CS)
+		changes, r, err := o.forwardFrom(age, s)
+		if err != nil {
+			return FullFrame(o.snap)
+		}
 		// A delta entry costs ~1.5× a raw bucket (varint gap + 8-byte
 		// value vs 8 bytes in the dense dump); past ~2/3 of the buckets
 		// changed, the full snapshot is the smaller frame.
 		if 3*len(changes) <= 2*o.snap.CS.Size() {
-			removed, upserts := forwardHeavy(r.heavy, r.added, o.snap.Heavy)
+			removed, upserts := s.heavy.forward(r.heavy, r.added, o.snap.Heavy)
 			return Frame{
 				Kind: kindDelta, Origin: o.id, Version: o.version, Base: acked,
 				Scale:   o.snap.Scale,
@@ -694,22 +778,62 @@ func buildFrame(o *originState, acked int64) Frame {
 	return FullFrame(o.snap)
 }
 
-// forwardChanges is Diff(base, cur) for the base that undo, a change list
-// taking cur back to base bit for bit, describes: the buckets undo names
-// whose value differs from cur's, carrying cur's values. Every other
-// bucket of base is cur's.
-func forwardChanges(undo []sketch.BucketChange, cur *sketch.CountSketch) []sketch.BucketChange {
+// forwardFrom returns the bucket changes of the delta frame from the
+// version age versions before the current one, and the reverse delta
+// whose heavy lists give the frame's, in s. The changes come from a walk
+// over a packed change list (forwardPacked). One version back, the common
+// case, that is the reverse delta's own, read in place, and only its
+// heavy lists are unpacked; further back, the reverse deltas between are
+// unpacked and composed, and the composed changes packed into s.
+func (o *originState) forwardFrom(age int, s *baseScratch) ([]sketch.BucketChange, *deltaLists, error) {
+	if age == 1 {
+		p := o.history[len(o.history)-1].packed
+		changes, end := forwardPacked(p, o.snap.CS)
+		r := &s.lists[0]
+		var err error
+		r.added, r.heavy, err = decodeHeavyLists(frame.NewCursor(p[end:]), r.added[:0], r.heavy[:0])
+		return changes, r, err
+	}
+	r, err := o.compose(age, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Composed from the node's own ascending lists, the changes encode.
+	s.packed, _ = appendDeltaLists(s.packed[:0], r.changes, nil, nil)
+	changes, _ := forwardPacked(s.packed, o.snap.CS)
+	return changes, r, nil
+}
+
+// forwardPacked is Diff(base, cur) for the base that a packed change list
+// (the list at the start of p, in appendDeltaLists' encoding), taking cur
+// back to base bit for bit, describes: the buckets it names whose value
+// differs from cur's, carrying cur's values. Every other bucket of base
+// is cur's. It also returns the offset past the list. The node packed the
+// list itself, so the walk makes none of the decoder's checks; it reads
+// each old value only to compare it, so a non-finite one, which the
+// decoder refuses, does no harm.
+func forwardPacked(p []byte, cur *sketch.CountSketch) ([]sketch.BucketChange, int) {
+	n, off := binary.Uvarint(p)
 	var changes []sketch.BucketChange
-	for _, u := range undo {
-		if v := cur.At(u.Index); u.Value != v {
+	idx := uint32(0)
+	for range n {
+		gap, m := uint32(p[off]), 1
+		if gap >= 0x80 {
+			g, k := binary.Uvarint(p[off:])
+			gap, m = uint32(g), k
+		}
+		idx += gap
+		old := math.Float64frombits(binary.LittleEndian.Uint64(p[off+m:]))
+		off += m + 8
+		if v := cur.At(idx); old != v {
 			if changes == nil {
 				// All but a bucket whose zero changed sign differ.
-				changes = make([]sketch.BucketChange, 0, len(undo))
+				changes = make([]sketch.BucketChange, 0, n)
 			}
-			changes = append(changes, sketch.BucketChange{Index: u.Index, Value: v})
+			changes = append(changes, sketch.BucketChange{Index: idx, Value: v})
 		}
 	}
-	return changes
+	return changes, off
 }
 
 // mergeChanges appends to dst the union of two ascending change lists,
@@ -767,9 +891,11 @@ func (n *Node) ApplyFrames(frames []Frame) ApplyResult {
 // itself.
 //
 // The ctx carries the delivery's trace (remote-continued from the sender's
-// gossip round when the stream header had an annotation); every adopted
-// version is recorded in the lineage ring under that trace ID, which is how
-// the simulator proves each applied frame descends from a real round.
+// gossip round when the stream header had an annotation); once lineage is
+// drained (DrainLineage), every adopted version is recorded in the lineage
+// ring under that trace ID, which is how the simulator proves each applied
+// frame descends from a real round. A stale stub (Node.ReadFramesTraced)
+// counts as stale wherever it is applied.
 func (n *Node) ApplyFramesCtx(ctx context.Context, frames []Frame) ApplyResult {
 	ctx, span := n.cfg.Tracer.StartSpan(ctx, "gossip.apply")
 	defer span.Finish()
@@ -790,7 +916,7 @@ func (n *Node) ApplyFramesCtx(ctx context.Context, frames []Frame) ApplyResult {
 			continue
 		}
 		o := n.origins[f.Origin]
-		if o != nil && f.Version <= o.version {
+		if f.stale || o != nil && f.Version <= o.version {
 			res.Stale++
 			n.met.staleDropped.Inc()
 			continue
@@ -813,7 +939,7 @@ func (n *Node) ApplyFramesCtx(ctx context.Context, frames []Frame) ApplyResult {
 			if err == nil {
 				n.met.appliedFull.Inc()
 				if o != nil {
-					prev = o.reverseTo(snap)
+					prev = o.reverseTo(snap, n.cfg.HistoryDepth)
 				}
 			}
 		case kindDelta:
@@ -825,7 +951,7 @@ func (n *Node) ApplyFramesCtx(ctx context.Context, frames []Frame) ApplyResult {
 				res.NeedFull = append(res.NeedFull, f.Origin)
 				continue
 			}
-			snap, prev, err = o.applyDelta(f, age)
+			snap, prev, err = o.applyDelta(f, age, n.cfg.HistoryDepth)
 			if err == nil {
 				n.met.appliedDelta.Inc()
 				if age > 0 {

@@ -471,6 +471,9 @@ func Run(sc Scenario) (Report, error) {
 		w.nodes = append(w.nodes, s)
 		w.byID[s.id] = s
 	}
+	// A node records lineage from its first drain on: drain every node
+	// once before any traffic, so the gate sees every apply.
+	w.drainLineage()
 
 	for round := 0; round < sc.Rounds; round++ {
 		if sc.ChurnFrac > 0 && round == sc.ChurnRound {

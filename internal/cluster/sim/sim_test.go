@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -174,6 +175,14 @@ func TestAcceptanceScenario(t *testing.T) {
 	}
 	t.Logf("acceptance: %.1f MB on wire, %d RPCs, %d dropped, %d partition refusals, %d GCed",
 		float64(rep.BytesOnWire)/1e6, rep.RPCs, rep.Dropped, rep.PartitionRefusals, rep.OriginsGCed)
+	// The peak RSS is what ROADMAP item 10's memory gate reads. It covers
+	// the whole test process so far, so it measures this scenario when the
+	// test runs alone, as make bench-sim runs it.
+	if kb, ok := peakRSS(); ok {
+		t.Logf("acceptance: peak RSS %.1f MiB (VmHWM %d kB)", float64(kb)/1024, kb)
+	} else {
+		t.Log("acceptance: peak RSS not read: no VmHWM in /proc/self/status")
+	}
 
 	// The byte pin: any change to the wire, the fault schedule, membership
 	// or mixing shows up here. A change that is meant to move the report
@@ -190,6 +199,22 @@ func TestAcceptanceScenario(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("report differs from BENCH_sim.json; observed report:\n%s", got)
 	}
+}
+
+// peakRSS returns the process's peak resident set size in kB, VmHWM in
+// /proc/self/status, and false where that file or line is missing.
+func peakRSS() (int64, bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(rest), "kB")), 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }
 
 func withLog(sc Scenario, t *testing.T) Scenario {

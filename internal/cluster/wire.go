@@ -132,6 +132,12 @@ type Frame struct {
 	// journal-vs-registry invariant are both built on it: the stream size
 	// is always streamHeaderSize (36) + Σ WireBytes.
 	WireBytes int64
+
+	// stale marks a stub Node.ReadFramesTraced read only as far as its
+	// origin and version, which the node already held: it carries no
+	// lists and no sketch. ApplyFramesCtx counts it as stale on any node,
+	// and the encoder refuses it.
+	stale bool
 }
 
 // FullFrame builds a full-snapshot frame for sn, with a copy of its heavy
@@ -260,30 +266,37 @@ func appendFrame(dst []byte, i int, f *Frame) ([]byte, error) {
 
 // payloadBound bounds f's payload from above, so the encoder sizes its
 // buffer once per frame rather than growing it with the entries: at most
-// an origin, five uvarints (version, base and counts), the scale, the
-// entries, each index or gap at its own varint length, and the sketch.
+// an origin, three uvarints (version, base and a digest's count), the
+// scale, the lists at their exact size, and the sketch.
 func payloadBound(f *Frame) int {
 	const origin = binary.MaxVarintLen64 + maxOriginLen // length prefix and bytes
-	n := origin + 5*binary.MaxVarintLen64 + 8 +
-		weightedSize(f.Heavy) + weightedSize(f.HeavyUpserts) +
+	n := origin + 3*binary.MaxVarintLen64 + 8 +
+		weightedSize(f.Heavy) + deltaListsSize(f.Changes, f.HeavyRemoved, f.HeavyUpserts) +
 		(origin+binary.MaxVarintLen64)*len(f.Digest)
-	prev := uint32(0)
-	for _, ch := range f.Changes {
-		n += uvarintLen(ch.Index-prev) + 8
-		prev = ch.Index
-	}
-	for _, k := range f.HeavyRemoved {
-		n += uvarintLen(k)
-	}
 	if f.CS != nil {
 		n += f.CS.EncodedSize()
 	}
 	return n
 }
 
-// weightedSize is the encoded size of a (key, weight) list's entries.
+// deltaListsSize is the exact size of appendDeltaLists' encoding of the
+// three lists.
+func deltaListsSize(changes []sketch.BucketChange, keys []uint32, ws []stream.Weighted) int {
+	n := uvarintLen(uint32(len(changes))) + uvarintLen(uint32(len(keys))) + weightedSize(ws)
+	prev := uint32(0)
+	for _, ch := range changes {
+		n += uvarintLen(ch.Index-prev) + 8
+		prev = ch.Index
+	}
+	for _, k := range keys {
+		n += uvarintLen(k)
+	}
+	return n
+}
+
+// weightedSize is the encoded size of a count-prefixed (key, weight) list.
 func weightedSize(ws []stream.Weighted) int {
-	n := 8 * len(ws)
+	n := uvarintLen(uint32(len(ws))) + 8*len(ws)
 	for _, w := range ws {
 		n += uvarintLen(w.Index)
 	}
@@ -295,6 +308,9 @@ func uvarintLen(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
 
 // appendFramePayload appends f's kind-specific fields to dst.
 func appendFramePayload(dst []byte, f *Frame) ([]byte, error) {
+	if f.stale {
+		return dst, fmt.Errorf("a stale stub of version %d was not decoded and cannot be encoded", f.Version)
+	}
 	var err error
 	switch f.Kind {
 	case kindDigest:
@@ -323,24 +339,35 @@ func appendFramePayload(dst []byte, f *Frame) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(f.Version))
 		dst = binary.AppendUvarint(dst, uint64(f.Base))
 		dst = appendFloat(dst, scaleOr1(f.Scale))
-		dst = binary.AppendUvarint(dst, uint64(len(f.Changes)))
-		prev := uint32(0)
-		for i, ch := range f.Changes {
-			if i > 0 && ch.Index <= prev {
-				return dst, fmt.Errorf("changes not strictly ascending at %d", i)
-			}
-			dst = binary.AppendUvarint(dst, uint64(ch.Index-prev))
-			dst = appendFloat(dst, ch.Value)
-			prev = ch.Index
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(f.HeavyRemoved)))
-		for _, k := range f.HeavyRemoved {
-			dst = binary.AppendUvarint(dst, uint64(k))
-		}
-		return appendWeighted(dst, f.HeavyUpserts), nil
+		return appendDeltaLists(dst, f.Changes, f.HeavyRemoved, f.HeavyUpserts)
 	default:
 		return dst, fmt.Errorf("unknown frame kind %d", f.Kind)
 	}
+}
+
+// appendDeltaLists appends the three lists of a delta: bucket changes,
+// count-prefixed, each index as a uvarint gap from the one before and
+// each value as raw float64 bits; keys, count-prefixed uvarints; and
+// (key, weight) entries, count-prefixed. A delta frame carries its
+// changes, removed keys and upserts so, and a node packs each reverse
+// delta it keeps so (originState.packReverse). The changes must name each
+// bucket once, in ascending order.
+func appendDeltaLists(dst []byte, changes []sketch.BucketChange, keys []uint32, ws []stream.Weighted) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(changes)))
+	prev := uint32(0)
+	for i, ch := range changes {
+		if i > 0 && ch.Index <= prev {
+			return dst, fmt.Errorf("changes not strictly ascending at %d", i)
+		}
+		dst = binary.AppendUvarint(dst, uint64(ch.Index-prev))
+		dst = appendFloat(dst, ch.Value)
+		prev = ch.Index
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for _, k := range keys {
+		dst = binary.AppendUvarint(dst, uint64(k))
+	}
+	return appendWeighted(dst, ws), nil
 }
 
 // ReadFrames decodes a full frame stream, discarding the header's trace
@@ -362,10 +389,18 @@ func ReadFramesTraced(r io.Reader) ([]Frame, trace.SpanContext, error) {
 	return readFrames(r, nil)
 }
 
-// readFrames decodes a stream. Given geo, a full frame's sketch must have
-// that geometry, checked from its header before any bucket is allocated,
-// and shares its hash family; without, each sketch builds its own.
-func readFrames(r io.Reader, geo *sketch.Geometry) ([]Frame, trace.SpanContext, error) {
+// readFrames decodes a stream. Given a node, a full frame's sketch must
+// have the node's geometry, checked from its header before any bucket is
+// allocated, and shares its hash family; and a full or delta frame whose
+// version the node holds reads as a stale stub (staleFrame), against the
+// versions the node held when the stream's first such frame arrived.
+// Without a node, each sketch builds its own hash family and every frame
+// decodes whole.
+func readFrames(r io.Reader, n *Node) ([]Frame, trace.SpanContext, error) {
+	var geo *sketch.Geometry
+	if n != nil {
+		geo = n.geo
+	}
 	sr := readerPool.Get().(*streamReader)
 	sr.br.Reset(r)
 	defer sr.release()
@@ -387,6 +422,7 @@ func readFrames(r io.Reader, geo *sketch.Geometry) ([]Frame, trace.SpanContext, 
 	copy(sc.TraceID[:], hdr[8:24])
 	copy(sc.SpanID[:], hdr[24:32])
 	var frames []Frame
+	var held map[string]int64 // the node's versions, read at the first state frame
 	for {
 		kind, err := br.ReadByte()
 		if err == io.EOF {
@@ -398,29 +434,65 @@ func readFrames(r io.Reader, geo *sketch.Geometry) ([]Frame, trace.SpanContext, 
 		if kind != kindDigest && kind != kindFull && kind != kindDelta {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: unknown frame kind %d", len(frames), kind)
 		}
-		n, err := frame.ReadCount(br, maxFrameBytes)
+		size, err := frame.ReadCount(br, maxFrameBytes)
 		if err != nil {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: payload length: %w", len(frames), err)
 		}
 		// The frame CRC covers the payload alone.
-		if sr.buf, err = frame.ReadPayload(br, sr.buf, n, 0); err != nil {
+		if sr.buf, err = frame.ReadPayload(br, sr.buf, size, 0); err != nil {
 			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
 		}
-		f, err := decodeFrame(kind, frame.NewCursor(sr.buf), geo)
-		if err != nil {
-			return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
+		if n != nil && kind != kindDigest && held == nil {
+			held = n.heldVersions(sr.held)
+			sr.held = held
 		}
-		f.WireBytes = frameWireSize(n)
+		f, stale := staleFrame(kind, sr.buf, held)
+		if !stale {
+			if f, err = decodeFrame(kind, frame.NewCursor(sr.buf), geo); err != nil {
+				return nil, trace.SpanContext{}, fmt.Errorf("cluster: frame %d: %w", len(frames), err)
+			}
+		}
+		f.WireBytes = frameWireSize(size)
 		frames = append(frames, f)
 	}
 }
 
+// staleFrame returns the stale stub of a CRC-checked full or delta payload
+// whose version is at or below the one held names for its origin: its
+// kind, origin and version, and nothing else decoded. It reports false for
+// any other payload, which decodes whole, and fails there if malformed.
+func staleFrame(kind byte, payload []byte, held map[string]int64) (Frame, bool) {
+	if kind == kindDigest || held == nil {
+		return Frame{}, false
+	}
+	c := frame.NewCursor(payload)
+	n, err := c.Count(maxOriginLen)
+	if err != nil {
+		return Frame{}, false
+	}
+	id, err := c.Bytes(n)
+	if err != nil {
+		return Frame{}, false
+	}
+	v, err := c.Uvarint()
+	if err != nil {
+		return Frame{}, false
+	}
+	have, ok := held[string(id)]
+	if !ok || int64(v) > have {
+		return Frame{}, false
+	}
+	return Frame{Kind: kind, Origin: string(id), Version: int64(v), stale: true}, true
+}
+
 // streamReader is ReadFramesTraced's reusable working memory: the buffered
-// reader and the payload buffer. Decoded frames copy what they keep out
-// of the payload, so one buffer serves every frame of every stream.
+// reader, the payload buffer and a node's held versions. Decoded frames
+// copy what they keep out of the payload, so one buffer serves every frame
+// of every stream.
 type streamReader struct {
-	br  *bufio.Reader
-	buf []byte
+	br   *bufio.Reader
+	buf  []byte
+	held map[string]int64
 }
 
 var readerPool = sync.Pool{New: func() any { return &streamReader{br: bufio.NewReader(nil)} }}
@@ -430,6 +502,7 @@ func (sr *streamReader) release() {
 	if cap(sr.buf) > maxPooledBuffer {
 		sr.buf = nil
 	}
+	clear(sr.held)
 	readerPool.Put(sr)
 }
 
@@ -490,7 +563,7 @@ func decodeFields(c *frame.Cursor, f *Frame, geo *sketch.Geometry) error {
 		return fmt.Errorf("corrupt model scale %g", f.Scale)
 	}
 	if f.Kind == kindFull {
-		if f.Heavy, err = decodeWeighted(c); err != nil {
+		if f.Heavy, err = decodeWeighted(c, nil); err != nil {
 			return err
 		}
 		// The sketch travels in its own checkpoint serialization.
@@ -506,47 +579,113 @@ func decodeFields(c *frame.Cursor, f *Frame, geo *sketch.Geometry) error {
 		c.Skip(c.Len() - rest.Len())
 		return nil
 	}
-	// Delta change indices are gap-encoded and strictly ascending: a gap
-	// is positive after the first change, and bounded before it is added
-	// so the index can neither overflow uint32 nor wrap uint64.
+	f.Changes, f.HeavyRemoved, f.HeavyUpserts, err = decodeDeltaLists(c, nil, nil, nil)
+	return err
+}
+
+// decodeDeltaLists decodes appendDeltaLists' three lists, appending them
+// to the caller's changes, keys and ws. A list's count is checked against
+// the bytes left before the list is sized from it, so what it allocates is
+// bounded by the payload, which has arrived whole.
+//
+// Each list decodes in one loop over the payload's bytes, its uvarints
+// and floats read inline rather than through a call per value: a node
+// decodes every delta frame it adopts this way, and the reverse deltas it
+// composes or rebuilds from.
+func decodeDeltaLists(c *frame.Cursor, changes []sketch.BucketChange, keys []uint32, ws []stream.Weighted) ([]sketch.BucketChange, []uint32, []stream.Weighted, error) {
+	changes, err := decodeChanges(c, changes)
+	if err != nil {
+		return changes, keys, ws, err
+	}
+	keys, ws, err = decodeHeavyLists(c, keys, ws)
+	return changes, keys, ws, err
+}
+
+// decodeChanges decodes a count-prefixed change list, appending it to
+// dst. Indices must ascend strictly: a gap is positive after the first
+// change, and bounded before it is added so the index can neither
+// overflow uint32 nor wrap uint64.
+func decodeChanges(c *frame.Cursor, dst []sketch.BucketChange) ([]sketch.BucketChange, error) {
 	n, err := c.Count(maxChangeEntries)
 	if err != nil {
-		return err
+		return dst, err
 	}
-	f.Changes = make([]sketch.BucketChange, 0, frame.UpfrontCap(n))
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
-		gap, err := c.Uvarint()
-		if err != nil {
-			return err
+	b := c.Rest()
+	if n > len(b)/9 { // a change takes at least 9 bytes
+		return dst, fmt.Errorf("%d changes in %d bytes", n, len(b))
+	}
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	off, prev := 0, uint64(0)
+	for i := range n {
+		// One byte holds most gaps: it decodes without binary.Uvarint.
+		gap, m := uint64(0), 0
+		if off < len(b) && b[off] < 0x80 {
+			gap, m = uint64(b[off]), 1
+		} else if gap, m = binary.Uvarint(b[off:]); m <= 0 {
+			return dst, fmt.Errorf("change %d: bad index gap", i)
 		}
 		if i > 0 && gap == 0 {
-			return fmt.Errorf("non-ascending change index at %d", i)
+			return dst, fmt.Errorf("non-ascending change index at %d", i)
 		}
 		if gap > math.MaxUint32-prev {
-			return fmt.Errorf("change %d: gap %d from index %d overflows uint32", i, gap, prev)
+			return dst, fmt.Errorf("change %d: gap %d from index %d overflows uint32", i, gap, prev)
 		}
-		val, err := c.F64()
-		if err != nil {
-			return err
+		off += m
+		val, ok := floatAt(b, off)
+		if !ok {
+			return dst, fmt.Errorf("change %d: %w", i, floatError(b, off))
 		}
+		off += 8
 		prev += gap
-		f.Changes = append(f.Changes, sketch.BucketChange{Index: uint32(prev), Value: val})
+		dst[at+i] = sketch.BucketChange{Index: uint32(prev), Value: val}
 	}
-	nr, err := c.Count(maxHeavyEntries)
+	c.Skip(off)
+	return dst, nil
+}
+
+// decodeHeavyLists decodes the two lists after a delta's changes, a
+// count-prefixed key list and a (key, weight) list, appending them to keys
+// and ws.
+func decodeHeavyLists(c *frame.Cursor, keys []uint32, ws []stream.Weighted) ([]uint32, []stream.Weighted, error) {
+	n, err := c.Count(maxHeavyEntries)
 	if err != nil {
-		return err
+		return keys, ws, err
 	}
-	f.HeavyRemoved = make([]uint32, 0, frame.UpfrontCap(nr))
-	for i := 0; i < nr; i++ {
-		k, err := c.Index()
-		if err != nil {
-			return err
+	b, off := c.Rest(), 0
+	if n > len(b) {
+		return keys, ws, fmt.Errorf("%d keys in %d bytes", n, len(b))
+	}
+	keys = slices.Grow(keys, n)
+	for i := 0; i < n; i++ {
+		k, m := binary.Uvarint(b[off:])
+		if m <= 0 || k > math.MaxUint32 {
+			return keys, ws, fmt.Errorf("key %d: bad or overlong index", i)
 		}
-		f.HeavyRemoved = append(f.HeavyRemoved, k)
+		off += m
+		keys = append(keys, uint32(k))
 	}
-	f.HeavyUpserts, err = decodeWeighted(c)
-	return err
+	c.Skip(off)
+	ws, err = decodeWeighted(c, ws)
+	return keys, ws, err
+}
+
+// floatAt reads the little-endian float64 at b[off:]. It reports false
+// for a truncated or non-finite one, which floatError describes.
+func floatAt(b []byte, off int) (float64, bool) {
+	if len(b)-off < 8 {
+		return 0, false
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+	return v, frame.Finite(v)
+}
+
+// floatError is the error for a float floatAt refused.
+func floatError(b []byte, off int) error {
+	if len(b)-off < 8 {
+		return fmt.Errorf("truncated float")
+	}
+	return frame.NonFinite(math.Float64frombits(binary.LittleEndian.Uint64(b[off:])))
 }
 
 // decodeOrigin decodes a length-prefixed origin id of 1 to maxOriginLen
@@ -563,25 +702,34 @@ func decodeOrigin(c *frame.Cursor) (string, error) {
 	return string(b), err
 }
 
-// decodeWeighted decodes a count-prefixed (key, weight) list.
-func decodeWeighted(c *frame.Cursor) ([]stream.Weighted, error) {
+// decodeWeighted decodes a count-prefixed (key, weight) list, appending
+// it to dst, in one loop as decodeChanges does.
+func decodeWeighted(c *frame.Cursor, dst []stream.Weighted) ([]stream.Weighted, error) {
 	n, err := c.Count(maxHeavyEntries)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]stream.Weighted, 0, frame.UpfrontCap(n))
-	for i := 0; i < n; i++ {
-		k, err := c.Index()
-		if err != nil {
-			return nil, err
-		}
-		w, err := c.F64()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, stream.Weighted{Index: k, Weight: w})
+	b, off := c.Rest(), 0
+	if n > len(b)/9 { // an entry takes at least 9 bytes
+		return dst, fmt.Errorf("%d entries in %d bytes", n, len(b))
 	}
-	return out, nil
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	for i := range n {
+		k, m := binary.Uvarint(b[off:])
+		if m <= 0 || k > math.MaxUint32 {
+			return dst, fmt.Errorf("entry %d: bad or overlong key", i)
+		}
+		off += m
+		w, ok := floatAt(b, off)
+		if !ok {
+			return dst, fmt.Errorf("entry %d: %w", i, floatError(b, off))
+		}
+		off += 8
+		dst[at+i] = stream.Weighted{Index: uint32(k), Weight: w}
+	}
+	c.Skip(off)
+	return dst, nil
 }
 
 // frameWireSize is the encoded size of a frame with the given payload

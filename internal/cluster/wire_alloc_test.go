@@ -118,13 +118,13 @@ func (t applyTransport) Push(ctx context.Context, _ string, body []byte) error {
 // decode, apply — allocates what the new version keeps, plus a stated
 // slack. What it keeps: on the publisher, a sketch clone and one heavy
 // list; on the receiver, a clone and a heavy list; on each, the replaced
-// version's reverse delta; and the lists of the frame kept for reuse. The
-// slack is the decoded copy of the frame's
-// lists, the encoded stream at its payloadBound size, and 24 KiB for
-// small objects and for rounding allocations up to the allocator's size
-// classes. Copying the heap to read it,
-// copying the heavy list twice, or growing the change list or a codec
-// buffer by doubling each takes more than the slack leaves.
+// version's reverse delta, packed; and the lists of the frame kept for
+// reuse. The slack is the decoded copy of the frame's lists, the encoded
+// stream at its payloadBound size, and 24 KiB for small objects and for
+// rounding allocations up to the allocator's size classes. Copying the
+// heap to read it, copying the heavy list twice, keeping a reverse delta
+// unpacked, or growing the change list or a codec buffer by doubling each
+// takes more than the slack leaves.
 func TestVersionAllocations(t *testing.T) {
 	cfg := core.Config{Width: 4096, Depth: 1, HeapSize: 2048, Lambda: 1e-6, Seed: 7}
 	gen := datagen.RCV1Like(8)
@@ -186,13 +186,14 @@ func TestVersionAllocations(t *testing.T) {
 		f := &fs[0]
 		const entry = 16 // a BucketChange and a stream.Weighted
 		lists := entry*len(f.Changes) + 4*len(f.HeavyRemoved) + entry*len(f.HeavyUpserts)
-		// A reverse delta holds the changed buckets with their old values,
-		// the old entries the upserts overwrote and the removals dropped,
-		// and the keys the upserts added. The heap is full in both
-		// versions, so the upserts add as many keys as the removals drop:
-		// there are as many old entries as upserts, and as many added keys
-		// as removals.
-		reverse := entry*len(f.Changes) + entry*len(f.HeavyUpserts) + 4*len(f.HeavyRemoved)
+		// A reverse delta packs the changed buckets with their old values,
+		// at the frame's gaps; the old entries the upserts overwrote and
+		// the removals dropped; and the keys the upserts added. The heap is
+		// full in both versions, so the upserts add as many keys as the
+		// removals drop: the old entries and added keys name the keys of
+		// the upserts and removals, and pack to the size of the frame's
+		// own lists.
+		reverse := deltaListsSize(f.Changes, f.HeavyRemoved, f.HeavyUpserts)
 		keeps := 2*(8*4096+entry*cfg.HeapSize) + lists + 2*reverse
 		slack := lists + payloadBound(f) + 24<<10
 		allocated := int(after.TotalAlloc - before.TotalAlloc)
@@ -263,5 +264,98 @@ func BenchmarkReadFrames(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestNodeReadsStaleFramesAsStubs: delta frames whose version a node
+// already holds read through Node.ReadFramesTraced as stale stubs, decoded
+// no further than their origin and version. Reading a stream of them
+// allocates the same, in count and bytes, whatever their lists hold (the
+// package-level reader, which decodes every frame, allocates their lists).
+// Applied, the stubs count as stale in Status().StaleDropped, on the node
+// and on one that holds nothing; and the encoder refuses them.
+func TestNodeReadsStaleFramesAsStubs(t *testing.T) {
+	cfg := core.Config{Width: 4096, Depth: 1, HeapSize: 2048, Seed: 7}
+	newNode := func(self string) *Node {
+		n, err := NewNode(Config{Self: self, Mix: mixOpt(cfg), Local: core.NewAWMSketch(cfg), Interval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	n := newNode("holder")
+	full, _ := codecFrames(2048)
+	full.Version = 2000 // past every delta below
+	if res := n.ApplyFrames([]Frame{full}); res.Applied != 1 {
+		t.Fatalf("full frame: %+v", res)
+	}
+	stream := func(heavy int) []byte {
+		_, delta := codecFrames(heavy)
+		frames := make([]Frame, 4)
+		for i := range frames {
+			frames[i] = delta
+			frames[i].Version = delta.Version + int64(i)
+		}
+		return encodeFrames(t, frames)
+	}
+	big, small := stream(2048), stream(64)
+	// AllocsPerRun reads once before it counts, which sizes the pooled
+	// read buffer; the bytes are counted over the same runs after it.
+	read := func(r func(io.Reader) ([]Frame, error), b []byte) (allocs, allocated float64) {
+		run := func() {
+			if _, err := r(bytes.NewReader(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 20 {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 20
+	}
+	node := func(r io.Reader) ([]Frame, error) {
+		fs, _, err := n.ReadFramesTraced(r)
+		return fs, err
+	}
+	bigAllocs, bigBytes := read(node, big)
+	smallAllocs, smallBytes := read(node, small)
+	_, wholeBytes := read(ReadFrames, big)
+	t.Logf("4 stale deltas: %.0f allocations and %.0f bytes with 2048-entry heavy lists, %.0f and %.0f with 64; %.0f bytes decoded whole",
+		bigAllocs, bigBytes, smallAllocs, smallBytes, wholeBytes)
+	// The race detector drops pooled buffers at random, so the reads
+	// allocate what the pools would have kept: allocations are not gated
+	// under it.
+	if !raceEnabled() && (bigAllocs > smallAllocs || bigBytes > smallBytes+512) {
+		t.Errorf("reading stale deltas allocates %.0f times and %.0f bytes with long lists, %.0f and %.0f with short ones",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+	_, delta := codecFrames(2048)
+	if lists := 4 * (16*len(delta.Changes) + 4*len(delta.HeavyRemoved) + 16*len(delta.HeavyUpserts)); !raceEnabled() && wholeBytes < bigBytes+float64(lists) {
+		t.Errorf("decoding the stale deltas whole allocates %.0f bytes, the stubs %.0f: less than their %d bytes of lists more", wholeBytes, bigBytes, lists)
+	}
+
+	frames, _, err := n.ReadFramesTraced(bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if !f.stale || f.Kind != kindDelta || f.Origin != "node-a" || f.Changes != nil || f.HeavyUpserts != nil || f.WireBytes == 0 {
+			t.Fatalf("stub %+v, want a stale delta stub of node-a with its wire size and no lists", f)
+		}
+	}
+	for _, m := range []*Node{n, newNode("empty")} {
+		before := m.Status().StaleDropped
+		if res := m.ApplyFrames(frames); res.Applied != 0 || res.Stale != len(frames) || res.Changed {
+			t.Fatalf("%s applied the stubs: %+v, want all %d stale", m.Self(), res, len(frames))
+		}
+		if got := m.Status().StaleDropped - before; got != int64(len(frames)) {
+			t.Fatalf("%s: StaleDropped moved by %d, want %d", m.Self(), got, len(frames))
+		}
+	}
+	if _, err := WriteFrames(io.Discard, frames); err == nil {
+		t.Fatal("WriteFrames encoded a stale stub")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wmsketch/internal/core"
+	"wmsketch/internal/datagen"
 	"wmsketch/internal/sketch"
 	"wmsketch/internal/stream"
 )
@@ -45,6 +46,54 @@ func wrappingDeltaStream() []byte {
 	p = binary.AppendUvarint(p, 0) // heavy removals
 	p = binary.AppendUvarint(p, 0) // heavy upserts
 	return handStream(kindDelta, p)
+}
+
+// infDeltaPayload is a delta payload of origin at version, on the
+// version before it, whose one change is +Inf, which the decoder refuses.
+func infDeltaPayload(tb testing.TB, origin string, version int64) []byte {
+	tb.Helper()
+	p := binary.AppendUvarint(nil, uint64(len(origin)))
+	p = append(p, origin...)
+	p = binary.AppendUvarint(p, uint64(version))
+	p = binary.AppendUvarint(p, uint64(version-1))
+	p, err := appendDeltaLists(binary.LittleEndian.AppendUint64(p, math.Float64bits(1)),
+		[]sketch.BucketChange{{Index: 3, Value: math.Inf(1)}}, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestNodeReadsMalformedStaleFrameAsStub: a node reads a frame whose
+// version it holds no further than that version. A stale frame malformed
+// past it, here by a non-finite change, fails its stream through
+// ReadFrames; a node that holds the version reads it as a stub, reads the
+// frames after it whole, and counts it stale.
+func TestNodeReadsMalformedStaleFrameAsStub(t *testing.T) {
+	b, holder := newMember(t, "node-b"), newMember(t, "node-a")
+	for _, ex := range datagen.RCV1Like(3).Take(200) {
+		b.learner.Update(ex.X, ex.Y)
+	}
+	if _, _, err := b.node.PublishLocal(); err != nil {
+		t.Fatal(err)
+	}
+	full := b.node.BuildFrames(map[string]int64{}, false)
+	if res := holder.node.ApplyFrames(full); len(full) != 1 || res.Applied != 1 {
+		t.Fatalf("the holder adopted %d of %d frames", res.Applied, len(full))
+	}
+	v := full[0].Version
+	digest := encodeFrames(t, []Frame{{Kind: kindDigest, Digest: map[string]int64{"node-b": v}}})
+	s := append(handStream(kindDelta, infDeltaPayload(t, "node-b", v)), digest[streamHeaderSize:]...)
+	if _, err := ReadFrames(bytes.NewReader(s)); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("ReadFrames: %v, want the non-finite change refused", err)
+	}
+	frames, _, err := holder.node.ReadFramesTraced(bytes.NewReader(s))
+	if err != nil || len(frames) != 2 || !frames[0].stale || frames[0].Version != v || frames[1].Kind != kindDigest {
+		t.Fatalf("the holder read %d frames (%v), want a stale stub at version %d and the digest", len(frames), err, v)
+	}
+	if res := holder.node.ApplyFrames(frames); res.Stale != 1 || res.Rejected != 0 || res.TheirDigest["node-b"] != v {
+		t.Fatalf("apply: %+v, want the stub stale and the digest read", res)
+	}
 }
 
 // TestReadFramesRejectsWrappingDeltaGap: a change gap is bounded by

@@ -31,6 +31,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 )
 
 // MaxUpfrontAlloc caps the bytes allocated from a declared length alone.
@@ -226,10 +227,13 @@ func ReadPayload(r io.Reader, buf []byte, n int, seed uint32) ([]byte, error) {
 
 // ReadF64s fills dst with little-endian float64s read from r a chunk at a
 // time, rejecting NaN and ±Inf: the stream form of Cursor.F64s. It reads
-// exactly 8·len(dst) bytes.
+// exactly 8·len(dst) bytes, through a pooled chunk buffer, so the
+// sections of one checkpoint (a sharded model's shards) share one.
 func ReadF64s(r io.Reader, dst []float64) error {
 	const chunk = MaxUpfrontAlloc / 8
-	scratch := make([]byte, 8*min(len(dst), chunk))
+	bp := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(bp)
+	scratch := *bp
 	for done := 0; done < len(dst); {
 		part := dst[done:min(done+chunk, len(dst))]
 		b := scratch[:8*len(part)]
@@ -243,6 +247,12 @@ func ReadF64s(r io.Reader, dst []float64) error {
 	}
 	return nil
 }
+
+// chunkPool holds ReadF64s' MaxUpfrontAlloc-byte chunk buffers.
+var chunkPool = sync.Pool{New: func() any {
+	b := make([]byte, MaxUpfrontAlloc)
+	return &b
+}}
 
 // AtEOF requires r to be exhausted: the exact-consumption rule for a
 // stream that must end where its last section does.

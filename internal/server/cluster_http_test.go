@@ -117,6 +117,36 @@ func TestClusterOverHTTPConverges(t *testing.T) {
 	}
 }
 
+// TestClusterKeepsNoLineageUndrained: a node records lineage only from
+// its first DrainLineage on, and wmserve never drains, so two clustered
+// servers that gossip and adopt each other's versions hold no lineage
+// entry: the first drain finds none, and none dropped.
+func TestClusterKeepsNoLineageUndrained(t *testing.T) {
+	srvs, https := clusterServers(t, 2, testOptions(t, BackendAWM), nil)
+	data := datagen.RCV1Like(37).Take(600)
+	for round := range 3 {
+		for i, hs := range https {
+			part := data[(2*round+i)*100 : (2*round+i+1)*100]
+			if code := doJSON(t, "POST", hs.URL+"/v1/update", UpdateRequest{Examples: toWire(part)}, nil); code != 200 {
+				t.Fatalf("node %d update: HTTP %d", i, code)
+			}
+		}
+		for _, s := range srvs {
+			s.ClusterNode().GossipOnce()
+		}
+	}
+	for i, s := range srvs {
+		st := s.ClusterNode().Status()
+		if st.FullsIn+st.DeltasIn < 2 {
+			t.Fatalf("node %d adopted %d full and %d delta frames, want at least two", i, st.FullsIn, st.DeltasIn)
+		}
+		if entries, dropped := s.ClusterNode().DrainLineage(); len(entries) != 0 || dropped != 0 {
+			t.Errorf("node %d adopted %d frames and holds %d lineage entries (%d dropped), want none",
+				i, st.FullsIn+st.DeltasIn, len(entries), dropped)
+		}
+	}
+}
+
 // TestClusterPushRequiresAuth: with a token configured, unauthenticated
 // pushes must 401 and authenticated gossip must still converge (peers
 // share the token).

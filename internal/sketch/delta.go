@@ -24,10 +24,10 @@ import (
 //
 // Diff compares bucket values, so +0 equals −0: applying Diff(base, cur)
 // to a copy of base reconstructs cur exactly, except that a zero bucket
-// keeps base's sign. DiffBits compares bit patterns instead, and its
+// keeps base's sign. AppendDiffBits compares bit patterns instead, and its
 // reconstruction is exact bit for bit. Cluster nodes keep older versions
-// of a model as DiffBits(newer, older): the change list that takes the
-// newer version back to the older one.
+// of a model as the bit diff from the newer version to the older one: the
+// change list that takes the newer version back.
 
 // BucketChange records one changed bucket: its flat row-major index
 // (row·width + column) and its new value.
@@ -67,30 +67,21 @@ func Diff(base, cur *CountSketch) ([]BucketChange, error) {
 	return changes, nil
 }
 
-// DiffBits is Diff comparing buckets by bit pattern: it also reports a
-// zero bucket whose sign changed, so applying its list to a copy of base
-// gives cur bit for bit.
-func DiffBits(base, cur *CountSketch) ([]BucketChange, error) {
+// AppendDiffBits is Diff comparing buckets by bit pattern, appending the
+// changes to dst: it also reports a zero bucket whose sign changed, so
+// applying its list to a copy of base gives cur bit for bit. A caller that
+// keeps dst between calls diffs without allocating.
+func AppendDiffBits(dst []BucketChange, base, cur *CountSketch) ([]BucketChange, error) {
 	if err := compatible(base.depth, cur.depth, base.width, cur.width, base.seed, cur.seed); err != nil {
-		return nil, err
+		return dst, err
 	}
 	c, b := cur.buckets, base.buckets[:len(cur.buckets)]
-	n := 0
 	for i := range c {
 		if math.Float64bits(c[i]) != math.Float64bits(b[i]) {
-			n++
+			dst = append(dst, BucketChange{Index: uint32(i), Value: c[i]})
 		}
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	changes := make([]BucketChange, 0, n)
-	for i := range c {
-		if math.Float64bits(c[i]) != math.Float64bits(b[i]) {
-			changes = append(changes, BucketChange{Index: uint32(i), Value: c[i]})
-		}
-	}
-	return changes, nil
+	return dst, nil
 }
 
 // At returns the bucket at flat row-major index i, the index a
@@ -100,8 +91,8 @@ func (cs *CountSketch) At(i uint32) float64 { return cs.buckets[i] }
 // ApplyDiff sets each changed bucket to its new value. Indices are bounds-
 // checked and values NaN/Inf-rejected before any mutation, so a corrupt
 // frame leaves the sketch untouched. Changes must target the same shape the
-// diff was taken against; applying DiffBits(base, cur) to a copy of base
-// yields cur bit for bit, and Diff(base, cur) yields it up to the sign of
+// diff was taken against; applying AppendDiffBits(nil, base, cur) to a copy
+// of base yields cur bit for bit, and Diff(base, cur) yields it up to the sign of
 // zero buckets.
 func (cs *CountSketch) ApplyDiff(changes []BucketChange) error {
 	size := uint32(cs.depth * cs.width)

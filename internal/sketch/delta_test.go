@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -189,14 +190,14 @@ func diffPair(width int) (base, cur *CountSketch) {
 	return base, cur
 }
 
-// TestDiffBitsRebuildsBitForBit: DiffBits reports what Diff reports, with
-// the same values, plus the zero buckets whose sign changed, so applying it
-// rebuilds the sketch bit for bit; Diff's rebuild differs only in the sign
-// of zero buckets.
+// TestDiffBitsRebuildsBitForBit: AppendDiffBits reports what Diff reports,
+// with the same values, plus the zero buckets whose sign changed, so
+// applying it rebuilds the sketch bit for bit; Diff's rebuild differs only
+// in the sign of zero buckets. It appends to what dst holds.
 func TestDiffBitsRebuildsBitForBit(t *testing.T) {
 	for _, width := range []int{1, 7, 64, 4096} {
 		base, cur := diffPair(width)
-		exact, err := DiffBits(base, cur)
+		exact, err := AppendDiffBits(nil, base, cur)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func TestDiffBitsRebuildsBitForBit(t *testing.T) {
 		flips := 0
 		for i := range uint32(width) {
 			if math.Float64bits(bits.At(i)) != math.Float64bits(cur.At(i)) {
-				t.Fatalf("width %d: bucket %d rebuilt from DiffBits is %v, want %v", width, i, bits.At(i), cur.At(i))
+				t.Fatalf("width %d: bucket %d rebuilt from AppendDiffBits is %v, want %v", width, i, bits.At(i), cur.At(i))
 			}
 			if math.Float64bits(values.At(i)) != math.Float64bits(cur.At(i)) {
 				if values.At(i) != 0 || cur.At(i) != 0 {
@@ -224,31 +225,40 @@ func TestDiffBitsRebuildsBitForBit(t *testing.T) {
 			}
 		}
 		if len(exact) != len(byValue)+flips {
-			t.Fatalf("width %d: DiffBits reports %d buckets, Diff %d and %d zeros flipped sign", width, len(exact), len(byValue), flips)
+			t.Fatalf("width %d: AppendDiffBits reports %d buckets, Diff %d and %d zeros flipped sign", width, len(exact), len(byValue), flips)
 		}
 		for i := 1; i < len(exact); i++ {
 			if exact[i].Index <= exact[i-1].Index {
-				t.Fatalf("width %d: DiffBits indices not strictly ascending at %d", width, i)
+				t.Fatalf("width %d: AppendDiffBits indices not strictly ascending at %d", width, i)
 			}
 		}
 		if width == 4096 && flips == 0 {
 			t.Fatal("no zero bucket changed sign: the pair does not test it")
 		}
+		held := []BucketChange{{Index: 9, Value: 1}}
+		if got, err := AppendDiffBits(held, base, cur); err != nil || !slices.Equal(got[:1], held) || !slices.Equal(got[1:], exact) {
+			t.Fatalf("width %d: AppendDiffBits onto a held change did not append to it (%v)", width, err)
+		}
 	}
-	if _, err := DiffBits(NewCountSketch(1, 64, 1), NewCountSketch(1, 64, 2)); err == nil {
-		t.Fatal("DiffBits accepted sketches of different seeds")
+	if _, err := AppendDiffBits(nil, NewCountSketch(1, 64, 1), NewCountSketch(1, 64, 2)); err == nil {
+		t.Fatal("AppendDiffBits accepted sketches of different seeds")
 	}
 }
 
 // BenchmarkDiff diffs two versions of a 4096×1 sketch a third of whose
-// buckets changed: by value, as the frame definition reads, and by bits,
-// as a node keeps an older version.
+// buckets changed: by value, as the frame definition reads, and by bits
+// into a reused list, as a node keeps an older version.
 func BenchmarkDiff(b *testing.B) {
 	base, cur := diffPair(4096)
+	var scratch []BucketChange
 	for _, d := range []struct {
 		name string
 		diff func(base, cur *CountSketch) ([]BucketChange, error)
-	}{{"value", Diff}, {"bits", DiffBits}} {
+	}{{"value", Diff}, {"bits", func(base, cur *CountSketch) ([]BucketChange, error) {
+		var err error
+		scratch, err = AppendDiffBits(scratch[:0], base, cur)
+		return scratch, err
+	}}} {
 		b.Run(d.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {

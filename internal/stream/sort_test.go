@@ -155,6 +155,46 @@ func TestSortByIndexMatchesStableSort(t *testing.T) {
 	}
 }
 
+// TestSortWeightedOnAscendingIndices: a list whose indices already ascend
+// skips the index passes, and still sorts as the stable reference does,
+// with many exact magnitude ties, signed zeros and repeated indices; one
+// whose indices ascend but for its last entry runs them.
+func TestSortWeightedOnAscendingIndices(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	stable := func(ws []Weighted) {
+		slices.SortStableFunc(ws, func(a, b Weighted) int {
+			if c := cmp.Compare(refAbs(b.Weight), refAbs(a.Weight)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Index, b.Index)
+		})
+	}
+	for _, n := range []int{64, 257, 2048, 5000} {
+		ws := randomWeighted(rng, n)
+		n := len(ws) // randomWeighted drops repeated indices
+		slices.SortFunc(ws, func(a, b Weighted) int { return cmp.Compare(a.Index, b.Index) })
+		for i := range ws {
+			if rng.Intn(8) == 0 {
+				ws[i].Weight = math.Copysign(0, float64(rng.Intn(2)*2-1))
+			}
+			if i > 0 && i < n-2 && rng.Intn(8) == 0 {
+				ws[i].Index = ws[i-1].Index
+			}
+		}
+		last := slices.Clone(ws)
+		last[n-1].Index = 0 // below ws[n-2], which is unique and above ws[0]
+		for name, in := range map[string][]Weighted{"ascending": ws, "all but the last ascending": last} {
+			want := slices.Clone(in)
+			stable(want)
+			got := slices.Clone(in)
+			SortWeighted(got)
+			if !sameEntries(got, want) {
+				t.Fatalf("n=%d, %s: the order differs from the stable reference", n, name)
+			}
+		}
+	}
+}
+
 // BenchmarkSortWeighted sorts heavy lists of the sizes gossip ships: a
 // small heap, wmserve's default 2048, and a large one.
 func BenchmarkSortWeighted(b *testing.B) {

@@ -116,14 +116,17 @@ type Weighted struct {
 // magnitude bits (non-negative float64s order like their bit patterns, so
 // ±0 tie and subnormals sort below every normal). It does no comparisons
 // and runs in linear time; a pass whose byte is the same in every entry is
-// skipped. NaN magnitudes sort above +Inf.
+// skipped, and so are the index passes when the indices already ascend.
+// NaN magnitudes sort above +Inf.
 func SortWeighted(ws []Weighted) { radixSort(ws, radixPasses) }
 
 // SortByIndex orders ws by ascending index, keeping entries with equal
 // indices in their order: SortWeighted's four index passes alone.
 func SortByIndex(ws []Weighted) { radixSort(ws, indexPasses) }
 
-// radixSort runs the first passes of SortWeighted's LSD radix sort.
+// radixSort runs the first passes of SortWeighted's LSD radix sort. When
+// the indices already ascend, it skips the index passes: being stable,
+// they would move nothing.
 func radixSort(ws []Weighted, passes int) {
 	if len(ws) < 2 {
 		return
@@ -139,8 +142,11 @@ func radixSort(ws []Weighted, passes int) {
 	c := &s.counts
 	*c = [radixPasses][256]uint32{}
 	byWeight := passes > indexPasses
+	ascending, prev := true, ws[0].Index
 	for _, w := range ws {
 		i := w.Index
+		ascending = ascending && i >= prev
+		prev = i
 		c[0][byte(i)]++
 		c[1][byte(i>>8)]++
 		c[2][byte(i>>16)]++
@@ -157,8 +163,12 @@ func radixSort(ws []Weighted, passes int) {
 			c[11][byte(k>>56)]++
 		}
 	}
+	start := 0
+	if ascending {
+		start = indexPasses
+	}
 	src, dst := ws, s.buf[:len(ws)]
-	for p := 0; p < passes; p++ {
+	for p := start; p < passes; p++ {
 		first := ws[0]
 		var d byte
 		if p < indexPasses {
